@@ -14,13 +14,12 @@ import sys
 
 from . import __version__
 from .config import RunConfig, apply_cli_values, parse_config_file
-from .corpus import Corpus, LabeledComment, Sentiment, label_distribution, load_csv, split
-from .eval import confusion_matrix, cross_validate, evaluate_repeated, metrics
-from .exceptions import ConfigError, RusentError
+from .corpus import Corpus, LabeledComment, Sentiment, label_distribution, load_csv
+from .eval import confusion_matrix, evaluate_specs, metrics, plan_splits
+from .exceptions import ConfigError, MalformedRowError, RusentError
 from .features import TfidfVectorizer, load_tfidf, save_tfidf, write_word_frequencies
 from .models import CLASSIFIER_KINDS, ClassifierSpec, load_model, make_classifier, save_model
 from .preprocess import TokenizedComment, default_stopwords, load_stopwords, preprocess_corpus
-from .seeding import derive_seed
 
 CORPUS_FILE = "corpus.csv"
 DISTRIBUTION_FILE = "label_distribution.json"
@@ -87,36 +86,40 @@ def _spec_for(config, kind):
     return ClassifierSpec(kind, overrides)
 
 
+def _artifact_rows(path):
+    """Data rows of a three-column stage CSV artifact; a shorter row
+    raises MalformedRowError naming its line."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < 3:
+                line, reason = reader.line_num, f"expected 3 fields, got {len(row)}"
+                raise MalformedRowError(f"{path} line {line}: {reason}", [(line, reason)])
+            yield row
+
+
 def _read_preprocessed(path):
     """Rebuild (corpus, docs) from a preprocessed CSV; row ids are the
     artifact's own data-row ordinals."""
     records = []
     docs = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header_skipped = False
-        i = 0
-        for row in reader:
-            if not header_skipped:
-                header_skipped = True
-                continue
-            if not row:
-                continue
-            text, label_str, text_final = row[0], row[1], row[2]
-            label = Sentiment.parse(label_str)
-            records.append(LabeledComment(text, label, i))
-            docs.append(TokenizedComment(i, tuple(text_final.split()), label))
-            i += 1
+    for i, (text, label_str, text_final, *_) in enumerate(_artifact_rows(path)):
+        label = Sentiment.parse(label_str)
+        records.append(LabeledComment(text, label, i))
+        docs.append(TokenizedComment(i, tuple(text_final.split()), label))
     return Corpus(tuple(records), str(path)), docs
 
 
 def _staged_split(config, corpus, docs):
-    """The single train/test split shared by fit-features, train and predict."""
-    result = split(corpus, config.train_ratio, derive_seed(config.seed, "split"))
-    by_id = {d.row_id: d for d in docs}
-    train_docs = [by_id[r.row_id] for r in result.train]
-    test_docs = [by_id[r.row_id] for r in result.test]
-    return result, train_docs, test_docs
+    """The split of evaluate_once(seed=config.seed), shared by fit-features,
+    train and predict: (planned split, train docs, test docs)."""
+    (part,) = plan_splits(corpus, "repeated", config.seed, runs=1,
+                          train_ratio=config.train_ratio)
+    docs_of = dict(zip(corpus, docs))
+    return part, [docs_of[r] for r in part.train], [docs_of[r] for r in part.test]
 
 
 def cmd_ingest(config, args):
@@ -169,8 +172,8 @@ def cmd_fit_features(config, args):
     if config.fit_on_all:
         fit_docs = docs
     else:
-        result, fit_docs, _ = _staged_split(config, corpus, docs)
-        _info(f"vocabulary fit on train split: {_distribution_line(result.train)}")
+        part, fit_docs, _ = _staged_split(config, corpus, docs)
+        _info(f"vocabulary fit on train split: {_distribution_line(part.train)}")
     vectorizer = TfidfVectorizer(max_features=config.max_features).fit(fit_docs)
     model_path = os.path.join(config.out, TFIDF_FILE)
     save_tfidf(vectorizer, model_path)
@@ -185,14 +188,14 @@ def cmd_train(config, args):
     _require_artifact(pre_path, "preprocess")
     _require_artifact(tfidf_path, "fit-features")
     corpus, docs = _read_preprocessed(pre_path)
-    result, train_docs, _ = _staged_split(config, corpus, docs)
-    _info(f"train split: {_distribution_line(result.train)}")
-    _info(f"test split:  {_distribution_line(result.test)}")
+    part, train_docs, _ = _staged_split(config, corpus, docs)
+    _info(f"train split: {_distribution_line(part.train)}")
+    _info(f"test split:  {_distribution_line(part.test)}")
     vectorizer = load_tfidf(tfidf_path)
     X = vectorizer.transform(train_docs)
-    y = result.train.labels()
+    y = part.train.labels()
     spec = _spec_for(config, args.classifier)
-    model = make_classifier(spec, seed=derive_seed(config.seed, f"train:{spec.kind}"))
+    model = make_classifier(spec, seed=part.train_seed(spec.kind))
     model.fit(X, y)
     model_path = os.path.join(config.out, f"model_{spec.kind}.json")
     save_model(model, model_path)
@@ -208,7 +211,7 @@ def cmd_predict(config, args):
     _require_artifact(tfidf_path, "fit-features")
     _require_artifact(model_path, "train")
     corpus, docs = _read_preprocessed(pre_path)
-    result, _, test_docs = _staged_split(config, corpus, docs)
+    part, _, test_docs = _staged_split(config, corpus, docs)
     vectorizer = load_tfidf(tfidf_path)
     model = load_model(model_path)
     predictions = model.predict(vectorizer.transform(test_docs))
@@ -216,7 +219,7 @@ def cmd_predict(config, args):
     fh, writer = _open_csv_writer(out_path)
     with fh:
         writer.writerow(["row_id", "truth", "predicted"])
-        for record, pred in zip(result.test, predictions):
+        for record, pred in zip(part.test, predictions):
             writer.writerow(
                 [record.row_id, record.label.label, Sentiment(int(pred)).label]
             )
@@ -229,14 +232,9 @@ def cmd_evaluate(config, args):
     _require_artifact(pred_path, "predict")
     truths = []
     preds = []
-    with open(pred_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            if not row:
-                continue
-            truths.append(Sentiment.parse(row[1]))
-            preds.append(Sentiment.parse(row[2]))
+    for _, truth, predicted, *_ in _artifact_rows(pred_path):
+        truths.append(Sentiment.parse(truth))
+        preds.append(Sentiment.parse(predicted))
     cm = confusion_matrix(truths, preds)
     report = metrics(cm)
     payload = {
@@ -324,61 +322,38 @@ def cmd_compare(config, args):
     )
     stopwords = _load_stopword_list(config)
     _info(f"corpus: {len(corpus)} records, {_distribution_line(corpus)}")
+    plan = plan_splits(corpus, config.protocol, config.seed, runs=config.runs,
+                       train_ratio=config.train_ratio, folds=config.folds)
+    for part in plan:
+        _info(
+            f"[{part.name}] train: {_distribution_line(part.train)} | "
+            f"test: {_distribution_line(part.test)}"
+        )
     if config.protocol == "repeated":
-        for r in range(config.runs):
-            seed = config.seed + r
-            result = split(corpus, config.train_ratio, derive_seed(seed, "split"))
-            _info(
-                f"[seed {seed}] train: {_distribution_line(result.train)} | "
-                f"test: {_distribution_line(result.test)}"
-            )
-        protocol_payload = {
-            "name": "repeated",
-            "train_ratio": config.train_ratio,
-            "runs": config.runs,
-            "fit_on_all": config.fit_on_all,
-            "max_features": config.max_features,
-            "seed": config.seed,
-        }
+        protocol_payload = {"train_ratio": config.train_ratio, "runs": config.runs}
     else:
-        protocol_payload = {
-            "name": "kfold",
-            "folds": config.folds,
-            "fit_on_all": config.fit_on_all,
-            "max_features": config.max_features,
-            "seed": config.seed,
-        }
-    results = {}
-    for kind in CLASSIFIER_KINDS:
-        spec = _spec_for(config, kind)
-        if config.protocol == "repeated":
-            agg = evaluate_repeated(
-                spec,
-                corpus,
-                stopwords,
-                runs=config.runs,
-                base_seed=config.seed,
-                train_ratio=config.train_ratio,
-                fit_on_all=config.fit_on_all,
-                max_features=config.max_features,
-                strip_punct=config.strip_punct,
-            )
-        else:
-            agg = cross_validate(
-                spec,
-                corpus,
-                stopwords,
-                k=config.folds,
-                fit_on_all=config.fit_on_all,
-                max_features=config.max_features,
-                strip_punct=config.strip_punct,
-                seed=config.seed,
-            )
+        protocol_payload = {"folds": config.folds}
+    protocol_payload.update(
+        name=config.protocol,
+        fit_on_all=config.fit_on_all,
+        max_features=config.max_features,
+        seed=config.seed,
+    )
+    aggregates = evaluate_specs(
+        [_spec_for(config, kind) for kind in CLASSIFIER_KINDS],
+        corpus,
+        stopwords,
+        plan,
+        fit_on_all=config.fit_on_all,
+        max_features=config.max_features,
+        strip_punct=config.strip_punct,
+    )
+    results = dict(zip(CLASSIFIER_KINDS, aggregates))
+    for kind, agg in results.items():
         _info(
             f"{kind}: mean accuracy {agg.mean['accuracy']:.6f} "
             f"(std {agg.std['accuracy']:.6f})"
         )
-        results[kind] = agg
     _write_compare_outputs(config, results, protocol_payload)
     return 0
 

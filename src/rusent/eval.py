@@ -1,12 +1,14 @@
 """Confusion matrices, derived metrics, repeated-run evaluation and
-k-fold cross-validation of the full pipeline."""
+k-fold cross-validation of the full pipeline. Both protocols run through
+one split plan (``plan_splits``) and one evaluation loop
+(``evaluate_specs``)."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .base import N_CLASSES
-from .corpus import LABEL_NAMES, kfold, split
+from .corpus import LABEL_NAMES, Corpus, kfold, split
 from .exceptions import EmptyCorpusError
 from .features import TfidfVectorizer
 from .models import make_classifier
@@ -172,7 +174,8 @@ class RunAggregate:
     pooled_confusion: np.ndarray
 
 
-def _aggregate(reports, seeds, pooled):
+def _aggregate(cms, seeds):
+    reports = [metrics(cm) for cm in cms]
     keys = reports[0].scalar_metrics().keys()
     table = {k: np.array([r.scalar_metrics()[k] for r in reports]) for k in keys}
     mean = {k: float(v.mean()) for k, v in table.items()}
@@ -186,30 +189,75 @@ def _aggregate(reports, seeds, pooled):
         std=std,
         runs=len(reports),
         seeds=tuple(seeds),
-        pooled_confusion=pooled,
+        pooled_confusion=np.sum(cms, axis=0),
     )
 
 
-def _labels_of(docs):
-    return np.array([d.label for d in docs], dtype=np.int64)
+@dataclass(frozen=True)
+class PlannedSplit:
+    """One train/test split of a run. A repeated-protocol run (``fold``
+    None) trains kind K with derive_seed(seed, "train:K") and reports
+    ``seed``; fold i trains with derive_seed(seed, "fold<i>:train:K") and
+    reports that train seed."""
+
+    train: Corpus
+    test: Corpus
+    seed: int
+    fold: int | None = None
+
+    @property
+    def name(self):
+        return f"seed {self.seed}" if self.fold is None else f"fold {self.fold}"
+
+    def train_seed(self, kind):
+        prefix = "" if self.fold is None else f"fold{self.fold}:"
+        return derive_seed(self.seed, f"{prefix}train:{kind}")
+
+    def reported_seed(self, kind):
+        return self.seed if self.fold is None else self.train_seed(kind)
 
 
-def _evaluate_split(spec, train_docs, test_docs, *, fit_on_all, max_features, train_seed):
-    if not train_docs:
-        raise EmptyCorpusError("empty training partition")
-    if not test_docs:
-        raise EmptyCorpusError("empty test partition")
-    vectorizer = TfidfVectorizer(max_features=max_features)
-    if fit_on_all:
-        vectorizer.fit(list(train_docs) + list(test_docs))
-    else:
-        vectorizer.fit(train_docs)
-    X_train = vectorizer.transform(train_docs)
-    X_test = vectorizer.transform(test_docs)
-    model = make_classifier(spec, seed=train_seed)
-    model.fit(X_train, _labels_of(train_docs))
-    cm = confusion_matrix(_labels_of(test_docs), model.predict(X_test))
-    return cm, metrics(cm)
+def plan_splits(corpus, protocol, seed, *, runs=10, train_ratio=0.8, folds=10):
+    """Every split a run evaluates, in order: for ``repeated``, ``runs``
+    shuffle splits at ``train_ratio``, run r cut with derive_seed(seed + r,
+    "split"); for ``kfold``, the folds of one derive_seed(seed, "kfold")
+    permutation."""
+    if protocol == "kfold":
+        pairs = kfold(corpus, folds, derive_seed(seed, "kfold"))
+        return [PlannedSplit(tr, te, seed, i) for i, (tr, te) in enumerate(pairs)]
+    if protocol != "repeated":
+        raise ValueError(f"protocol must be 'repeated' or 'kfold', got {protocol!r}")
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    seeds = range(seed, seed + runs)
+    cuts = [split(corpus, train_ratio, derive_seed(s, "split")) for s in seeds]
+    return [PlannedSplit(cut.train, cut.test, s) for s, cut in zip(seeds, cuts)]
+
+
+def evaluate_specs(specs, corpus, stopwords, plan, *, fit_on_all=False,
+                   max_features=3000, strip_punct=False):
+    """Fit and score every classifier spec on every split of ``plan``;
+    returns one RunAggregate per spec. The corpus is preprocessed once,
+    and each split's tf-idf matrices (train-only vocabulary unless
+    ``fit_on_all``) are built once and shared by all specs."""
+    docs_of = dict(zip(corpus, preprocess_corpus(corpus, stopwords, strip_punct)))
+    cms = [[] for _ in specs]
+    for part in plan:
+        train_docs = [docs_of[r] for r in part.train]
+        test_docs = [docs_of[r] for r in part.test]
+        if not train_docs:
+            raise EmptyCorpusError("empty training partition")
+        vectorizer = TfidfVectorizer(max_features=max_features)
+        vectorizer.fit(train_docs + test_docs if fit_on_all else train_docs)
+        X_train = vectorizer.transform(train_docs)
+        X_test = vectorizer.transform(test_docs)
+        y_train, y_test = part.train.labels(), part.test.labels()
+        for spec, spec_cms in zip(specs, cms):
+            model = make_classifier(spec, seed=part.train_seed(spec.kind))
+            model.fit(X_train, y_train)
+            spec_cms.append(confusion_matrix(y_test, model.predict(X_test)))
+    return [_aggregate(spec_cms, [part.reported_seed(spec.kind) for part in plan])
+            for spec, spec_cms in zip(specs, cms)]
 
 
 def evaluate_once(
@@ -225,17 +273,10 @@ def evaluate_once(
 ):
     """Run the full pipeline once: split, preprocess, vectorize (train-only
     vocabulary unless ``fit_on_all``), train, score the held-out part."""
-    result = split(corpus, train_ratio, derive_seed(seed, "split"))
-    train_docs = preprocess_corpus(result.train, stopwords, strip_punct)
-    test_docs = preprocess_corpus(result.test, stopwords, strip_punct)
-    return _evaluate_split(
-        spec,
-        train_docs,
-        test_docs,
-        fit_on_all=fit_on_all,
-        max_features=max_features,
-        train_seed=derive_seed(seed, f"train:{spec.kind}"),
-    )
+    agg = evaluate_repeated(spec, corpus, stopwords, runs=1, base_seed=seed,
+                            train_ratio=train_ratio, fit_on_all=fit_on_all,
+                            max_features=max_features, strip_punct=strip_punct)
+    return agg.pooled_confusion, agg.per_run[0]
 
 
 def evaluate_repeated(
@@ -252,27 +293,9 @@ def evaluate_repeated(
 ):
     """Repeat ``evaluate_once`` with seeds base_seed .. base_seed+runs-1 and
     aggregate; the pooled confusion matrix sums the per-run matrices."""
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    reports = []
-    seeds = []
-    pooled = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    for r in range(runs):
-        seed = base_seed + r
-        cm, report = evaluate_once(
-            spec,
-            corpus,
-            stopwords,
-            train_ratio=train_ratio,
-            fit_on_all=fit_on_all,
-            max_features=max_features,
-            strip_punct=strip_punct,
-            seed=seed,
-        )
-        pooled += cm
-        reports.append(report)
-        seeds.append(seed)
-    return _aggregate(reports, seeds, pooled)
+    plan = plan_splits(corpus, "repeated", base_seed, runs=runs, train_ratio=train_ratio)
+    return evaluate_specs([spec], corpus, stopwords, plan, fit_on_all=fit_on_all,
+                          max_features=max_features, strip_punct=strip_punct)[0]
 
 
 def cross_validate(
@@ -288,23 +311,6 @@ def cross_validate(
 ):
     """k-fold cross-validation; the pooled confusion matrix covers every
     corpus record exactly once."""
-    folds = kfold(corpus, k, derive_seed(seed, "kfold"))
-    reports = []
-    seeds = []
-    pooled = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    for fold_index, (train_c, test_c) in enumerate(folds):
-        train_docs = preprocess_corpus(train_c, stopwords, strip_punct)
-        test_docs = preprocess_corpus(test_c, stopwords, strip_punct)
-        fold_seed = derive_seed(seed, f"fold{fold_index}:train:{spec.kind}")
-        cm, report = _evaluate_split(
-            spec,
-            train_docs,
-            test_docs,
-            fit_on_all=fit_on_all,
-            max_features=max_features,
-            train_seed=fold_seed,
-        )
-        pooled += cm
-        reports.append(report)
-        seeds.append(fold_seed)
-    return _aggregate(reports, seeds, pooled)
+    plan = plan_splits(corpus, "kfold", seed, folds=k)
+    return evaluate_specs([spec], corpus, stopwords, plan, fit_on_all=fit_on_all,
+                          max_features=max_features, strip_punct=strip_punct)[0]

@@ -289,8 +289,13 @@ mlp.hidden_units = 8
 """,
         encoding="utf-8",
     )
-    assert main(["compare", "--config", str(config)]) == 0
-    first = (out / "metrics.json").read_bytes()
-    assert main(["compare", "--config", str(config)]) == 0
-    second = (out / "metrics.json").read_bytes()
-    _check(8, "byte-identical compare reruns", first == second and len(first) > 0)
+    identical = True
+    for protocol in ("repeated", "kfold"):
+        args = ["compare", "--config", str(config), "--protocol", protocol]
+        assert main(args) == 0
+        first = (out / "metrics.json").read_bytes()
+        assert json.loads(first)["protocol"]["name"] == protocol
+        assert main(args) == 0
+        second = (out / "metrics.json").read_bytes()
+        identical &= first == second and len(first) > 0
+    _check(8, "byte-identical compare reruns (repeated and kfold)", identical)

@@ -142,6 +142,28 @@ class TestCliExitCodes:
         assert rc == 1
         assert "model_knn.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, artifact",
+        [(["fit-features"], "preprocessed.csv"),
+         (["evaluate", "--classifier", "knn"], "predictions_knn.csv")],
+        ids=["fit-features", "evaluate"],
+    )
+    def test_short_artifact_row_exits_1(self, dataset, tmp_path, capsys, command, artifact):
+        out = tmp_path / "out"
+        common = ["--dataset", dataset, "--out", str(out)]
+        for args in (["ingest"], ["preprocess"], ["fit-features"],
+                     ["train", "--classifier", "knn"], ["predict", "--classifier", "knn"]):
+            assert main(args + common) == 0
+        path = out / artifact
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rows[2] = rows[2][:2]
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        capsys.readouterr()
+        assert main(command + common) == 1
+        assert f"{artifact} line 3: expected 3 fields, got 2" in capsys.readouterr().err
+
 
 class TestStagedPipeline:
     def test_full_chain_and_artifacts(self, dataset, tmp_path):
@@ -191,10 +213,11 @@ class TestStagedPipeline:
         staged = json.loads((out / "metrics_naive_bayes.json").read_text())
 
         corpus = load_csv(dataset)
-        _, report = evaluate_once(
+        cm, report = evaluate_once(
             ClassifierSpec("naive_bayes"), corpus, default_stopwords(), seed=21
         )
-        assert staged["accuracy"] == pytest.approx(report.accuracy, abs=5e-7)
+        assert staged["confusion"] == cm.tolist()
+        assert staged["accuracy"] == round(report.accuracy, 6)
 
     def test_preprocessed_text_final_matches_layout(self, tmp_path):
         data = write_dataset(

@@ -11,9 +11,13 @@ from rusent import (
     default_stopwords,
     evaluate_once,
     evaluate_repeated,
+    kfold,
     metrics,
+    split,
 )
+from rusent.eval import evaluate_specs, plan_splits
 from rusent.preprocess import StopWordList
+from rusent.seeding import derive_seed
 
 from conftest import REFERENCE_CONFUSIONS, build_corpus, three_class_corpus
 
@@ -272,3 +276,50 @@ class TestCrossValidate:
         corpus = three_class_corpus(10, seed=0)
         with pytest.raises(ValueError):
             cross_validate(ClassifierSpec("knn"), corpus, default_stopwords(), k=1)
+
+
+class TestSplitPlan:
+    def test_seed_rules(self):
+        corpus = three_class_corpus(30, seed=1)
+        (run,) = plan_splits(corpus, "repeated", 4, runs=1, train_ratio=0.7)
+        assert run.train == split(corpus, 0.7, derive_seed(4, "split")).train
+        assert run.train_seed("knn") == derive_seed(4, "train:knn")
+        assert run.reported_seed("knn") == 4
+        folds = plan_splits(corpus, "kfold", 4, folds=3)
+        assert [(f.train, f.test) for f in folds] == kfold(corpus, 3, derive_seed(4, "kfold"))
+        fold_seed = derive_seed(4, "fold2:train:mlp")
+        assert folds[2].train_seed("mlp") == folds[2].reported_seed("mlp") == fold_seed
+
+    def test_unknown_protocol(self):
+        with pytest.raises(ValueError):
+            plan_splits(three_class_corpus(10, seed=0), "holdout", 0)
+
+
+class TestEvaluateSpecs:
+    SPECS = [
+        ClassifierSpec("knn", {"k": 3}),
+        ClassifierSpec("linear_svm", {"epochs": 20}),
+        ClassifierSpec("logistic_regression", {"epochs": 30}),
+        ClassifierSpec("mlp", {"epochs": 5, "hidden_units": 8}),
+        ClassifierSpec("naive_bayes"),
+    ]
+
+    @pytest.mark.parametrize("fit_on_all", [False, True])
+    @pytest.mark.parametrize("protocol", ["repeated", "kfold"])
+    def test_shared_features_match_single_spec_runs(self, protocol, fit_on_all):
+        # Every spec is fitted on the same X_train/X_test: an estimator that
+        # changed its input would change the results of the specs after it.
+        corpus = three_class_corpus(60, seed=6)
+        stopwords = default_stopwords()
+        plan = plan_splits(corpus, protocol, 3, runs=3, folds=4)
+        shared = evaluate_specs(self.SPECS, corpus, stopwords, plan, fit_on_all=fit_on_all)
+        for spec, agg in zip(self.SPECS, shared):
+            if protocol == "repeated":
+                own = evaluate_repeated(
+                    spec, corpus, stopwords, runs=3, base_seed=3, fit_on_all=fit_on_all
+                )
+            else:
+                own = cross_validate(spec, corpus, stopwords, k=4, seed=3, fit_on_all=fit_on_all)
+            assert agg.per_run == own.per_run
+            assert agg.seeds == own.seeds
+            np.testing.assert_array_equal(agg.pooled_confusion, own.pooled_confusion)
