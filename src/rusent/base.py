@@ -7,33 +7,62 @@ relies on those conventions, without this package depending on scikit-learn.
 """
 
 import inspect
+import numbers
 
 import numpy as np
 import scipy.sparse as sp
 
+from .artifacts import FLOATS, INTS
 from .exceptions import NotFittedError
 
 N_CLASSES = 3
 
 
+# Hyperparameter rules for ``BaseEstimator.constraints``: (test, rule text).
+# A test that raises TypeError (None > 0, say) fails.
+POSITIVE = (lambda v: v > 0, "> 0")
+NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+COUNT = (lambda v: isinstance(v, numbers.Integral) and v >= 0, "an integer >= 0")
+AT_LEAST_ONE = (lambda v: isinstance(v, numbers.Integral) and v >= 1, "an integer >= 1")
+FLAG = (lambda v: isinstance(v, bool), "true or false")
+
+
 class BaseEstimator:
-    """Minimal scikit-learn-compatible parameter handling."""
+    """Minimal scikit-learn-compatible parameter handling. ``constraints``
+    holds a (test, rule text) pair for every constructor parameter."""
+
+    constraints = {}
 
     @classmethod
     def _param_names(cls):
         sig = inspect.signature(cls.__init__)
         return [name for name in sig.parameters if name != "self"]
 
+    @classmethod
+    def check_params(cls, params):
+        """Raise ValueError for the first entry of the name -> value mapping
+        ``params`` that is not a parameter or breaks its rule. The message
+        starts with the name."""
+        for name, value in params.items():
+            if name not in cls.constraints:
+                raise ValueError(
+                    f"{name} is an unknown hyperparameter for {cls.__name__} "
+                    f"(accepted: {sorted(cls.constraints)})"
+                )
+            test, rule = cls.constraints[name]
+            try:  # a bool passes the flag rule only, never a numeric one
+                ok = isinstance(value, bool) == (test is FLAG[0]) and test(value)
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
+
     def get_params(self, deep=True):
         return {name: getattr(self, name) for name in self._param_names()}
 
     def set_params(self, **params):
-        valid = set(self._param_names())
+        self.check_params(params)
         for name, value in params.items():
-            if name not in valid:
-                raise ValueError(
-                    f"invalid parameter {name!r} for {type(self).__name__}"
-                )
             setattr(self, name, value)
         return self
 
@@ -86,13 +115,39 @@ def check_dimension(X, n_features):
         )
 
 
+# The ``fitted`` rows of both linear kinds, logistic regression and linear SVM.
+LINEAR_FITTED = (
+    ("coef", "coef_", FLOATS, (N_CLASSES, "dimension")),
+    ("intercept", "intercept_", FLOATS, (N_CLASSES,)),
+    ("epochs_run", "epochs_", INTS, ()),
+    ("final_loss", "final_loss_", FLOATS, ()),
+)
+
+
 class ClassifierBase(BaseEstimator):
     """Shared prediction surface for the five classifier kinds.
 
     ``decision_scores`` returns one row of three per-class scores per input
     row (class-code order); ``predict`` takes the argmax, breaking exact
     ties toward the lowest class code.
+
+    Each kind declares ``constraints`` and ``fitted``, the (JSON key,
+    attribute, codec, axes) rows that ``rusent.models`` saves and loads.
     """
+
+    fitted = ()
+
+    def _check_fitted(self):
+        """Raise ValueError if the fitted state breaks a rule that the
+        ``fitted`` axes cannot state; the model loader calls it."""
+
+    def _validate_training_set(self, X, y):
+        self.check_params(self.get_params())
+        X = check_feature_matrix(X)
+        y = check_labels(y, X.shape[0])
+        if X.shape[0] == 0:
+            raise ValueError("cannot fit on an empty feature matrix")
+        return X, y
 
     def decision_scores(self, X):
         raise NotImplementedError

@@ -13,6 +13,7 @@ import os
 import sys
 
 from . import __version__
+from .artifacts import write_json
 from .config import RunConfig, apply_cli_values, parse_config_file
 from .corpus import Corpus, LabeledComment, Sentiment, label_distribution, load_csv
 from .eval import confusion_matrix, evaluate_specs, metrics, plan_splits
@@ -36,12 +37,6 @@ def _round6(obj):
     if isinstance(obj, (list, tuple)):
         return [_round6(v) for v in obj]
     return obj
-
-
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_round6(payload), fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def _open_csv_writer(path):
@@ -139,7 +134,7 @@ def cmd_ingest(config, args):
         for record in corpus:
             writer.writerow([record.text, record.label.label])
     payload = _distribution_payload(corpus)
-    _write_json(os.path.join(config.out, DISTRIBUTION_FILE), payload)
+    write_json(os.path.join(config.out, DISTRIBUTION_FILE), _round6(payload))
     print(json.dumps(_round6(payload), sort_keys=True))
     _info(f"ingested {len(corpus)} records -> {out_path}")
     return 0
@@ -244,7 +239,7 @@ def cmd_evaluate(config, args):
         **report.as_dict(),
     }
     out_path = os.path.join(config.out, f"metrics_{args.classifier}.json")
-    _write_json(out_path, payload)
+    write_json(out_path, _round6(payload))
     _info(f"accuracy {report.accuracy:.6f} -> {out_path}")
     return 0
 
@@ -275,7 +270,7 @@ def _write_compare_outputs(config, results, protocol_payload):
         },
         "ranking": ranking,
     }
-    _write_json(os.path.join(config.out, "metrics.json"), payload)
+    write_json(os.path.join(config.out, "metrics.json"), _round6(payload))
 
     fh, writer = _open_csv_writer(os.path.join(config.out, "metrics.csv"))
     with fh:

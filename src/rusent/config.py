@@ -5,30 +5,12 @@ ignored. Classifier hyperparameters are overridden with qualified keys,
 e.g. ``mlp.hidden_units = 64``. Unknown keys are rejected.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .exceptions import ConfigError
-from .models import CLASSIFIER_KINDS, classifier_param_defaults
+from .models import CLASSIFIER_KINDS, classifier_class
 
 PROTOCOLS = ("repeated", "kfold")
-
-_SCHEMA = {
-    "dataset": str,
-    "stopwords": str,
-    "has_header": bool,
-    "dedup": bool,
-    "skip_bad_rows": bool,
-    "strip_punct": bool,
-    "max_features": int,
-    "protocol": str,
-    "train_ratio": float,
-    "runs": int,
-    "folds": int,
-    "fit_on_all": bool,
-    "allow_missing_class": bool,
-    "seed": int,
-    "out": str,
-}
 
 
 @dataclass(frozen=True)
@@ -54,6 +36,21 @@ class RunConfig:
         return dict(self.overrides.get(kind, {}))
 
 
+# Key -> value type of the top-level keys; ``str | None`` fields are paths.
+_SCHEMA = {f.name: f.type if isinstance(f.type, type) else str
+           for f in fields(RunConfig) if f.name != "overrides"}
+
+# Value rules of the top-level keys, in the form of ``BaseEstimator.constraints``.
+_RULES = {
+    "protocol": (lambda v: v in PROTOCOLS, f"one of {PROTOCOLS}"),
+    "train_ratio": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "runs": (lambda v: v >= 1, ">= 1"),
+    "folds": (lambda v: v >= 2, ">= 2"),
+    "max_features": (lambda v: v >= 1, ">= 1"),
+    "seed": (lambda v: v >= 0, ">= 0"),
+}
+
+
 def _convert(key, raw, target_type):
     if target_type is bool:
         low = raw.lower()
@@ -75,20 +72,6 @@ def _convert(key, raw, target_type):
                 f"config key {key!r} expects a number, got {raw!r}"
             ) from None
     return raw
-
-
-def _convert_override(kind, param, raw):
-    defaults = classifier_param_defaults(kind)
-    if param not in defaults:
-        raise ConfigError(
-            f"unknown config key '{kind}.{param}' "
-            f"(accepted parameters for {kind}: {sorted(defaults)})"
-        )
-    default = defaults[param]
-    target = type(default) if default is not None else str
-    if isinstance(default, bool):
-        target = bool
-    return _convert(f"{kind}.{param}", raw, target)
 
 
 def parse_config_file(path):
@@ -116,9 +99,9 @@ def parse_config_file(path):
                         f"unknown config key {key!r} "
                         f"(classifier kinds: {CLASSIFIER_KINDS})"
                     )
-                overrides.setdefault(kind, {})[param] = _convert_override(
-                    kind, param, raw
-                )
+                # takes its default's type; validate() rejects an unknown name
+                default = classifier_class(kind)().get_params().get(param, "")
+                overrides.setdefault(kind, {})[param] = _convert(key, raw, type(default))
             elif key in _SCHEMA:
                 values[key] = _convert(key, raw, _SCHEMA[key])
             else:
@@ -127,27 +110,17 @@ def parse_config_file(path):
 
 
 def validate(config):
-    if config.protocol not in PROTOCOLS:
-        raise ConfigError(
-            f"protocol must be one of {PROTOCOLS}, got {config.protocol!r}"
-        )
-    if not 0.0 < config.train_ratio < 1.0:
-        raise ConfigError(f"train_ratio must be in (0, 1), got {config.train_ratio}")
-    if config.runs < 1:
-        raise ConfigError(f"runs must be >= 1, got {config.runs}")
-    if config.folds < 2:
-        raise ConfigError(f"folds must be >= 2, got {config.folds}")
-    if config.max_features < 1:
-        raise ConfigError(f"max_features must be >= 1, got {config.max_features}")
-    if config.seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {config.seed}")
+    for key, (test, rule) in _RULES.items():
+        value = getattr(config, key)
+        if not test(value):
+            raise ConfigError(f"{key} must be {rule}, got {value!r}")
     for kind, params in config.overrides.items():
         if kind not in CLASSIFIER_KINDS:
             raise ConfigError(f"unknown classifier kind {kind!r} in overrides")
-        accepted = classifier_param_defaults(kind)
-        for param in params:
-            if param not in accepted:
-                raise ConfigError(f"unknown config key '{kind}.{param}'")
+        try:
+            classifier_class(kind).check_params(params)
+        except ValueError as exc:  # the message starts with the parameter name
+            raise ConfigError(f"{kind}.{exc}") from None
     return config
 
 

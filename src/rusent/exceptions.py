@@ -30,3 +30,8 @@ class MissingClassError(RusentError, ValueError):
 
 class NotFittedError(RusentError, ValueError):
     """An estimator was used before ``fit`` was called."""
+
+
+class ArtifactError(RusentError, ValueError):
+    """A saved model or tf-idf artifact is malformed; the message names the
+    file and the offending key."""

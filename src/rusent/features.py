@@ -8,13 +8,14 @@ corpus frequency are kept, ties broken lexicographically ascending.
 """
 
 import csv
-import json
 from collections import Counter
 
 import numpy as np
 import scipy.sparse as sp
 
-from .base import BaseEstimator, check_is_fitted
+from .artifacts import FLOATS, INTS, decode_value, fields, read_json, write_json
+from .base import AT_LEAST_ONE, BaseEstimator, check_is_fitted
+from .exceptions import ArtifactError
 
 DEFAULT_MAX_FEATURES = 3000
 
@@ -34,12 +35,13 @@ class TfidfVectorizer(BaseEstimator):
     and ``n_features_``.
     """
 
+    constraints = {"max_features": AT_LEAST_ONE}
+
     def __init__(self, max_features=DEFAULT_MAX_FEATURES):
         self.max_features = max_features
 
     def fit(self, docs, y=None):
-        if self.max_features is None or self.max_features < 1:
-            raise ValueError(f"max_features must be >= 1, got {self.max_features}")
+        self.check_params(self.get_params())
         docs = list(docs)
         if not docs:
             raise ValueError("cannot fit on an empty document sequence")
@@ -92,11 +94,8 @@ class TfidfVectorizer(BaseEstimator):
 
     def to_dict(self):
         check_is_fitted(self, "vocabulary_")
-        terms = [None] * self.n_features_
-        for term, idx in self.vocabulary_.items():
-            terms[idx] = term
         return {
-            "terms": terms,
+            "terms": sorted(self.vocabulary_, key=self.vocabulary_.get),
             "df": self.document_frequency_.tolist(),
             "idf": self.idf_.tolist(),
             "N": self.n_documents_,
@@ -105,30 +104,29 @@ class TfidfVectorizer(BaseEstimator):
 
     @classmethod
     def from_dict(cls, payload):
-        model = cls(max_features=payload["max_features"])
-        terms = payload["terms"]
+        """Rebuild a ``to_dict`` payload; ArtifactError names a missing or bad key."""
+        terms, df, idf, n_documents, max_features = fields(
+            payload, ("terms", "df", "idf", "N", "max_features")
+        )
+        if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
+            raise ArtifactError("terms: expected a list of strings")
+        sizes = {"terms": len(terms)}
+        model = cls(max_features=decode_value("max_features", INTS, max_features, (), sizes))
         model.vocabulary_ = {t: i for i, t in enumerate(terms)}
-        model.document_frequency_ = np.array(payload["df"], dtype=np.int64)
-        model.idf_ = np.array(payload["idf"], dtype=np.float64)
+        model.document_frequency_ = decode_value("df", INTS, df, ("terms",), sizes)
+        model.idf_ = decode_value("idf", FLOATS, idf, ("terms",), sizes)
         model.feature_counts_ = None
-        model.n_documents_ = payload["N"]
+        model.n_documents_ = decode_value("N", INTS, n_documents, (), sizes)
         model.n_features_ = len(terms)
         return model
 
 
 def save_tfidf(model, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(model.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, model.to_dict())
 
 
 def load_tfidf(path):
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except FileNotFoundError:
-        raise FileNotFoundError(f"tf-idf model file not found: {path}") from None
-    with handle:
-        return TfidfVectorizer.from_dict(json.load(handle))
+    return read_json(path, TfidfVectorizer.from_dict)
 
 
 def write_word_frequencies(model, path):

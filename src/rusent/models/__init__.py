@@ -1,9 +1,10 @@
 """The five classifier kinds behind one fit/predict surface, plus
 JSON model persistence."""
 
-import json
 from dataclasses import dataclass, field
 
+from ..artifacts import INTS, decode_value, encode_value, fields, read_json, write_json
+from ..exceptions import ArtifactError
 from .knn import KNeighborsClassifier
 from .logistic import LogisticRegression
 from .mlp import MLPClassifier
@@ -33,12 +34,6 @@ def classifier_class(kind):
         ) from None
 
 
-def classifier_param_defaults(kind):
-    """Constructor parameter names and defaults for a classifier kind."""
-    cls = classifier_class(kind)
-    return {name: getattr(cls(), name) for name in cls._param_names()}
-
-
 @dataclass(frozen=True)
 class ClassifierSpec:
     """A classifier kind with hyperparameter overrides and an optional
@@ -58,20 +53,14 @@ def make_classifier(spec, seed=None):
     The training seed precedence is: explicit ``seed`` hyperparameter,
     then ``spec.seed``, then the caller-supplied (usually derived) seed.
     """
-    defaults = classifier_param_defaults(spec.kind)
-    params = dict(defaults)
-    for name, value in spec.hyperparams.items():
-        if name not in params:
-            raise ValueError(
-                f"unknown hyperparameter {name!r} for {spec.kind} "
-                f"(accepted: {sorted(params)})"
-            )
-        params[name] = value
-    if "seed" in defaults and "seed" not in spec.hyperparams:
+    cls = classifier_class(spec.kind)
+    cls.check_params(spec.hyperparams)
+    params = dict(spec.hyperparams)
+    if "seed" in cls.constraints and "seed" not in params:
         effective = spec.seed if spec.seed is not None else seed
         if effective is not None:
             params["seed"] = effective
-    return classifier_class(spec.kind)(**params)
+    return cls(**params)
 
 
 def model_to_dict(model):
@@ -80,26 +69,35 @@ def model_to_dict(model):
         "kind": model.kind,
         "hyperparams": model.get_params(),
         "dimension": model.n_features_,
-        "parameters": model.to_payload(),
+        "parameters": {key: encode_value(codec, getattr(model, attr))
+                       for key, attr, codec, _ in model.fitted},
     }
 
 
 def model_from_dict(payload):
-    cls = classifier_class(payload["kind"])
-    model = cls(**payload["hyperparams"])
-    return model._restore(payload["parameters"], payload["dimension"])
+    """Rebuild a ``model_to_dict`` payload. A ValueError names the first key that is
+    missing, breaks its rule, or holds an array whose shape disagrees with its axes."""
+    kind, hyperparams, dimension, parameters = fields(
+        payload, ("kind", "hyperparams", "dimension", "parameters")
+    )
+    if kind not in CLASSIFIER_KINDS:
+        raise ArtifactError(f"kind: unknown classifier kind {kind!r}")
+    cls = _REGISTRY[kind]
+    fields(hyperparams, cls.constraints, "hyperparams.")
+    cls.check_params(hyperparams)
+    model = cls(**hyperparams)
+    model.n_features_ = decode_value("dimension", INTS, dimension, (), {})
+    sizes = {"dimension": model.n_features_, **hyperparams}
+    for key, attr, codec, axes in cls.fitted:
+        (raw,) = fields(parameters, (key,), "parameters.")
+        setattr(model, attr, decode_value(f"parameters.{key}", codec, raw, axes, sizes))
+    model._check_fitted()
+    return model
 
 
 def save_model(model, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path):
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except FileNotFoundError:
-        raise FileNotFoundError(f"model file not found: {path}") from None
-    with handle:
-        return model_from_dict(json.load(handle))
+    return read_json(path, model_from_dict)

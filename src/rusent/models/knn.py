@@ -1,9 +1,9 @@
 """k-nearest-neighbor classifier over cosine distance."""
 
 import numpy as np
-import scipy.sparse as sp
 
-from ..base import N_CLASSES, ClassifierBase, check_feature_matrix, check_labels
+from ..artifacts import CSR, INTS
+from ..base import AT_LEAST_ONE, N_CLASSES, ClassifierBase, check_labels
 
 _CHUNK = 512
 
@@ -19,23 +19,23 @@ class KNeighborsClassifier(ClassifierBase):
     """
 
     kind = "knn"
+    constraints = {"k": AT_LEAST_ONE}
+    fitted = (("matrix", "X_", CSR, ("rows", "dimension")), ("labels", "y_", INTS, ("rows",)))
 
     def __init__(self, k=5):
         self.k = k
 
     def fit(self, X, y):
-        X = check_feature_matrix(X)
-        y = check_labels(y, X.shape[0])
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit on an empty feature matrix")
-        if self.k is None or not 1 <= self.k <= X.shape[0]:
-            raise ValueError(
-                f"k must be in [1, {X.shape[0]}], got {self.k}"
-            )
-        self.X_ = X
-        self.y_ = y
+        X, y = self._validate_training_set(X, y)
+        self.X_, self.y_ = X, y
+        self._check_fitted()
         self.n_features_ = X.shape[1]
         return self
+
+    def _check_fitted(self):
+        check_labels(self.y_)
+        if self.k > self.X_.shape[0]:
+            raise ValueError(f"k must be in [1, {self.X_.shape[0]}], got {self.k}")
 
     def _neighbors(self, X):
         """Indices of the k nearest training rows per query row, ordered by
@@ -71,23 +71,3 @@ class KNeighborsClassifier(ClassifierBase):
             else:
                 predictions[i] = self.y_[neighbors[i, 0]]
         return predictions
-
-    def to_payload(self):
-        return {
-            "matrix": {
-                "indptr": self.X_.indptr.tolist(),
-                "indices": self.X_.indices.tolist(),
-                "data": self.X_.data.tolist(),
-                "shape": list(self.X_.shape),
-            },
-            "labels": self.y_.tolist(),
-        }
-
-    def _restore(self, payload, n_features):
-        m = payload["matrix"]
-        self.X_ = sp.csr_matrix(
-            (m["data"], m["indices"], m["indptr"]), shape=tuple(m["shape"])
-        )
-        self.y_ = np.array(payload["labels"], dtype=np.int64)
-        self.n_features_ = n_features
-        return self

@@ -4,7 +4,7 @@ gradient descent."""
 import numpy as np
 from scipy.special import logsumexp, softmax
 
-from ..base import N_CLASSES, ClassifierBase, check_feature_matrix, check_labels
+from ..base import COUNT, LINEAR_FITTED, N_CLASSES, NON_NEGATIVE, POSITIVE, ClassifierBase
 
 
 def softmax_objective(W, b, X, y, l2):
@@ -27,29 +27,22 @@ class LogisticRegression(ClassifierBase):
     """Softmax classifier minimized from zero-initialized weights.
 
     Full-batch gradient descent; with a suitable learning rate the
-    objective is non-increasing over epochs. ``seed`` exists for interface
-    uniformity; the optimizer itself draws no random numbers.
+    objective is non-increasing over epochs. The optimizer draws no random
+    numbers, so there is no seed.
     """
 
     kind = "logistic_regression"
+    constraints = {"lr": POSITIVE, "epochs": COUNT, "l2": NON_NEGATIVE}
+    fitted = LINEAR_FITTED
+    loss_curve_ = None  # not saved: a loaded model reads None
 
-    def __init__(self, lr=0.5, epochs=300, l2=1e-4, seed=0):
+    def __init__(self, lr=0.5, epochs=300, l2=1e-4):
         self.lr = lr
         self.epochs = epochs
         self.l2 = l2
-        self.seed = seed
 
     def fit(self, X, y):
-        if self.lr is None or self.lr <= 0.0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
-        if self.epochs is None or self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.l2 is None or self.l2 < 0.0:
-            raise ValueError(f"l2 must be >= 0, got {self.l2}")
-        X = check_feature_matrix(X)
-        y = check_labels(y, X.shape[0])
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit on an empty feature matrix")
+        X, y = self._validate_training_set(X, y)
         n, V = X.shape
         W = np.zeros((N_CLASSES, V))
         b = np.zeros(N_CLASSES)
@@ -73,20 +66,3 @@ class LogisticRegression(ClassifierBase):
         """Softmax probabilities (rows sum to 1)."""
         X = self._validate_input(X)
         return softmax(X @ self.coef_.T + self.intercept_, axis=1)
-
-    def to_payload(self):
-        return {
-            "coef": self.coef_.tolist(),
-            "intercept": self.intercept_.tolist(),
-            "epochs_run": self.epochs_,
-            "final_loss": self.final_loss_,
-        }
-
-    def _restore(self, payload, n_features):
-        self.coef_ = np.array(payload["coef"], dtype=np.float64)
-        self.intercept_ = np.array(payload["intercept"], dtype=np.float64)
-        self.epochs_ = payload["epochs_run"]
-        self.final_loss_ = payload["final_loss"]
-        self.loss_curve_ = None
-        self.n_features_ = n_features
-        return self

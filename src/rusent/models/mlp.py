@@ -4,7 +4,8 @@ mean cross-entropy loss, mini-batch stochastic gradient descent."""
 import numpy as np
 from scipy.special import logsumexp, softmax
 
-from ..base import N_CLASSES, ClassifierBase, check_feature_matrix, check_labels
+from ..artifacts import FLOATS, INTS
+from ..base import AT_LEAST_ONE, COUNT, N_CLASSES, POSITIVE, ClassifierBase
 
 
 def mlp_objective(params, X, y):
@@ -71,6 +72,17 @@ class MLPClassifier(ClassifierBase):
     """Feedforward network with one ReLU hidden layer and softmax output."""
 
     kind = "mlp"
+    constraints = {"hidden_units": AT_LEAST_ONE, "lr": POSITIVE, "epochs": COUNT,
+                   "batch_size": AT_LEAST_ONE, "seed": COUNT}
+    fitted = (
+        ("hidden_coef", "hidden_coef_", FLOATS, ("hidden_units", "dimension")),
+        ("hidden_intercept", "hidden_intercept_", FLOATS, ("hidden_units",)),
+        ("output_coef", "output_coef_", FLOATS, (N_CLASSES, "hidden_units")),
+        ("output_intercept", "output_intercept_", FLOATS, (N_CLASSES,)),
+        ("epochs_run", "epochs_", INTS, ()),
+        ("final_loss", "final_loss_", FLOATS, ()),
+    )
+    loss_curve_ = None  # not saved: a loaded model reads None
 
     def __init__(self, hidden_units=100, lr=0.05, epochs=50, batch_size=32, seed=0):
         self.hidden_units = hidden_units
@@ -80,19 +92,8 @@ class MLPClassifier(ClassifierBase):
         self.seed = seed
 
     def fit(self, X, y):
-        if self.hidden_units is None or self.hidden_units < 1:
-            raise ValueError(f"hidden_units must be >= 1, got {self.hidden_units}")
-        if self.lr is None or self.lr <= 0.0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
-        if self.epochs is None or self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size is None or self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        X = check_feature_matrix(X)
-        y = check_labels(y, X.shape[0])
+        X, y = self._validate_training_set(X, y)
         n, V = X.shape
-        if n == 0:
-            raise ValueError("cannot fit on an empty feature matrix")
         rng = np.random.default_rng(self.seed)
         W1, b1, W2, b2 = init_params(V, self.hidden_units, rng)
         W1T = np.ascontiguousarray(W1.T)
@@ -121,28 +122,3 @@ class MLPClassifier(ClassifierBase):
         X = self._validate_input(X)
         hidden = np.maximum(0.0, X @ self.hidden_coef_.T + self.hidden_intercept_)
         return softmax(hidden @ self.output_coef_.T + self.output_intercept_, axis=1)
-
-    def to_payload(self):
-        return {
-            "hidden_coef": self.hidden_coef_.tolist(),
-            "hidden_intercept": self.hidden_intercept_.tolist(),
-            "output_coef": self.output_coef_.tolist(),
-            "output_intercept": self.output_intercept_.tolist(),
-            "epochs_run": self.epochs_,
-            "final_loss": self.final_loss_,
-        }
-
-    def _restore(self, payload, n_features):
-        self.hidden_coef_ = np.array(payload["hidden_coef"], dtype=np.float64)
-        self.hidden_intercept_ = np.array(
-            payload["hidden_intercept"], dtype=np.float64
-        )
-        self.output_coef_ = np.array(payload["output_coef"], dtype=np.float64)
-        self.output_intercept_ = np.array(
-            payload["output_intercept"], dtype=np.float64
-        )
-        self.epochs_ = payload["epochs_run"]
-        self.final_loss_ = payload["final_loss"]
-        self.loss_curve_ = None
-        self.n_features_ = n_features
-        return self

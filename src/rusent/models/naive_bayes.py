@@ -3,7 +3,8 @@
 import numpy as np
 from scipy.special import softmax
 
-from ..base import N_CLASSES, ClassifierBase, check_feature_matrix, check_labels
+from ..artifacts import FLOATS, INTS, LOG_PROBS
+from ..base import FLAG, N_CLASSES, POSITIVE, ClassifierBase
 from ..exceptions import MissingClassError
 
 
@@ -18,18 +19,19 @@ class MultinomialNaiveBayes(ClassifierBase):
     """
 
     kind = "naive_bayes"
+    constraints = {"alpha": POSITIVE, "allow_missing_class": FLAG}
+    fitted = (
+        ("class_log_prior", "class_log_prior_", LOG_PROBS, (N_CLASSES,)),
+        ("feature_log_prob", "feature_log_prob_", FLOATS, (N_CLASSES, "dimension")),
+        ("class_count", "class_count_", INTS, (N_CLASSES,)),
+    )
 
     def __init__(self, alpha=1.0, allow_missing_class=False):
         self.alpha = alpha
         self.allow_missing_class = allow_missing_class
 
     def fit(self, X, y):
-        if self.alpha is None or self.alpha <= 0.0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        X = check_feature_matrix(X)
-        y = check_labels(y, X.shape[0])
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit on an empty feature matrix")
+        X, y = self._validate_training_set(X, y)
         counts = np.bincount(y, minlength=N_CLASSES)
         if np.any(counts == 0) and not self.allow_missing_class:
             missing = [int(c) for c in np.flatnonzero(counts == 0)]
@@ -58,25 +60,3 @@ class MultinomialNaiveBayes(ClassifierBase):
         X = self._validate_input(X)
         joint = X @ self.feature_log_prob_.T + self.class_log_prior_
         return softmax(joint, axis=1)
-
-    def to_payload(self):
-        # -inf log priors (allow_missing_class) become null to keep the
-        # document strict JSON.
-        priors = [p if np.isfinite(p) else None for p in self.class_log_prior_]
-        return {
-            "class_log_prior": priors,
-            "feature_log_prob": self.feature_log_prob_.tolist(),
-            "class_count": self.class_count_.tolist(),
-        }
-
-    def _restore(self, payload, n_features):
-        self.class_log_prior_ = np.array(
-            [-np.inf if p is None else p for p in payload["class_log_prior"]],
-            dtype=np.float64,
-        )
-        self.feature_log_prob_ = np.array(
-            payload["feature_log_prob"], dtype=np.float64
-        )
-        self.class_count_ = np.array(payload["class_count"], dtype=np.int64)
-        self.n_features_ = n_features
-        return self

@@ -3,7 +3,7 @@ seeded, shuffled per-sample subgradient descent."""
 
 import numpy as np
 
-from ..base import N_CLASSES, ClassifierBase, check_feature_matrix, check_labels
+from ..base import COUNT, LINEAR_FITTED, N_CLASSES, NON_NEGATIVE, ClassifierBase
 
 # Refold the lazily scaled weight vector before the scale underflows.
 _SCALE_FLOOR = 1e-100
@@ -75,6 +75,10 @@ class LinearSVM(ClassifierBase):
     """
 
     kind = "linear_svm"
+    constraints = {"lr": (lambda v: 0 < v < 1, "in (0, 1)"), "epochs": COUNT,
+                   "C": NON_NEGATIVE, "seed": COUNT}
+    fitted = LINEAR_FITTED
+    objective_per_class_ = None  # not saved: a loaded model reads None
 
     def __init__(self, lr=0.1, epochs=300, C=1.0, seed=0):
         self.lr = lr
@@ -83,16 +87,7 @@ class LinearSVM(ClassifierBase):
         self.seed = seed
 
     def fit(self, X, y):
-        if self.lr is None or not 0.0 < self.lr < 1.0:
-            raise ValueError(f"lr must be in (0, 1), got {self.lr}")
-        if self.epochs is None or self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.C is None or self.C < 0.0:
-            raise ValueError(f"C must be >= 0, got {self.C}")
-        X = check_feature_matrix(X)
-        y = check_labels(y, X.shape[0])
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit on an empty feature matrix")
+        X, y = self._validate_training_set(X, y)
         n, V = X.shape
         indices = X.indices.tolist()
         data = X.data.tolist()
@@ -123,20 +118,3 @@ class LinearSVM(ClassifierBase):
         """Raw one-vs-rest decision values (not probabilities)."""
         X = self._validate_input(X)
         return X @ self.coef_.T + self.intercept_
-
-    def to_payload(self):
-        return {
-            "coef": self.coef_.tolist(),
-            "intercept": self.intercept_.tolist(),
-            "epochs_run": self.epochs_,
-            "final_loss": self.final_loss_,
-        }
-
-    def _restore(self, payload, n_features):
-        self.coef_ = np.array(payload["coef"], dtype=np.float64)
-        self.intercept_ = np.array(payload["intercept"], dtype=np.float64)
-        self.epochs_ = payload["epochs_run"]
-        self.final_loss_ = payload["final_loss"]
-        self.objective_per_class_ = None
-        self.n_features_ = n_features
-        return self

@@ -109,6 +109,27 @@ class TestConfigParsing:
         assert config.protocol == "repeated"
 
 
+def _drop(key):
+    return lambda doc: doc.pop(key)
+
+
+CORRUPT_ARTIFACTS = {
+    **{f"model-no-{key}": ("model_knn.json", _drop(key))
+       for key in ("kind", "hyperparams", "dimension", "parameters")},
+    **{f"tfidf-no-{key}": ("tfidf.json", _drop(key))
+       for key in ("N", "df", "idf", "terms", "max_features")},
+    "k-zero": ("model_knn.json", lambda doc: doc["hyperparams"].update(k=0)),
+    "k-above-rows": ("model_knn.json", lambda doc: doc["hyperparams"].update(k=10**6)),
+    "unknown-hyperparam": ("model_knn.json", lambda doc: doc["hyperparams"].update(seed=0)),
+    "dimension-off": ("model_knn.json",
+                      lambda doc: doc.update(dimension=doc["dimension"] + 1)),
+    "short-labels": ("model_knn.json", lambda doc: doc["parameters"]["labels"].pop()),
+    "label-out-of-range": ("model_knn.json",
+                           lambda doc: doc["parameters"]["labels"].insert(0, 3)
+                           or doc["parameters"]["labels"].pop()),
+}
+
+
 class TestCliExitCodes:
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -116,6 +137,22 @@ class TestCliExitCodes:
         rc = main(["compare", "--config", str(path)])
         assert rc == 2
         assert "max_featurs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("mlp.lr = -1", "mlp.lr must be > 0, got -1.0"),
+         ("linear_svm.lr = 1.0", "linear_svm.lr must be in (0, 1), got 1.0")],
+        ids=["mlp.lr", "linear_svm.lr"],
+    )
+    def test_invalid_hyperparameter_exits_2_before_any_stage(
+        self, dataset, tmp_path, capsys, line, message
+    ):
+        path = tmp_path / "bad.cfg"
+        out = tmp_path / "out"
+        path.write_text(f"dataset = {dataset}\nout = {out}\n{line}\n", encoding="utf-8")
+        assert main(["compare", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     def test_missing_dataset_exits_2(self, tmp_path):
         rc = main(["compare", "--out", str(tmp_path)])
@@ -163,6 +200,25 @@ class TestCliExitCodes:
         capsys.readouterr()
         assert main(command + common) == 1
         assert f"{artifact} line 3: expected 3 fields, got 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "artifact, corrupt", list(CORRUPT_ARTIFACTS.values()), ids=list(CORRUPT_ARTIFACTS)
+    )
+    def test_corrupt_json_artifact_exits_1(self, dataset, tmp_path, capsys, artifact, corrupt):
+        out = tmp_path / "out"
+        common = ["--dataset", dataset, "--out", str(out)]
+        for args in (["ingest"], ["preprocess"], ["fit-features"],
+                     ["train", "--classifier", "knn"]):
+            assert main(args + common) == 0
+        path = out / artifact
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        corrupt(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        # an uncaught exception (a traceback from the command line) fails here
+        assert main(["predict", "--classifier", "knn"] + common) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 class TestStagedPipeline:

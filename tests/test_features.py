@@ -154,6 +154,9 @@ class TestSerialization:
         np.testing.assert_array_equal(
             loaded.transform(probe).toarray(), vec.transform(probe).toarray()
         )
+        again = tmp_path / "again.json"
+        save_tfidf(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_word_frequency_dump(self, toy_docs, tmp_path):
         vec = TfidfVectorizer().fit(toy_docs)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -23,9 +25,9 @@ FAST_PARAMS = {
 }
 
 
-def fitted_model(kind, seed=0):
-    X, y = random_tfidf_instance(17, n_docs=18, vocab_size=7, doc_len=5)
-    y = np.array([0, 1, 2] * 6)
+def fitted_model(kind, seed=0, labels=(0, 1, 2) * 6):
+    X, _ = random_tfidf_instance(17, n_docs=18, vocab_size=7, doc_len=5)
+    y = np.array(labels)
     model = make_classifier(ClassifierSpec(kind, FAST_PARAMS[kind]), seed=seed)
     return model.fit(X, y), X, y
 
@@ -55,6 +57,12 @@ class TestRegistry:
     def test_explicit_seed_param_wins(self):
         model = make_classifier(ClassifierSpec("mlp", {"seed": 7}, seed=1), seed=2)
         assert model.seed == 7
+
+    @pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
+    def test_constraints_cover_every_hyperparameter(self, kind):
+        cls = classifier_class(kind)
+        assert set(cls.constraints) == set(cls._param_names())
+        cls.check_params(cls().get_params())
 
 
 class TestUniformSurface:
@@ -114,9 +122,14 @@ class TestDeterminism:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
-    def test_round_trip_identical_predictions(self, kind, tmp_path):
-        model, X, _ = fitted_model(kind)
+    @pytest.mark.parametrize(
+        "kind, labels",
+        [(kind, (0, 1, 2) * 6) for kind in CLASSIFIER_KINDS]
+        + [("naive_bayes", (0, 1) * 9)],
+        ids=[*CLASSIFIER_KINDS, "naive_bayes-missing-class"],
+    )
+    def test_round_trip_identical_predictions(self, kind, labels, tmp_path):
+        model, X, _ = fitted_model(kind, labels=labels)
         path = tmp_path / f"{kind}.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -125,6 +138,11 @@ class TestSerialization:
         np.testing.assert_allclose(
             loaded.decision_scores(probe), model.decision_scores(probe), rtol=0, atol=0
         )
+        again = tmp_path / "again.json"
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+        if 2 not in labels:
+            assert json.loads(path.read_text())["parameters"]["class_log_prior"][2] is None
 
     @pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
     def test_payload_is_self_describing(self, kind):
