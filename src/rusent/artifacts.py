@@ -1,9 +1,9 @@
 """The JSON artifact format of saved models and tf-idf vocabularies: one
 writer, one reader, and the codecs that turn fitted arrays into JSON.
 
-``FLOATS`` and ``INTS`` are numeric arrays (plain numbers when they have no
-axes); ``LOG_PROBS`` is a float array that stores -inf as null, keeping the
-document strict JSON; ``CSR`` is a sparse matrix stored as its
+``FLOATS`` and ``INTS`` are arrays of finite numbers (plain numbers when
+they have no axes); ``LOG_PROBS`` is a float array that stores -inf as null,
+keeping the document strict JSON; ``CSR`` is a sparse matrix stored as its
 ``data``/``indices``/``indptr``/``shape`` fields.
 """
 
@@ -60,12 +60,18 @@ def _decode(codec, raw):
         )
         value.check_format(full_check=True)
         return value
-    if codec == LOG_PROBS and isinstance(raw, list):
-        raw = [-np.inf if p is None else p for p in raw]
+    nulls = codec == LOG_PROBS and isinstance(raw, list) and [p is None for p in raw]
+    if nulls:
+        raw = [0.0 if null else p for p, null in zip(raw, nulls)]
     value = np.array(raw)
     if value.size and value.dtype.kind not in ("i" if codec == INTS else "iuf"):
         raise ValueError("expected integers" if codec == INTS else "expected numbers")
-    return value.astype(np.int64 if codec == INTS else np.float64)
+    value = value.astype(np.int64 if codec == INTS else np.float64)
+    if not np.isfinite(value).all():  # JSON NaN and Infinity parse as floats
+        raise ValueError("expected finite numbers")
+    if nulls:
+        value[nulls] = -np.inf
+    return value
 
 
 def decode_value(key, codec, raw, axes, sizes):

@@ -11,9 +11,10 @@ import numbers
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import logsumexp, softmax
 
 from .artifacts import FLOATS, INTS
-from .exceptions import NotFittedError
+from .exceptions import DivergedError, NotFittedError
 
 N_CLASSES = 3
 
@@ -80,20 +81,24 @@ def check_is_fitted(estimator, *attributes):
 
 
 def check_feature_matrix(X):
-    """Coerce ``X`` to a float64 CSR matrix with canonical (sorted) indices."""
+    """Coerce ``X`` to a float64 CSR matrix with canonical (sorted) indices;
+    NaN or infinite entries raise ValueError."""
     if sp.issparse(X):
         X = X.tocsr()
         if X.dtype != np.float64:
             X = X.astype(np.float64)
         X.sum_duplicates()
         X.sort_indices()
-        return X
-    arr = np.asarray(X, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    if arr.ndim != 2:
-        raise ValueError(f"feature matrix must be 2-D, got {arr.ndim}-D")
-    return sp.csr_matrix(arr)
+    else:
+        arr = np.asarray(X, dtype=np.float64)
+        if arr.ndim == 1:
+            arr = arr.reshape(1, -1)
+        if arr.ndim != 2:
+            raise ValueError(f"feature matrix must be 2-D, got {arr.ndim}-D")
+        X = sp.csr_matrix(arr)
+    if not np.isfinite(X.data).all():
+        raise ValueError("feature matrix has a non-finite (NaN or infinite) entry")
+    return X
 
 
 def check_labels(y, n_rows=None):
@@ -115,6 +120,17 @@ def check_dimension(X, n_features):
         )
 
 
+def softmax_cross_entropy(logits, y):
+    """Mean cross-entropy of softmax(``logits``) against the class codes
+    ``y``, and its per-row gradient in the logits, softmax - onehot (not yet
+    divided by the row count)."""
+    rows = np.arange(logits.shape[0])
+    loss = float(np.mean(logsumexp(logits, axis=1) - logits[rows, y]))
+    delta = softmax(logits, axis=1)
+    delta[rows, y] -= 1.0
+    return loss, delta
+
+
 # The ``fitted`` rows of both linear kinds, logistic regression and linear SVM.
 LINEAR_FITTED = (
     ("coef", "coef_", FLOATS, (N_CLASSES, "dimension")),
@@ -125,11 +141,14 @@ LINEAR_FITTED = (
 
 
 class ClassifierBase(BaseEstimator):
-    """Shared prediction surface for the five classifier kinds.
+    """Shared training and prediction surface for the five classifier kinds.
 
-    ``decision_scores`` returns one row of three per-class scores per input
-    row (class-code order); ``predict`` takes the argmax, breaking exact
-    ties toward the lowest class code.
+    ``fit`` checks the hyperparameters and the training set, then calls the
+    kind's ``_fit(X, y)`` with a CSR matrix and class codes. A kind that
+    records ``final_loss_`` has its fit refused when that loss is not
+    finite. ``decision_scores`` returns one row of three per-class scores
+    per input row (class-code order); ``predict`` takes the argmax, breaking
+    exact ties toward the lowest class code.
 
     Each kind declares ``constraints`` and ``fitted``, the (JSON key,
     attribute, codec, axes) rows that ``rusent.models`` saves and loads.
@@ -141,13 +160,22 @@ class ClassifierBase(BaseEstimator):
         """Raise ValueError if the fitted state breaks a rule that the
         ``fitted`` axes cannot state; the model loader calls it."""
 
-    def _validate_training_set(self, X, y):
+    def fit(self, X, y):
         self.check_params(self.get_params())
         X = check_feature_matrix(X)
         y = check_labels(y, X.shape[0])
         if X.shape[0] == 0:
             raise ValueError("cannot fit on an empty feature matrix")
-        return X, y
+        self.n_features_ = None  # a refused fit leaves the model unfitted
+        self._fit(X, y)
+        loss = getattr(self, "final_loss_", None)
+        if loss is not None and not np.isfinite(loss):
+            raise DivergedError(f"{self.kind} training diverged (final loss {loss})")
+        self.n_features_ = X.shape[1]
+        return self
+
+    def _fit(self, X, y):
+        raise NotImplementedError
 
     def decision_scores(self, X):
         raise NotImplementedError

@@ -32,6 +32,10 @@ class NotFittedError(RusentError, ValueError):
     """An estimator was used before ``fit`` was called."""
 
 
+class DivergedError(RusentError, ValueError):
+    """Training ended with a non-finite loss, so the fitted model is unusable."""
+
+
 class ArtifactError(RusentError, ValueError):
     """A saved model or tf-idf artifact is malformed; the message names the
     file and the offending key."""

@@ -25,49 +25,38 @@ class KNeighborsClassifier(ClassifierBase):
     def __init__(self, k=5):
         self.k = k
 
-    def fit(self, X, y):
-        X, y = self._validate_training_set(X, y)
+    def _fit(self, X, y):
         self.X_, self.y_ = X, y
         self._check_fitted()
-        self.n_features_ = X.shape[1]
-        return self
 
     def _check_fitted(self):
         check_labels(self.y_)
         if self.k > self.X_.shape[0]:
             raise ValueError(f"k must be in [1, {self.X_.shape[0]}], got {self.k}")
 
-    def _neighbors(self, X):
-        """Indices of the k nearest training rows per query row, ordered by
-        (distance, training index)."""
-        out = np.empty((X.shape[0], self.k), dtype=np.int64)
+    def _votes(self, X):
+        """Per-class vote counts among the k nearest training rows of each
+        query row, ordered by (distance, training index), and the label of
+        the nearest one."""
+        X = self._validate_input(X)
+        counts = np.empty((X.shape[0], N_CLASSES), dtype=np.int64)
+        nearest = np.empty(X.shape[0], dtype=np.int64)
         for start in range(0, X.shape[0], _CHUNK):
             chunk = X[start : start + _CHUNK]
             distances = 1.0 - (chunk @ self.X_.T).toarray()
             # stable argsort keeps lower training indices first among ties
             order = np.argsort(distances, axis=1, kind="stable")
-            out[start : start + chunk.shape[0]] = order[:, : self.k]
-        return out
+            labels = self.y_[order[:, : self.k]]
+            rows = slice(start, start + chunk.shape[0])
+            counts[rows] = (labels[:, :, None] == np.arange(N_CLASSES)).sum(axis=1)
+            nearest[rows] = labels[:, 0]
+        return counts, nearest
 
     def decision_scores(self, X):
         """Per-class vote fractions among the k nearest neighbors."""
-        X = self._validate_input(X)
-        neighbors = self._neighbors(X)
-        votes = self.y_[neighbors]
-        scores = np.empty((X.shape[0], N_CLASSES))
-        for i in range(X.shape[0]):
-            scores[i] = np.bincount(votes[i], minlength=N_CLASSES) / self.k
-        return scores
+        return self._votes(X)[0] / self.k
 
     def predict(self, X):
-        X = self._validate_input(X)
-        neighbors = self._neighbors(X)
-        predictions = np.empty(X.shape[0], dtype=np.int64)
-        for i in range(X.shape[0]):
-            counts = np.bincount(self.y_[neighbors[i]], minlength=N_CLASSES)
-            top = counts.max()
-            if np.count_nonzero(counts == top) == 1:
-                predictions[i] = counts.argmax()
-            else:
-                predictions[i] = self.y_[neighbors[i, 0]]
-        return predictions
+        counts, nearest = self._votes(X)
+        unique = np.count_nonzero(counts == counts.max(axis=1, keepdims=True), axis=1) == 1
+        return np.where(unique, counts.argmax(axis=1), nearest)

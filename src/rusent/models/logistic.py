@@ -2,9 +2,10 @@
 gradient descent."""
 
 import numpy as np
-from scipy.special import logsumexp, softmax
+from scipy.special import softmax
 
-from ..base import COUNT, LINEAR_FITTED, N_CLASSES, NON_NEGATIVE, POSITIVE, ClassifierBase
+from ..base import (COUNT, LINEAR_FITTED, N_CLASSES, NON_NEGATIVE, POSITIVE, ClassifierBase,
+                    softmax_cross_entropy)
 
 
 def softmax_objective(W, b, X, y, l2):
@@ -12,14 +13,10 @@ def softmax_objective(W, b, X, y, l2):
 
     Returns (loss, grad_W, grad_b). The bias is not regularized.
     """
-    n = X.shape[0]
-    logits = X @ W.T + b
-    loss = float(np.mean(logsumexp(logits, axis=1) - logits[np.arange(n), y]))
+    loss, delta = softmax_cross_entropy(X @ W.T + b, y)
     loss += 0.5 * l2 * float(np.sum(W * W))
-    probs = softmax(logits, axis=1)
-    probs[np.arange(n), y] -= 1.0
-    grad_W = (X.T @ probs).T / n + l2 * W
-    grad_b = probs.mean(axis=0)
+    grad_W = (X.T @ delta).T / X.shape[0] + l2 * W
+    grad_b = delta.mean(axis=0)
     return loss, grad_W, grad_b
 
 
@@ -41,10 +38,8 @@ class LogisticRegression(ClassifierBase):
         self.epochs = epochs
         self.l2 = l2
 
-    def fit(self, X, y):
-        X, y = self._validate_training_set(X, y)
-        n, V = X.shape
-        W = np.zeros((N_CLASSES, V))
+    def _fit(self, X, y):
+        W = np.zeros((N_CLASSES, X.shape[1]))
         b = np.zeros(N_CLASSES)
         curve = []
         for _ in range(self.epochs):
@@ -59,8 +54,6 @@ class LogisticRegression(ClassifierBase):
         self.loss_curve_ = curve
         self.epochs_ = self.epochs
         self.final_loss_ = final_loss
-        self.n_features_ = V
-        return self
 
     def decision_scores(self, X):
         """Softmax probabilities (rows sum to 1)."""

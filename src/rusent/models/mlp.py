@@ -2,60 +2,43 @@
 mean cross-entropy loss, mini-batch stochastic gradient descent."""
 
 import numpy as np
-from scipy.special import logsumexp, softmax
+from scipy.special import softmax
 
 from ..artifacts import FLOATS, INTS
-from ..base import AT_LEAST_ONE, COUNT, N_CLASSES, POSITIVE, ClassifierBase
+from ..base import AT_LEAST_ONE, COUNT, N_CLASSES, POSITIVE, ClassifierBase, softmax_cross_entropy
+
+
+def batch_gradients(W1T, b1, W2, b2, X, y):
+    """Mean cross-entropy on the rows of ``X`` and its gradients.
+
+    Returns (loss, cols, gW1T, gb1, gW2, gb2). Two layouts keep a step
+    cheap on wide vocabularies: the hidden weights ``W1T`` arrive
+    feature-major, shape (V, H), so the sparse product needs no transposed
+    copy, and ``gW1T`` holds only the gradient rows of the feature columns
+    ``cols`` present in ``X`` (it is exactly zero elsewhere).
+    """
+    z1 = X @ W1T + b1
+    a1 = np.maximum(0.0, z1)
+    loss, delta2 = softmax_cross_entropy(a1 @ W2.T + b2, y)
+    delta2 /= X.shape[0]
+    delta1 = (delta2 @ W2) * (z1 > 0.0)
+    cols = np.unique(X.indices)
+    return (loss, cols, X[:, cols].T @ delta1, delta1.sum(axis=0),
+            delta2.T @ a1, delta2.sum(axis=0))
 
 
 def mlp_objective(params, X, y):
-    """Mean cross-entropy and its gradients for all four parameter blocks.
+    """Mean cross-entropy and its dense gradients for all four parameter
+    blocks: the finite-difference reference for ``batch_gradients``.
 
     ``params`` is (W1, b1, W2, b2) with W1 of shape (H, V) and W2 of shape
     (3, H). Returns (loss, (gW1, gb1, gW2, gb2)).
     """
     W1, b1, W2, b2 = params
-    n = X.shape[0]
-    z1 = X @ W1.T + b1
-    a1 = np.maximum(0.0, z1)
-    z2 = a1 @ W2.T + b2
-    loss = float(np.mean(logsumexp(z2, axis=1) - z2[np.arange(n), y]))
-    delta2 = softmax(z2, axis=1)
-    delta2[np.arange(n), y] -= 1.0
-    delta2 /= n
-    gW2 = delta2.T @ a1
-    gb2 = delta2.sum(axis=0)
-    delta1 = (delta2 @ W2) * (z1 > 0.0)
-    gW1 = (X.T @ delta1).T
-    gb1 = delta1.sum(axis=0)
+    loss, cols, gW1T, gb1, gW2, gb2 = batch_gradients(W1.T, b1, W2, b2, X, y)
+    gW1 = np.zeros_like(W1)
+    gW1[:, cols] = gW1T.T
     return loss, (gW1, gb1, gW2, gb2)
-
-
-def _batch_step(W1T, b1, W2, b2, Xb, yb, lr):
-    """One in-place SGD step on a mini-batch.
-
-    Identical math to ``mlp_objective`` gradients, with two layout tricks:
-    the hidden weights arrive feature-major (V, H) so the sparse product
-    needs no transposed copy, and the hidden-layer update touches only the
-    feature rows present in the batch (the gradient is exactly zero
-    elsewhere). Both matter for wide vocabularies.
-    """
-    n = Xb.shape[0]
-    z1 = Xb @ W1T + b1
-    a1 = np.maximum(0.0, z1)
-    z2 = a1 @ W2.T + b2
-    loss = float(np.mean(logsumexp(z2, axis=1) - z2[np.arange(n), yb]))
-    delta2 = softmax(z2, axis=1)
-    delta2[np.arange(n), yb] -= 1.0
-    delta2 /= n
-    delta1 = (delta2 @ W2) * (z1 > 0.0)
-    W2 -= lr * (delta2.T @ a1)
-    b2 -= lr * delta2.sum(axis=0)
-    cols = np.unique(Xb.indices)
-    if cols.size:
-        W1T[cols, :] -= lr * (Xb[:, cols].T @ delta1)
-    b1 -= lr * delta1.sum(axis=0)
-    return loss
 
 
 def init_params(n_features, hidden_units, rng):
@@ -91,8 +74,7 @@ class MLPClassifier(ClassifierBase):
         self.batch_size = batch_size
         self.seed = seed
 
-    def fit(self, X, y):
-        X, y = self._validate_training_set(X, y)
+    def _fit(self, X, y):
         n, V = X.shape
         rng = np.random.default_rng(self.seed)
         W1, b1, W2, b2 = init_params(V, self.hidden_units, rng)
@@ -103,19 +85,21 @@ class MLPClassifier(ClassifierBase):
             batch_losses = []
             for start in range(0, n, self.batch_size):
                 idx = order[start : start + self.batch_size]
-                loss = _batch_step(W1T, b1, W2, b2, X[idx], y[idx], self.lr)
+                loss, cols, gW1T, gb1, gW2, gb2 = batch_gradients(
+                    W1T, b1, W2, b2, X[idx], y[idx])
+                W2 -= self.lr * gW2
+                b2 -= self.lr * gb2
+                W1T[cols, :] -= self.lr * gW1T
+                b1 -= self.lr * gb1
                 batch_losses.append(loss)
             curve.append(float(np.mean(batch_losses)))
-        W1 = np.ascontiguousarray(W1T.T)
-        self.hidden_coef_ = W1
+        self.final_loss_ = batch_gradients(W1T, b1, W2, b2, X, y)[0]
+        self.hidden_coef_ = np.ascontiguousarray(W1T.T)
         self.hidden_intercept_ = b1
         self.output_coef_ = W2
         self.output_intercept_ = b2
         self.loss_curve_ = curve
         self.epochs_ = self.epochs
-        self.final_loss_ = mlp_objective((W1, b1, W2, b2), X, y)[0]
-        self.n_features_ = V
-        return self
 
     def decision_scores(self, X):
         """Softmax output probabilities (rows sum to 1)."""

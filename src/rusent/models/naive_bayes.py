@@ -30,8 +30,7 @@ class MultinomialNaiveBayes(ClassifierBase):
         self.alpha = alpha
         self.allow_missing_class = allow_missing_class
 
-    def fit(self, X, y):
-        X, y = self._validate_training_set(X, y)
+    def _fit(self, X, y):
         counts = np.bincount(y, minlength=N_CLASSES)
         if np.any(counts == 0) and not self.allow_missing_class:
             missing = [int(c) for c in np.flatnonzero(counts == 0)]
@@ -52,8 +51,6 @@ class MultinomialNaiveBayes(ClassifierBase):
             smoothed.sum(axis=1, keepdims=True)
         )
         self.class_count_ = counts
-        self.n_features_ = V
-        return self
 
     def decision_scores(self, X):
         """Class posterior probabilities (rows sum to 1)."""

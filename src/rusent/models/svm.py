@@ -86,8 +86,7 @@ class LinearSVM(ClassifierBase):
         self.C = C
         self.seed = seed
 
-    def fit(self, X, y):
-        X, y = self._validate_training_set(X, y)
+    def _fit(self, X, y):
         n, V = X.shape
         indices = X.indices.tolist()
         data = X.data.tolist()
@@ -111,8 +110,6 @@ class LinearSVM(ClassifierBase):
         self.objective_per_class_ = objectives
         self.epochs_ = self.epochs
         self.final_loss_ = float(np.mean(objectives))
-        self.n_features_ = V
-        return self
 
     def decision_scores(self, X):
         """Raw one-vs-rest decision values (not probabilities)."""

@@ -127,6 +127,9 @@ CORRUPT_ARTIFACTS = {
     "label-out-of-range": ("model_knn.json",
                            lambda doc: doc["parameters"]["labels"].insert(0, 3)
                            or doc["parameters"]["labels"].pop()),
+    "nan-coef": ("model_logistic_regression.json",
+                 lambda doc: doc["parameters"]["coef"][1].__setitem__(0, float("nan"))),
+    "infinite-idf": ("tfidf.json", lambda doc: doc["idf"].__setitem__(0, float("inf"))),
 }
 
 
@@ -153,6 +156,21 @@ class TestCliExitCodes:
         assert main(["compare", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_training_exits_1(self, dataset, tmp_path, capsys):
+        path = tmp_path / "diverge.cfg"
+        out = tmp_path / "out"
+        path.write_text(
+            f"dataset = {dataset}\nout = {out}\nruns = 1\n"
+            "logistic_regression.lr = 1e6\nlogistic_regression.l2 = 1\n",
+            encoding="utf-8",
+        )
+        assert main(["compare", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: logistic_regression training diverged" in err
+        assert "Traceback" not in err
+        assert not (out / "metrics.json").exists()
 
     def test_missing_dataset_exits_2(self, tmp_path):
         rc = main(["compare", "--out", str(tmp_path)])
@@ -207,16 +225,17 @@ class TestCliExitCodes:
     def test_corrupt_json_artifact_exits_1(self, dataset, tmp_path, capsys, artifact, corrupt):
         out = tmp_path / "out"
         common = ["--dataset", dataset, "--out", str(out)]
+        kind = artifact[len("model_"):-len(".json")] if artifact.startswith("model_") else "knn"
         for args in (["ingest"], ["preprocess"], ["fit-features"],
-                     ["train", "--classifier", "knn"]):
+                     ["train", "--classifier", kind]):
             assert main(args + common) == 0
         path = out / artifact
         doc = json.loads(path.read_text(encoding="utf-8"))
         corrupt(doc)
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_text(json.dumps(doc), encoding="utf-8")  # NaN, inf: JSON NaN, Infinity
         capsys.readouterr()
         # an uncaught exception (a traceback from the command line) fails here
-        assert main(["predict", "--classifier", "knn"] + common) == 1
+        assert main(["predict", "--classifier", kind] + common) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 

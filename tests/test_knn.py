@@ -10,7 +10,8 @@ from conftest import random_tfidf_instance
 
 
 def knn_oracle(train_rows, y, query_row, k):
-    """Brute-force full-sort nearest-neighbor prediction in pure Python.
+    """Brute-force full-sort nearest-neighbor prediction in pure Python,
+    and the per-class vote fractions.
 
     Rows are {column: weight} dicts. Distances are 1 - dot product with
     products accumulated in ascending column order (bitwise identical to
@@ -25,11 +26,12 @@ def knn_oracle(train_rows, y, query_row, k):
         distances.append(1.0 - dot)
     order = sorted(range(len(train_rows)), key=lambda i: (distances[i], i))[:k]
     votes = Counter(int(y[i]) for i in order)
+    fractions = [votes[c] / k for c in range(3)]
     top = max(votes.values())
     tied = [c for c, v in votes.items() if v == top]
     if len(tied) == 1:
-        return tied[0]
-    return int(y[order[0]])
+        return tied[0], fractions
+    return int(y[order[0]]), fractions
 
 
 def as_dicts(X):
@@ -139,7 +141,10 @@ class TestOracleEquivalence:
         model = KNeighborsClassifier(k=k).fit(X, y)
         queries = sp.vstack([random_unit_matrix(rng, 5, V), X[0]]).tocsr()
         preds = model.predict(queries)
+        scores = model.decision_scores(queries)
         train_rows = as_dicts(X)
         query_rows = as_dicts(queries)
         for i, q in enumerate(query_rows):
-            assert preds[i] == knn_oracle(train_rows, y, q, k)
+            label, fractions = knn_oracle(train_rows, y, q, k)
+            assert preds[i] == label
+            assert scores[i].tolist() == fractions

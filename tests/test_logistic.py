@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rusent import LogisticRegression, TfidfVectorizer, preprocess_corpus
+from rusent.exceptions import DivergedError, NotFittedError
 from rusent.models.logistic import softmax_objective
 from rusent.preprocess import StopWordList
 
@@ -16,6 +17,16 @@ class TestValidation:
         X, y = random_tfidf_instance(0)
         with pytest.raises(ValueError):
             LogisticRegression(**kwargs).fit(X, y)
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_fit_raises(self):
+        X, y = random_tfidf_instance(0)
+        model = LogisticRegression(lr=1e6, l2=1)
+        with pytest.raises(DivergedError, match="logistic_regression training diverged"):
+            model.fit(X, y)
+        with pytest.raises(NotFittedError):
+            model.predict(X)
 
 
 class TestZeroEpochs:

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from rusent import MLPClassifier
-from rusent.models.mlp import _batch_step, init_params, mlp_objective
+from rusent.models.mlp import init_params, mlp_objective
 
 from conftest import central_diff, random_tfidf_instance, relative_error
 
@@ -56,19 +56,18 @@ class TestGradient:
 
 class TestBatchStep:
     def test_matches_reference_gradient_update(self):
-        # the row-sparse in-place step must equal a dense-gradient step
+        # the row-sparse in-place update of fit must equal a dense-gradient step
         X, y = random_tfidf_instance(21, n_docs=12, vocab_size=9, doc_len=4)
-        rng = np.random.default_rng(5)
-        W1, b1, W2, b2 = init_params(X.shape[1], 6, rng)
-        lr = 0.3
-        ref_loss, grads = mlp_objective((W1, b1, W2, b2), X, y)
-        expected = [p - lr * g for p, g in zip((W1, b1, W2, b2), grads)]
-        W1T = np.ascontiguousarray(W1.T)
-        sb1, sW2, sb2 = b1.copy(), W2.copy(), b2.copy()
-        loss = _batch_step(W1T, sb1, sW2, sb2, X, y, lr)
-        assert loss == pytest.approx(ref_loss, abs=1e-12)
-        for got, want in zip((W1T.T, sb1, sW2, sb2), expected):
-            np.testing.assert_allclose(got, want, atol=1e-12)
+        lr, seed = 0.3, 5
+        params = init_params(X.shape[1], 6, np.random.default_rng(seed))
+        ref_loss, grads = mlp_objective(params, X, y)
+        model = MLPClassifier(hidden_units=6, lr=lr, epochs=1, batch_size=X.shape[0],
+                              seed=seed).fit(X, y)
+        assert model.loss_curve_[0] == pytest.approx(ref_loss, abs=1e-12)
+        got = (model.hidden_coef_, model.hidden_intercept_, model.output_coef_,
+               model.output_intercept_)
+        for param, grad, fitted in zip(params, grads, got):
+            np.testing.assert_allclose(fitted, param - lr * grad, rtol=0, atol=1e-12)
 
 
 class TestTraining:

@@ -104,6 +104,17 @@ class TestUniformSurface:
         pred = model.predict(zero)
         assert pred[0] in (0, 1, 2)
 
+    @pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
+    def test_non_finite_feature_rejected(self, kind):
+        model, X, y = fitted_model(kind)
+        bad = X.copy()
+        bad.data[0] = np.nan
+        fresh = make_classifier(ClassifierSpec(kind, FAST_PARAMS[kind]), seed=0)
+        with pytest.raises(ValueError, match="non-finite"):
+            fresh.fit(bad, y)
+        with pytest.raises(ValueError, match="non-finite"):
+            model.predict(bad)
+
     def test_argmax_tie_breaks_to_lowest_code(self):
         model, X, _ = fitted_model("logistic_regression")
         model.coef_[:] = 0.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rusent import LinearSVM, TfidfVectorizer, preprocess_corpus
+from rusent.exceptions import DivergedError
 from rusent.models.svm import hinge_objective
 from rusent.preprocess import StopWordList
 
@@ -20,6 +21,12 @@ class TestValidation:
         X, y = random_tfidf_instance(0)
         with pytest.raises(ValueError):
             LinearSVM(**kwargs).fit(X, y)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_fit_raises(self):
+        X, y = random_tfidf_instance(0)
+        with pytest.raises(DivergedError, match="linear_svm training diverged"):
+            LinearSVM(C=1e308, lr=0.9).fit(X, y)
 
 
 class TestGradient:
