@@ -1,26 +1,72 @@
-"""The JSON artifact format of saved models and tf-idf vocabularies: one
-writer, one reader, and the codecs that turn fitted arrays into JSON.
+"""How every stage file is written and how a stage CSV is read, plus the
+JSON artifact format of saved models and tf-idf vocabularies.
 
-``FLOATS`` and ``INTS`` are arrays of finite numbers (plain numbers when
-they have no axes); ``LOG_PROBS`` is a float array that stores -inf as null,
-keeping the document strict JSON; ``CSR`` is a sparse matrix stored as its
-``data``/``indices``/``indptr``/``shape`` fields.
+Each file is written through ``replacing``, so it appears whole or not at
+all. ``FLOATS`` and ``INTS`` are arrays of finite numbers (plain numbers
+when they have no axes); ``LOG_PROBS`` is a float array that stores -inf as
+null, keeping the document strict JSON; ``CSR`` is a sparse matrix stored as
+its ``data``/``indices``/``indptr``/``shape`` fields.
 """
 
+import csv
 import json
+import os
+from contextlib import contextmanager, suppress
 
 import numpy as np
 import scipy.sparse as sp
 
-from .exceptions import ArtifactError
+from .exceptions import ArtifactError, MalformedRowError
 
 FLOATS, INTS, LOG_PROBS, CSR = "floats", "ints", "log_probs", "csr"
 
 
+@contextmanager
+def replacing(path):
+    """A text handle on the sibling file ``path``.tmp, which replaces ``path``
+    when the block ends; if the block raises, it is removed and ``path`` is
+    left as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_json(path, payload):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    with replacing(path) as handle:
+        json.dump(payload, handle, sort_keys=True, indent=2)
+        handle.write("\n")
+
+
+def write_csv(path, header, rows):
+    with replacing(path) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def csv_rows(path, has_header=True):
+    """Yield (line, fields) for each non-blank row of the CSV file at ``path``,
+    skipping the first row if ``has_header``; ``line`` is where the row
+    starts. An unparseable row raises MalformedRowError naming that line,
+    and bytes that are not UTF-8 raise one naming the file."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        line = 1
+        try:
+            for row in reader:
+                if row and not (has_header and line == 1):
+                    yield line, row
+                line = reader.line_num + 1
+        except csv.Error as exc:
+            raise MalformedRowError(f"{path} line {line}: {exc}", [(line, str(exc))]) from None
+        except UnicodeDecodeError as exc:  # decoded in blocks, so no line to name
+            raise MalformedRowError(f"{path}: {exc}") from None
 
 
 def read_json(path, rebuild):

@@ -144,11 +144,12 @@ class ClassifierBase(BaseEstimator):
     """Shared training and prediction surface for the five classifier kinds.
 
     ``fit`` checks the hyperparameters and the training set, then calls the
-    kind's ``_fit(X, y)`` with a CSR matrix and class codes. A kind that
-    records ``final_loss_`` has its fit refused when that loss is not
-    finite. ``decision_scores`` returns one row of three per-class scores
-    per input row (class-code order); ``predict`` takes the argmax, breaking
-    exact ties toward the lowest class code.
+    kind's ``_fit(X, y)`` with a CSR matrix and class codes. The fit is
+    refused with ``DivergedError`` on a numpy overflow, invalid or divide
+    error, and when ``_fit`` returns the loss at its starting parameters
+    and ``final_loss_`` is above it. ``decision_scores`` returns one row of
+    three per-class scores per input row (class-code order); ``predict``
+    takes the argmax, breaking exact ties toward the lowest class code.
 
     Each kind declares ``constraints`` and ``fitted``, the (JSON key,
     attribute, codec, axes) rows that ``rusent.models`` saves and loads.
@@ -167,10 +168,14 @@ class ClassifierBase(BaseEstimator):
         if X.shape[0] == 0:
             raise ValueError("cannot fit on an empty feature matrix")
         self.n_features_ = None  # a refused fit leaves the model unfitted
-        self._fit(X, y)
-        loss = getattr(self, "final_loss_", None)
-        if loss is not None and not np.isfinite(loss):
-            raise DivergedError(f"{self.kind} training diverged (final loss {loss})")
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                start = self._fit(X, y)
+        except FloatingPointError as exc:
+            raise DivergedError(f"{self.kind} training diverged ({exc})") from None
+        if start is not None and not self.final_loss_ <= start:  # NaN fails too
+            raise DivergedError(f"{self.kind} training diverged (final loss "
+                                f"{self.final_loss_}, starting loss {start})")
         self.n_features_ = X.shape[1]
         return self
 

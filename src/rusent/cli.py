@@ -7,15 +7,15 @@ configured base seed, so reruns with the same config are byte-identical.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
 
 from . import __version__
-from .artifacts import write_json
+from .artifacts import csv_rows, replacing, write_csv, write_json
 from .config import RunConfig, apply_cli_values, parse_config_file
-from .corpus import Corpus, LabeledComment, Sentiment, label_distribution, load_csv
+from .corpus import (LABEL_NAMES, Corpus, LabeledComment, Sentiment, label_distribution,
+                     load_csv)
 from .eval import confusion_matrix, evaluate_specs, metrics, plan_splits
 from .exceptions import ConfigError, MalformedRowError, RusentError
 from .features import TfidfVectorizer, load_tfidf, save_tfidf, write_word_frequencies
@@ -37,11 +37,6 @@ def _round6(obj):
     if isinstance(obj, (list, tuple)):
         return [_round6(v) for v in obj]
     return obj
-
-
-def _open_csv_writer(path):
-    fh = open(path, "w", encoding="utf-8", newline="")
-    return fh, csv.writer(fh, lineterminator="\n")
 
 
 def _require_artifact(path, producer):
@@ -74,26 +69,14 @@ def _distribution_line(corpus):
     return " ".join(f"{s.label} {dist[s]['fraction']:.1%}" for s in Sentiment)
 
 
-def _spec_for(config, kind):
-    overrides = config.classifier_overrides(kind)
-    if kind == "naive_bayes" and config.allow_missing_class:
-        overrides.setdefault("allow_missing_class", True)
-    return ClassifierSpec(kind, overrides)
-
-
 def _artifact_rows(path):
     """Data rows of a three-column stage CSV artifact; a shorter row
     raises MalformedRowError naming its line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < 3:
-                line, reason = reader.line_num, f"expected 3 fields, got {len(row)}"
-                raise MalformedRowError(f"{path} line {line}: {reason}", [(line, reason)])
-            yield row
+    for line, row in csv_rows(path):
+        if len(row) < 3:
+            reason = f"expected 3 fields, got {len(row)}"
+            raise MalformedRowError(f"{path} line {line}: {reason}", [(line, reason)])
+        yield row
 
 
 def _read_preprocessed(path):
@@ -128,11 +111,7 @@ def cmd_ingest(config, args):
     )
     os.makedirs(config.out, exist_ok=True)
     out_path = os.path.join(config.out, CORPUS_FILE)
-    fh, writer = _open_csv_writer(out_path)
-    with fh:
-        writer.writerow(["comment", "sentiment"])
-        for record in corpus:
-            writer.writerow([record.text, record.label.label])
+    write_csv(out_path, ["comment", "sentiment"], ([r.text, r.label.label] for r in corpus))
     payload = _distribution_payload(corpus)
     write_json(os.path.join(config.out, DISTRIBUTION_FILE), _round6(payload))
     print(json.dumps(_round6(payload), sort_keys=True))
@@ -147,11 +126,8 @@ def cmd_preprocess(config, args):
     stopwords = _load_stopword_list(config)
     docs = preprocess_corpus(corpus, stopwords, config.strip_punct)
     out_path = os.path.join(config.out, PREPROCESSED_FILE)
-    fh, writer = _open_csv_writer(out_path)
-    with fh:
-        writer.writerow(["comment", "sentiment", "text_final"])
-        for record, doc in zip(corpus, docs):
-            writer.writerow([record.text, record.label.label, doc.text_final])
+    write_csv(out_path, ["comment", "sentiment", "text_final"],
+              ([r.text, r.label.label, d.text_final] for r, d in zip(corpus, docs)))
     emptied = sum(1 for d in docs if d.is_empty)
     _info(
         f"preprocessed {len(docs)} records ({emptied} emptied by stop-word "
@@ -189,7 +165,7 @@ def cmd_train(config, args):
     vectorizer = load_tfidf(tfidf_path)
     X = vectorizer.transform(train_docs)
     y = part.train.labels()
-    spec = _spec_for(config, args.classifier)
+    spec = ClassifierSpec(args.classifier, config.classifier_overrides(args.classifier))
     model = make_classifier(spec, seed=part.train_seed(spec.kind))
     model.fit(X, y)
     model_path = os.path.join(config.out, f"model_{spec.kind}.json")
@@ -211,13 +187,9 @@ def cmd_predict(config, args):
     model = load_model(model_path)
     predictions = model.predict(vectorizer.transform(test_docs))
     out_path = os.path.join(config.out, f"predictions_{args.classifier}.csv")
-    fh, writer = _open_csv_writer(out_path)
-    with fh:
-        writer.writerow(["row_id", "truth", "predicted"])
-        for record, pred in zip(part.test, predictions):
-            writer.writerow(
-                [record.row_id, record.label.label, Sentiment(int(pred)).label]
-            )
+    write_csv(out_path, ["row_id", "truth", "predicted"],
+              ([r.row_id, r.label.label, Sentiment(int(p)).label]
+               for r, p in zip(part.test, predictions)))
     _info(f"predicted {len(test_docs)} test records -> {out_path}")
     return 0
 
@@ -272,25 +244,12 @@ def _write_compare_outputs(config, results, protocol_payload):
     }
     write_json(os.path.join(config.out, "metrics.json"), _round6(payload))
 
-    fh, writer = _open_csv_writer(os.path.join(config.out, "metrics.csv"))
-    with fh:
-        writer.writerow(["classifier", "metric", "mean", "std"])
-        for kind in sorted(results):
-            agg = results[kind]
-            for metric_name in sorted(agg.mean):
-                writer.writerow(
-                    [kind, metric_name, f"{agg.mean[metric_name]:.6f}",
-                     f"{agg.std[metric_name]:.6f}"]
-                )
-
+    write_csv(os.path.join(config.out, "metrics.csv"), ["classifier", "metric", "mean", "std"],
+              ([kind, name, f"{agg.mean[name]:.6f}", f"{agg.std[name]:.6f}"]
+               for kind, agg in sorted(results.items()) for name in sorted(agg.mean)))
     for kind, agg in results.items():
-        fh, writer = _open_csv_writer(
-            os.path.join(config.out, f"confusion_{kind}.csv")
-        )
-        with fh:
-            writer.writerow(["true_class", "negative", "neutral", "positive"])
-            for s in Sentiment:
-                writer.writerow([s.label] + agg.pooled_confusion[s].tolist())
+        write_csv(os.path.join(config.out, f"confusion_{kind}.csv"), ["true_class", *LABEL_NAMES],
+                  ([s.label, *agg.pooled_confusion[s].tolist()] for s in Sentiment))
 
     lines = [f"{'rank':>4}  {'classifier':<20} {'mean_accuracy':>13} {'std':>9}"]
     for position, entry in enumerate(ranking, start=1):
@@ -300,8 +259,7 @@ def _write_compare_outputs(config, results, protocol_payload):
             f"{results[kind].std['accuracy']:>9.6f}"
         )
     table = "\n".join(lines) + "\n"
-    with open(os.path.join(config.out, "ranking.txt"), "w", encoding="utf-8",
-              newline="\n") as fh:
+    with replacing(os.path.join(config.out, "ranking.txt")) as fh:
         fh.write(table)
     print(table, end="")
 
@@ -335,7 +293,7 @@ def cmd_compare(config, args):
         seed=config.seed,
     )
     aggregates = evaluate_specs(
-        [_spec_for(config, kind) for kind in CLASSIFIER_KINDS],
+        [ClassifierSpec(kind, config.classifier_overrides(kind)) for kind in CLASSIFIER_KINDS],
         corpus,
         stopwords,
         plan,
@@ -387,11 +345,6 @@ def _build_parser():
         help="skip malformed dataset rows instead of aborting",
     )
     common.add_argument(
-        "--allow-missing-class", action="store_true", default=None,
-        dest="allow_missing_class",
-        help="let naive Bayes train on data missing a class",
-    )
-    common.add_argument(
         "--strip-punct", action="store_true", default=None, dest="strip_punct",
         help="strip leading/trailing punctuation from tokens",
     )
@@ -428,7 +381,6 @@ def build_config(args):
         max_features=args.max_features,
         fit_on_all=args.fit_on_all,
         skip_bad_rows=args.skip_bad_rows,
-        allow_missing_class=args.allow_missing_class,
         strip_punct=args.strip_punct,
     )
 

@@ -27,7 +27,6 @@ class RunConfig:
     runs: int = 10
     folds: int = 10
     fit_on_all: bool = False
-    allow_missing_class: bool = False
     seed: int = 0
     out: str = "out"
     overrides: dict = field(default_factory=dict)

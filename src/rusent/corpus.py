@@ -1,6 +1,5 @@
 """Labeled comment corpus: CSV ingestion, label distribution, splits and folds."""
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -8,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .artifacts import csv_rows
 from .exceptions import EmptyCorpusError, MalformedRowError
 
 
@@ -82,45 +82,31 @@ def load_csv(path, *, has_header=True, dedup=True, skip_bad_rows=False):
     Each data row needs at least two fields: the comment text and a
     sentiment label. Any further fields are discarded. Rows with empty
     text or an unparseable label abort the load with their line numbers
-    unless ``skip_bad_rows`` is set. With ``dedup``, exact (text, label)
-    duplicates beyond the first occurrence are dropped.
+    unless ``skip_bad_rows`` is set; a row that is not valid CSV always
+    does. With ``dedup``, repeats of an exact (text, label) pair are dropped.
     """
     records = []
     bad_rows = []
     seen = set()
-    try:
-        handle = open(path, "r", encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise FileNotFoundError(f"dataset file not found: {path}") from None
-    with handle:
-        reader = csv.reader(handle)
-        row_id = 0
-        for i, row in enumerate(reader):
-            if has_header and i == 0:
+    for row_id, (line, row) in enumerate(csv_rows(path, has_header=has_header)):
+        if len(row) < 2:
+            bad_rows.append((line, "expected at least 2 fields"))
+            continue
+        text = row[0].strip()
+        if not text:
+            bad_rows.append((line, "empty comment text"))
+            continue
+        try:
+            label = Sentiment.parse(row[1])
+        except ValueError:
+            bad_rows.append((line, f"unknown sentiment label {row[1]!r}"))
+            continue
+        if dedup:
+            key = (text, label)
+            if key in seen:
                 continue
-            if not row:
-                continue
-            line = reader.line_num
-            current_id = row_id
-            row_id += 1
-            if len(row) < 2:
-                bad_rows.append((line, "expected at least 2 fields"))
-                continue
-            text = row[0].strip()
-            if not text:
-                bad_rows.append((line, "empty comment text"))
-                continue
-            try:
-                label = Sentiment.parse(row[1])
-            except ValueError:
-                bad_rows.append((line, f"unknown sentiment label {row[1]!r}"))
-                continue
-            if dedup:
-                key = (text, label)
-                if key in seen:
-                    continue
-                seen.add(key)
-            records.append(LabeledComment(text, label, current_id))
+            seen.add(key)
+        records.append(LabeledComment(text, label, row_id))
     if bad_rows and not skip_bad_rows:
         listing = "; ".join(f"line {ln}: {why}" for ln, why in bad_rows)
         raise MalformedRowError(

@@ -7,13 +7,12 @@ distinct terms exceeds ``max_features``, the terms with the highest total
 corpus frequency are kept, ties broken lexicographically ascending.
 """
 
-import csv
 from collections import Counter
 
 import numpy as np
 import scipy.sparse as sp
 
-from .artifacts import FLOATS, INTS, decode_value, fields, read_json, write_json
+from .artifacts import FLOATS, INTS, decode_value, fields, read_json, write_csv, write_json
 from .base import AT_LEAST_ONE, BaseEstimator, check_is_fitted
 from .exceptions import ArtifactError
 
@@ -139,8 +138,5 @@ def write_word_frequencies(model, path):
         model.vocabulary_,
         key=lambda t: (-model.feature_counts_[model.vocabulary_[t]], t),
     )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["term", "count"])
-        for t in terms:
-            writer.writerow([t, int(model.feature_counts_[model.vocabulary_[t]])])
+    write_csv(path, ["term", "count"],
+              ([t, int(model.feature_counts_[model.vocabulary_[t]])] for t in terms))

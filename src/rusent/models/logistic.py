@@ -54,6 +54,7 @@ class LogisticRegression(ClassifierBase):
         self.loss_curve_ = curve
         self.epochs_ = self.epochs
         self.final_loss_ = final_loss
+        return curve[0]  # the loss at the zero starting weights
 
     def decision_scores(self, X):
         """Softmax probabilities (rows sum to 1)."""

@@ -6,6 +6,7 @@ from scipy.special import softmax
 
 from ..artifacts import FLOATS, INTS
 from ..base import AT_LEAST_ONE, COUNT, N_CLASSES, POSITIVE, ClassifierBase, softmax_cross_entropy
+from ..exceptions import DivergedError
 
 
 def batch_gradients(W1T, b1, W2, b2, X, y):
@@ -94,6 +95,11 @@ class MLPClassifier(ClassifierBase):
                 batch_losses.append(loss)
             curve.append(float(np.mean(batch_losses)))
         self.final_loss_ = batch_gradients(W1T, b1, W2, b2, X, y)[0]
+        # Mini-batch steps can end a working fit a little above its starting
+        # loss, so only a dead hidden layer, whose output is one constant, is refused.
+        if not np.any(X @ W1T + b1 > 0.0):
+            raise DivergedError("mlp training diverged (every hidden unit is inactive on "
+                                "every training row)")
         self.hidden_coef_ = np.ascontiguousarray(W1T.T)
         self.hidden_intercept_ = b1
         self.output_coef_ = W2

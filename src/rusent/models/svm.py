@@ -110,6 +110,8 @@ class LinearSVM(ClassifierBase):
         self.objective_per_class_ = objectives
         self.epochs_ = self.epochs
         self.final_loss_ = float(np.mean(objectives))
+        # the objective at zero weights (every hinge is 1), averaged as final_loss_ is
+        return float(np.mean([self.C] * N_CLASSES))
 
     def decision_scores(self, X):
         """Raw one-vs-rest decision values (not probabilities)."""

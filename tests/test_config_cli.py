@@ -157,7 +157,6 @@ class TestCliExitCodes:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_training_exits_1(self, dataset, tmp_path, capsys):
         path = tmp_path / "diverge.cfg"
         out = tmp_path / "out"
@@ -167,10 +166,53 @@ class TestCliExitCodes:
             encoding="utf-8",
         )
         assert main(["compare", "--config", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert "error: logistic_regression training diverged" in err
-        assert "Traceback" not in err
+        # the run's progress lines, then the error alone: no numpy warning text
+        *progress, last = capsys.readouterr().err.splitlines()
+        assert all(line.startswith(("corpus: ", "[seed ")) for line in progress)
+        assert last.startswith("error: logistic_regression training diverged (")
         assert not (out / "metrics.json").exists()
+
+    def test_dead_hidden_layer_exits_1(self, dataset, tmp_path, capsys):
+        path = tmp_path / "dead.cfg"
+        path.write_text(f"dataset = {dataset}\nout = {tmp_path / 'out'}\nruns = 1\n"
+                        "mlp.lr = 1e5\n", encoding="utf-8")
+        assert main(["compare", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: mlp training diverged (every hidden unit is inactive on every "
+            "training row)\n")
+
+    def test_removed_top_level_allow_missing_class_exits_2(self, dataset, tmp_path):
+        path = tmp_path / "old.cfg"
+        path.write_text(f"dataset = {dataset}\nallow_missing_class = true\n",
+                        encoding="utf-8")
+        assert main(["compare", "--config", str(path)]) == 2
+        with pytest.raises(SystemExit) as exit_info:  # argparse: unknown flag
+            main(["compare", "--dataset", dataset, "--allow-missing-class"])
+        assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("command", [["ingest"], ["compare"], ["train", "--classifier", "knn"]],
+                             ids=["ingest", "compare", "train"])
+    def test_unparseable_csv_row_exits_1(self, dataset, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        common = ["--dataset", dataset, "--out", str(out)]
+        path = dataset
+        if command[0] == "train":
+            for args in (["ingest"], ["preprocess"], ["fit-features"]):
+                assert main(args + common) == 0
+            path = str(out / "preprocessed.csv")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        if command[0] == "train":
+            lines[2] = "acha " * 30000 + ",negative,acha\n"  # one field above the limit
+        else:  # a quote opened on line 3 that never closes
+            lines[2] = '"' + lines[2]
+            lines.append("acha " * 30000 + "\n")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        capsys.readouterr()
+        assert main(command + common) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path} line 3: field larger than field limit (131072)\n")
 
     def test_missing_dataset_exits_2(self, tmp_path):
         rc = main(["compare", "--out", str(tmp_path)])

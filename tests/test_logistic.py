@@ -19,11 +19,19 @@ class TestValidation:
             LogisticRegression(**kwargs).fit(X, y)
 
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_fit_raises(self):
         X, y = random_tfidf_instance(0)
         model = LogisticRegression(lr=1e6, l2=1)
         with pytest.raises(DivergedError, match="logistic_regression training diverged"):
+            model.fit(X, y)
+        with pytest.raises(NotFittedError):
+            model.predict(X)
+
+    def test_fit_ending_above_starting_loss_raises(self):
+        # finite, but far above ln 3, the loss at the zero starting weights
+        X, y = random_tfidf_instance(0)
+        model = LogisticRegression(lr=5, epochs=5, l2=1)
+        with pytest.raises(DivergedError, match=r"starting loss 1\.0986"):
             model.fit(X, y)
         with pytest.raises(NotFittedError):
             model.predict(X)

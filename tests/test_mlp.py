@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from rusent import MLPClassifier
+from rusent import MLPClassifier, TfidfVectorizer, preprocess_corpus
+from rusent.exceptions import DivergedError, NotFittedError
 from rusent.models.mlp import init_params, mlp_objective
+from rusent.preprocess import default_stopwords
 
-from conftest import central_diff, random_tfidf_instance, relative_error
+from conftest import central_diff, random_tfidf_instance, relative_error, three_class_corpus
 
 
 class TestValidation:
@@ -18,6 +20,18 @@ class TestValidation:
         X, y = random_tfidf_instance(0)
         with pytest.raises(ValueError):
             MLPClassifier(**kwargs).fit(X, y)
+
+    def test_dead_hidden_layer_raises(self):
+        # huge steps switch every ReLU off for good; the output is then one
+        # constant class, with a finite loss of thousands of nats
+        corpus = three_class_corpus(90, seed=8)
+        docs = preprocess_corpus(corpus, default_stopwords())
+        X, y = TfidfVectorizer().fit_transform(docs), corpus.labels()
+        model = MLPClassifier(lr=1e5, epochs=5, hidden_units=32)
+        with pytest.raises(DivergedError, match="every hidden unit is inactive"):
+            model.fit(X, y)
+        with pytest.raises(NotFittedError):
+            model.predict(X)
 
 
 class TestInit:

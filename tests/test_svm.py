@@ -22,11 +22,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             LinearSVM(**kwargs).fit(X, y)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_fit_raises(self):
         X, y = random_tfidf_instance(0)
         with pytest.raises(DivergedError, match="linear_svm training diverged"):
             LinearSVM(C=1e308, lr=0.9).fit(X, y)
+
+    def test_fit_ending_above_starting_objective_raises(self):
+        # the objective at zero weights is C; one epoch of large steps ends far above it
+        X, y = random_tfidf_instance(0)
+        with pytest.raises(DivergedError, match=r"starting loss 1000\.0\)"):
+            LinearSVM(C=1000.0, lr=0.9, epochs=1).fit(X, y)
+
+    @pytest.mark.parametrize("C", [0.1, 0.3, 1.0, 7.0])
+    def test_zero_epochs_ends_at_the_starting_objective(self, C):
+        X, y = random_tfidf_instance(0)
+        model = LinearSVM(C=C, epochs=0).fit(X, y)
+        assert np.all(model.coef_ == 0.0)
+        assert model.final_loss_ == pytest.approx(C, rel=1e-15)
 
 
 class TestGradient:
