@@ -23,10 +23,10 @@ from .eval import (
     RunAggregate,
     accuracy,
     confusion_matrix,
-    cross_validate,
     evaluate_once,
-    evaluate_repeated,
+    evaluate_specs,
     metrics,
+    plan_splits,
 )
 from .features import TfidfVectorizer, load_tfidf, save_tfidf
 from .models import (
@@ -66,10 +66,10 @@ __all__ = [
     "RunAggregate",
     "accuracy",
     "confusion_matrix",
-    "cross_validate",
     "evaluate_once",
-    "evaluate_repeated",
+    "evaluate_specs",
     "metrics",
+    "plan_splits",
     "TfidfVectorizer",
     "load_tfidf",
     "save_tfidf",

@@ -69,14 +69,19 @@ def _distribution_line(corpus):
     return " ".join(f"{s.label} {dist[s]['fraction']:.1%}" for s in Sentiment)
 
 
-def _artifact_rows(path):
-    """Data rows of a three-column stage CSV artifact; a shorter row
-    raises MalformedRowError naming its line."""
+def _artifact_rows(path, label_columns):
+    """The first three fields of each data row of a stage CSV artifact,
+    with those at ``label_columns`` parsed into Sentiment labels; a shorter
+    row or a bad label raises MalformedRowError naming its line."""
     for line, row in csv_rows(path):
-        if len(row) < 3:
-            reason = f"expected 3 fields, got {len(row)}"
-            raise MalformedRowError(f"{path} line {line}: {reason}", [(line, reason)])
-        yield row
+        try:
+            if len(row) < 3:
+                raise ValueError(f"expected 3 fields, got {len(row)}")
+            fields = [Sentiment.parse(v) if i in label_columns else v
+                      for i, v in enumerate(row[:3])]
+        except ValueError as exc:
+            raise MalformedRowError(f"{path} line {line}: {exc}", [(line, str(exc))]) from None
+        yield fields
 
 
 def _read_preprocessed(path):
@@ -84,11 +89,10 @@ def _read_preprocessed(path):
     artifact's own data-row ordinals."""
     records = []
     docs = []
-    for i, (text, label_str, text_final, *_) in enumerate(_artifact_rows(path)):
-        label = Sentiment.parse(label_str)
+    for i, (text, label, text_final) in enumerate(_artifact_rows(path, (1,))):
         records.append(LabeledComment(text, label, i))
         docs.append(TokenizedComment(i, tuple(text_final.split()), label))
-    return Corpus(tuple(records), str(path)), docs
+    return Corpus(tuple(records)), docs
 
 
 def _staged_split(config, corpus, docs):
@@ -100,15 +104,15 @@ def _staged_split(config, corpus, docs):
     return part, [docs_of[r] for r in part.train], [docs_of[r] for r in part.test]
 
 
-def cmd_ingest(config, args):
+def _load_dataset(config):
     if not config.dataset:
         raise ConfigError("no dataset configured; set 'dataset' or pass --dataset")
-    corpus = load_csv(
-        config.dataset,
-        has_header=config.has_header,
-        dedup=config.dedup,
-        skip_bad_rows=config.skip_bad_rows,
-    )
+    return load_csv(config.dataset, has_header=config.has_header, dedup=config.dedup,
+                    skip_bad_rows=config.skip_bad_rows)
+
+
+def cmd_ingest(config, args):
+    corpus = _load_dataset(config)
     os.makedirs(config.out, exist_ok=True)
     out_path = os.path.join(config.out, CORPUS_FILE)
     write_csv(out_path, ["comment", "sentiment"], ([r.text, r.label.label] for r in corpus))
@@ -197,12 +201,8 @@ def cmd_predict(config, args):
 def cmd_evaluate(config, args):
     pred_path = os.path.join(config.out, f"predictions_{args.classifier}.csv")
     _require_artifact(pred_path, "predict")
-    truths = []
-    preds = []
-    for _, truth, predicted, *_ in _artifact_rows(pred_path):
-        truths.append(Sentiment.parse(truth))
-        preds.append(Sentiment.parse(predicted))
-    cm = confusion_matrix(truths, preds)
+    rows = list(_artifact_rows(pred_path, (1, 2)))
+    cm = confusion_matrix([truth for _, truth, _ in rows], [pred for _, _, pred in rows])
     report = metrics(cm)
     payload = {
         "classifier": args.classifier,
@@ -265,14 +265,7 @@ def _write_compare_outputs(config, results, protocol_payload):
 
 
 def cmd_compare(config, args):
-    if not config.dataset:
-        raise ConfigError("no dataset configured; set 'dataset' or pass --dataset")
-    corpus = load_csv(
-        config.dataset,
-        has_header=config.has_header,
-        dedup=config.dedup,
-        skip_bad_rows=config.skip_bad_rows,
-    )
+    corpus = _load_dataset(config)
     stopwords = _load_stopword_list(config)
     _info(f"corpus: {len(corpus)} records, {_distribution_line(corpus)}")
     plan = plan_splits(corpus, config.protocol, config.seed, runs=config.runs,

@@ -76,35 +76,37 @@ def _convert(key, raw, target_type):
 def parse_config_file(path):
     """Parse a config file into a RunConfig (file values over defaults)."""
     try:
-        handle = open(path, "r", encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     values = {}
     overrides = {}
-    with handle:
-        for ln, raw_line in enumerate(handle, start=1):
-            line = raw_line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{ln}: expected 'key = value', got {line!r}")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if "." in key:
-                kind, _, param = key.partition(".")
-                if kind not in CLASSIFIER_KINDS:
-                    raise ConfigError(
-                        f"unknown config key {key!r} "
-                        f"(classifier kinds: {CLASSIFIER_KINDS})"
-                    )
-                # takes its default's type; validate() rejects an unknown name
-                default = classifier_class(kind)().get_params().get(param, "")
-                overrides.setdefault(kind, {})[param] = _convert(key, raw, type(default))
-            elif key in _SCHEMA:
-                values[key] = _convert(key, raw, _SCHEMA[key])
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
+    for ln, raw_line in enumerate(lines, start=1):
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{ln}: expected 'key = value', got {line!r}")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        raw = raw.strip()
+        if "." in key:
+            kind, _, param = key.partition(".")
+            if kind not in CLASSIFIER_KINDS:
+                raise ConfigError(
+                    f"unknown config key {key!r} "
+                    f"(classifier kinds: {CLASSIFIER_KINDS})"
+                )
+            # takes its default's type; validate() rejects an unknown name
+            default = classifier_class(kind)().get_params().get(param, "")
+            overrides.setdefault(kind, {})[param] = _convert(key, raw, type(default))
+        elif key in _SCHEMA:
+            values[key] = _convert(key, raw, _SCHEMA[key])
+        else:
+            raise ConfigError(f"unknown config key {key!r}")
     return validate(RunConfig(**values, overrides=overrides))
 
 

@@ -4,6 +4,7 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +50,6 @@ class Corpus:
     """Immutable ordered collection of labeled comments."""
 
     records: tuple
-    source_path: str = ""
-    dedup_applied: bool = False
 
     def __len__(self):
         return len(self.records)
@@ -64,16 +63,12 @@ class Corpus:
     def labels(self):
         return np.array([r.label for r in self.records], dtype=np.int64)
 
-    def _replace_records(self, records):
-        return Corpus(tuple(records), self.source_path, self.dedup_applied)
 
+class SplitResult(NamedTuple):
+    """One (train, test) pair of a split or a fold."""
 
-@dataclass(frozen=True)
-class SplitResult:
     train: Corpus
     test: Corpus
-    seed: int
-    train_ratio: float
 
 
 def load_csv(path, *, has_header=True, dedup=True, skip_bad_rows=False):
@@ -114,7 +109,7 @@ def load_csv(path, *, has_header=True, dedup=True, skip_bad_rows=False):
         )
     if not records:
         raise EmptyCorpusError(f"no valid records in {path}")
-    return Corpus(tuple(records), str(path), dedup)
+    return Corpus(tuple(records))
 
 
 def label_distribution(corpus):
@@ -143,13 +138,12 @@ def split(corpus, train_ratio, seed):
         raise EmptyCorpusError(f"corpus too small to split ({n} records)")
     order = np.random.default_rng(seed).permutation(n)
     cut = _train_size(train_ratio, n)
-    train = corpus._replace_records(corpus[i] for i in order[:cut])
-    test = corpus._replace_records(corpus[i] for i in order[cut:])
-    return SplitResult(train, test, seed, train_ratio)
+    return SplitResult(Corpus(tuple(corpus[i] for i in order[:cut])),
+                       Corpus(tuple(corpus[i] for i in order[cut:])))
 
 
 def kfold(corpus, k, seed):
-    """Seeded k-fold partition: k (train, test) pairs whose test folds
+    """Seeded k-fold partition: k SplitResult pairs whose test folds
     are disjoint, cover the corpus, and differ in size by at most one
     (the first ``n mod k`` folds carry the extra record)."""
     n = len(corpus)
@@ -165,7 +159,6 @@ def kfold(corpus, k, seed):
         start += size
         mask = np.zeros(n, dtype=bool)
         mask[test_idx] = True
-        train = corpus._replace_records(corpus[i] for i in order if not mask[i])
-        test = corpus._replace_records(corpus[i] for i in test_idx)
-        pairs.append((train, test))
+        pairs.append(SplitResult(Corpus(tuple(corpus[i] for i in order if not mask[i])),
+                                 Corpus(tuple(corpus[i] for i in test_idx))))
     return pairs

@@ -1,7 +1,6 @@
-"""Confusion matrices, derived metrics, repeated-run evaluation and
-k-fold cross-validation of the full pipeline. Both protocols run through
-one split plan (``plan_splits``) and one evaluation loop
-(``evaluate_specs``)."""
+"""Confusion matrices, derived metrics, and evaluation of the full
+pipeline: a split plan (``plan_splits``) fixes the repeated-run or k-fold
+splits, and one loop (``evaluate_specs``) scores classifiers on them."""
 
 from dataclasses import dataclass
 
@@ -55,7 +54,7 @@ class MetricsReport:
     """Accuracy plus per-class and averaged precision/recall/F1.
 
     ``undefined`` lists metrics whose denominator was zero and that were
-    resolved to the zero-division policy value.
+    resolved to 0.
     """
 
     accuracy: float
@@ -111,13 +110,13 @@ class MetricsReport:
         }
 
 
-def metrics(cm, zero_division=0.0):
+def metrics(cm):
     """Derive the full metric report from a confusion matrix.
 
     precision_j = cm[j][j] / column j sum, recall_i = cm[i][i] / row i sum,
-    F1 the harmonic mean; zero denominators resolve to ``zero_division``
-    and are flagged. Macro averages are unweighted over the three classes,
-    weighted averages scale by true-class support.
+    F1 the harmonic mean; zero denominators resolve to 0 and are flagged.
+    Macro averages are unweighted over the three classes, weighted
+    averages scale by true-class support.
     """
     cm = _check_matrix(cm)
     total = cm.sum()
@@ -125,22 +124,19 @@ def metrics(cm, zero_division=0.0):
     col_sums = cm.sum(axis=0)
     diag = np.diag(cm)
     undefined = []
-    precision = np.empty(N_CLASSES)
-    recall = np.empty(N_CLASSES)
-    f1 = np.empty(N_CLASSES)
+    precision = np.zeros(N_CLASSES)
+    recall = np.zeros(N_CLASSES)
+    f1 = np.zeros(N_CLASSES)
     for c, name in enumerate(LABEL_NAMES):
         if col_sums[c] == 0:
-            precision[c] = zero_division
             undefined.append(f"precision:{name}")
         else:
             precision[c] = diag[c] / col_sums[c]
         if row_sums[c] == 0:
-            recall[c] = zero_division
             undefined.append(f"recall:{name}")
         else:
             recall[c] = diag[c] / row_sums[c]
         if precision[c] + recall[c] == 0.0:
-            f1[c] = 0.0
             undefined.append(f"f1:{name}")
         else:
             f1[c] = 2.0 * precision[c] * recall[c] / (precision[c] + recall[c])
@@ -260,57 +256,12 @@ def evaluate_specs(specs, corpus, stopwords, plan, *, fit_on_all=False,
             for spec, spec_cms in zip(specs, cms)]
 
 
-def evaluate_once(
-    spec,
-    corpus,
-    stopwords,
-    *,
-    train_ratio=0.8,
-    fit_on_all=False,
-    max_features=3000,
-    strip_punct=False,
-    seed=0,
-):
-    """Run the full pipeline once: split, preprocess, vectorize (train-only
-    vocabulary unless ``fit_on_all``), train, score the held-out part."""
-    agg = evaluate_repeated(spec, corpus, stopwords, runs=1, base_seed=seed,
-                            train_ratio=train_ratio, fit_on_all=fit_on_all,
+def evaluate_once(spec, corpus, stopwords, *, train_ratio=0.8, fit_on_all=False,
+                  max_features=3000, strip_punct=False, seed=0):
+    """Run the full pipeline once on the one split of a repeated-protocol
+    plan at ``seed``: preprocess, vectorize (train-only vocabulary unless
+    ``fit_on_all``), train, score the held-out part."""
+    plan = plan_splits(corpus, "repeated", seed, runs=1, train_ratio=train_ratio)
+    (agg,) = evaluate_specs([spec], corpus, stopwords, plan, fit_on_all=fit_on_all,
                             max_features=max_features, strip_punct=strip_punct)
     return agg.pooled_confusion, agg.per_run[0]
-
-
-def evaluate_repeated(
-    spec,
-    corpus,
-    stopwords,
-    *,
-    runs=10,
-    base_seed=0,
-    train_ratio=0.8,
-    fit_on_all=False,
-    max_features=3000,
-    strip_punct=False,
-):
-    """Repeat ``evaluate_once`` with seeds base_seed .. base_seed+runs-1 and
-    aggregate; the pooled confusion matrix sums the per-run matrices."""
-    plan = plan_splits(corpus, "repeated", base_seed, runs=runs, train_ratio=train_ratio)
-    return evaluate_specs([spec], corpus, stopwords, plan, fit_on_all=fit_on_all,
-                          max_features=max_features, strip_punct=strip_punct)[0]
-
-
-def cross_validate(
-    spec,
-    corpus,
-    stopwords,
-    *,
-    k=10,
-    fit_on_all=False,
-    max_features=3000,
-    strip_punct=False,
-    seed=0,
-):
-    """k-fold cross-validation; the pooled confusion matrix covers every
-    corpus record exactly once."""
-    plan = plan_splits(corpus, "kfold", seed, folds=k)
-    return evaluate_specs([spec], corpus, stopwords, plan, fit_on_all=fit_on_all,
-                          max_features=max_features, strip_punct=strip_punct)[0]

@@ -36,30 +36,24 @@ def classifier_class(kind):
 
 @dataclass(frozen=True)
 class ClassifierSpec:
-    """A classifier kind with hyperparameter overrides and an optional
-    fixed training seed (None means the caller derives one)."""
+    """A classifier kind with hyperparameter overrides."""
 
     kind: str
     hyperparams: dict = field(default_factory=dict)
-    seed: int | None = None
 
     def __post_init__(self):
         classifier_class(self.kind)  # validates the kind eagerly
 
 
 def make_classifier(spec, seed=None):
-    """Instantiate the estimator for ``spec``.
-
-    The training seed precedence is: explicit ``seed`` hyperparameter,
-    then ``spec.seed``, then the caller-supplied (usually derived) seed.
-    """
+    """Instantiate the estimator for ``spec``. A kind with a ``seed``
+    hyperparameter trains with the one ``spec`` sets, else with ``seed``
+    (usually a split's derived train seed), else with its default."""
     cls = classifier_class(spec.kind)
     cls.check_params(spec.hyperparams)
     params = dict(spec.hyperparams)
-    if "seed" in cls.constraints and "seed" not in params:
-        effective = spec.seed if spec.seed is not None else seed
-        if effective is not None:
-            params["seed"] = effective
+    if "seed" in cls.constraints and seed is not None:
+        params.setdefault("seed", seed)
     return cls(**params)
 
 

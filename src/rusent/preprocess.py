@@ -16,7 +16,6 @@ class StopWordList:
     """Deduplicated set of lowercase stop words."""
 
     words: frozenset
-    source_path: str = ""
 
     def __contains__(self, token):
         return token in self.words
@@ -59,17 +58,19 @@ def _parse_stopword_lines(lines, source):
     if bad:
         listing = "; ".join(f"line {ln}: {why}" for ln, why in bad)
         raise MalformedRowError(f"bad stop-word entries in {source} ({listing})", bad)
-    return StopWordList(frozenset(words), source)
+    return StopWordList(frozenset(words))
 
 
 def load_stopwords(path):
     """Load a stop-word file: one word per line, '#' comments, blanks ignored."""
     try:
-        handle = open(path, "r", encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
     except FileNotFoundError:
         raise FileNotFoundError(f"stop-word file not found: {path}") from None
-    with handle:
-        return _parse_stopword_lines(handle, str(path))
+    except UnicodeDecodeError as exc:
+        raise MalformedRowError(f"{path}: {exc}") from None
+    return _parse_stopword_lines(lines, path)
 
 
 def default_stopwords():

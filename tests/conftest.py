@@ -25,7 +25,7 @@ def build_corpus(pairs):
         LabeledComment(text, Sentiment.parse(label), i)
         for i, (text, label) in enumerate(pairs)
     )
-    return Corpus(records, source_path="<test>")
+    return Corpus(records)
 
 
 def write_rows(path, rows, header=("comment", "sentiment", "nan")):
@@ -116,4 +116,4 @@ def toy_docs():
 
 @pytest.fixture
 def stopwords_small():
-    return StopWordList(frozenset({"ye", "hai"}), "<test>")
+    return StopWordList(frozenset({"ye", "hai"}))

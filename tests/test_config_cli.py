@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from rusent import ClassifierSpec, evaluate_once, load_csv
+from rusent import CLASSIFIER_KINDS, ClassifierSpec, evaluate_once, load_csv
 from rusent.cli import main
 from rusent.config import RunConfig, apply_cli_values, parse_config_file
 from rusent.exceptions import ConfigError
@@ -133,6 +133,24 @@ CORRUPT_ARTIFACTS = {
 }
 
 
+def edit_staged_row(dataset, tmp_path, artifact, edit):
+    """Run the staged KNN flow through ``predict``, then replace the second
+    data row (line 3) of ``artifact`` with ``edit(row)``; returns the stages'
+    common arguments and the artifact's path."""
+    out = tmp_path / "out"
+    common = ["--dataset", dataset, "--out", str(out)]
+    for args in (["ingest"], ["preprocess"], ["fit-features"],
+                 ["train", "--classifier", "knn"], ["predict", "--classifier", "knn"]):
+        assert main(args + common) == 0
+    path = out / artifact
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[2] = edit(rows[2])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return common, path
+
+
 class TestCliExitCodes:
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -214,6 +232,43 @@ class TestCliExitCodes:
         assert capsys.readouterr().err == (
             f"error: {path} line 3: field larger than field limit (131072)\n")
 
+    @pytest.mark.parametrize(
+        "command, artifact, column",
+        [(["train", "--classifier", "knn"], "preprocessed.csv", 1),
+         (["evaluate", "--classifier", "knn"], "predictions_knn.csv", 1),
+         (["evaluate", "--classifier", "knn"], "predictions_knn.csv", 2)],
+        ids=["train", "evaluate-truth", "evaluate-predicted"],
+    )
+    def test_bad_artifact_label_names_file_and_line(self, dataset, tmp_path, capsys, command,
+                                                    artifact, column):
+        def bad_label(row):
+            row[column] = "bogus"
+            return row
+
+        common, path = edit_staged_row(dataset, tmp_path, artifact, bad_label)
+        capsys.readouterr()
+        assert main(command + common) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path} line 3: unknown sentiment label 'bogus'\n")
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"seed = 3\n# caf\xe9\n")
+        assert main(["compare", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {path}: 'utf-8' codec can't decode byte 0xe9 in position 14: "
+            "invalid continuation byte\n")
+
+    def test_stopwords_not_utf8_names_the_file(self, dataset, tmp_path, capsys):
+        path = tmp_path / "stopwords.txt"
+        path.write_bytes(b"hai\n\xff\n")
+        args = ["compare", "--dataset", dataset, "--stopwords", str(path),
+                "--out", str(tmp_path / "out")]
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 4: "
+            "invalid start byte\n")
+
     def test_missing_dataset_exits_2(self, tmp_path):
         rc = main(["compare", "--out", str(tmp_path)])
         assert rc == 2
@@ -246,17 +301,7 @@ class TestCliExitCodes:
         ids=["fit-features", "evaluate"],
     )
     def test_short_artifact_row_exits_1(self, dataset, tmp_path, capsys, command, artifact):
-        out = tmp_path / "out"
-        common = ["--dataset", dataset, "--out", str(out)]
-        for args in (["ingest"], ["preprocess"], ["fit-features"],
-                     ["train", "--classifier", "knn"], ["predict", "--classifier", "knn"]):
-            assert main(args + common) == 0
-        path = out / artifact
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        rows[2] = rows[2][:2]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
+        common, _ = edit_staged_row(dataset, tmp_path, artifact, lambda row: row[:2])
         capsys.readouterr()
         assert main(command + common) == 1
         assert f"{artifact} line 3: expected 3 fields, got 2" in capsys.readouterr().err
@@ -315,24 +360,24 @@ class TestStagedPipeline:
         assert set(dist) == {"negative", "neutral", "positive"}
         assert sum(d["count"] for d in dist.values()) == 90
 
-    def test_staged_flow_matches_evaluate_once(self, dataset, tmp_path):
-        out = tmp_path / "out"
-        common = ["--dataset", dataset, "--out", str(out), "--seed", "21"]
+    @pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
+    def test_staged_flow_matches_evaluate_once(self, dataset, fast_config, tmp_path, kind):
+        # The staged train draws the same seed as evaluate_once's split does.
+        common = ["--config", str(fast_config), "--seed", "21"]
         for args in (
             ["ingest"],
             ["preprocess"],
             ["fit-features"],
-            ["train", "--classifier", "naive_bayes"],
-            ["predict", "--classifier", "naive_bayes"],
-            ["evaluate", "--classifier", "naive_bayes"],
+            ["train", "--classifier", kind],
+            ["predict", "--classifier", kind],
+            ["evaluate", "--classifier", kind],
         ):
             assert main(args + common) == 0
-        staged = json.loads((out / "metrics_naive_bayes.json").read_text())
+        staged = json.loads((tmp_path / "out" / f"metrics_{kind}.json").read_text())
 
         corpus = load_csv(dataset)
-        cm, report = evaluate_once(
-            ClassifierSpec("naive_bayes"), corpus, default_stopwords(), seed=21
-        )
+        spec = ClassifierSpec(kind, parse_config_file(fast_config).classifier_overrides(kind))
+        cm, report = evaluate_once(spec, corpus, default_stopwords(), seed=21)
         assert staged["confusion"] == cm.tolist()
         assert staged["accuracy"] == round(report.accuracy, 6)
 

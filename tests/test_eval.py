@@ -7,15 +7,14 @@ from rusent import (
     ClassifierSpec,
     accuracy,
     confusion_matrix,
-    cross_validate,
     default_stopwords,
     evaluate_once,
-    evaluate_repeated,
+    evaluate_specs,
     kfold,
     metrics,
+    plan_splits,
     split,
 )
-from rusent.eval import evaluate_specs, plan_splits
 from rusent.preprocess import StopWordList
 from rusent.seeding import derive_seed
 
@@ -215,11 +214,17 @@ class TestEvaluateOnce:
         assert a_rep == b_rep
 
 
+def evaluate_one(spec, corpus, stopwords, protocol, seed, **plan_options):
+    """The RunAggregate of ``spec`` alone on the plan of ``protocol``."""
+    plan = plan_splits(corpus, protocol, seed, **plan_options)
+    return evaluate_specs([spec], corpus, stopwords, plan)[0]
+
+
 class TestEvaluateRepeated:
     def test_single_run_mean_and_zero_std(self):
         corpus = three_class_corpus(45, seed=1)
         spec = ClassifierSpec("naive_bayes")
-        agg = evaluate_repeated(spec, corpus, default_stopwords(), runs=1, base_seed=7)
+        agg = evaluate_one(spec, corpus, default_stopwords(), "repeated", 7, runs=1)
         assert agg.runs == 1
         assert agg.seeds == (7,)
         assert agg.mean["accuracy"] == agg.per_run[0].accuracy
@@ -228,16 +233,14 @@ class TestEvaluateRepeated:
     def test_constant_label_corpus(self):
         corpus = build_corpus([(f"acha {i}", "positive") for i in range(30)])
         spec = ClassifierSpec("naive_bayes", {"allow_missing_class": True})
-        agg = evaluate_repeated(
-            spec, corpus, StopWordList(frozenset()), runs=10, base_seed=0
-        )
+        agg = evaluate_one(spec, corpus, StopWordList(frozenset()), "repeated", 0, runs=10)
         assert agg.mean["accuracy"] == 1.0
         assert agg.std["accuracy"] == 0.0
 
     def test_structure(self):
         corpus = three_class_corpus(45, seed=2)
         spec = ClassifierSpec("knn", {"k": 3})
-        agg = evaluate_repeated(spec, corpus, default_stopwords(), runs=4, base_seed=10)
+        agg = evaluate_one(spec, corpus, default_stopwords(), "repeated", 10, runs=4)
         assert len(agg.per_run) == 4
         assert agg.seeds == (10, 11, 12, 13)
         assert agg.pooled_confusion.sum() == 4 * 9  # 20% of 45 per run
@@ -245,23 +248,22 @@ class TestEvaluateRepeated:
     def test_invalid_runs(self):
         corpus = three_class_corpus(20, seed=0)
         with pytest.raises(ValueError):
-            evaluate_repeated(
-                ClassifierSpec("knn"), corpus, default_stopwords(), runs=0
-            )
+            evaluate_one(ClassifierSpec("knn"), corpus, default_stopwords(), "repeated", 0,
+                         runs=0)
 
 
 class TestCrossValidate:
     def test_kfold_pooled_matrix_covers_corpus(self):
         corpus = three_class_corpus(50, seed=4)
         spec = ClassifierSpec("naive_bayes")
-        agg = cross_validate(spec, corpus, default_stopwords(), k=5, seed=1)
+        agg = evaluate_one(spec, corpus, default_stopwords(), "kfold", 1, folds=5)
         assert agg.runs == 5
         assert agg.pooled_confusion.sum() == 50
 
     def test_ten_fold_train_fraction(self):
         corpus = three_class_corpus(60, seed=5)
         spec = ClassifierSpec("knn", {"k": 3})
-        agg = cross_validate(spec, corpus, default_stopwords(), k=10, seed=0)
+        agg = evaluate_one(spec, corpus, default_stopwords(), "kfold", 0, folds=10)
         # each fold trains on 90% of the records (54 of 60)
         assert agg.pooled_confusion.sum() == 60
         assert agg.runs == 10
@@ -269,13 +271,14 @@ class TestCrossValidate:
     def test_constant_label_every_fold_perfect(self):
         corpus = build_corpus([(f"acha {i}", "positive") for i in range(24)])
         spec = ClassifierSpec("naive_bayes", {"allow_missing_class": True})
-        agg = cross_validate(spec, corpus, StopWordList(frozenset()), k=4, seed=0)
+        agg = evaluate_one(spec, corpus, StopWordList(frozenset()), "kfold", 0, folds=4)
         assert all(r.accuracy == 1.0 for r in agg.per_run)
 
     def test_k_out_of_range(self):
         corpus = three_class_corpus(10, seed=0)
         with pytest.raises(ValueError):
-            cross_validate(ClassifierSpec("knn"), corpus, default_stopwords(), k=1)
+            evaluate_one(ClassifierSpec("knn"), corpus, default_stopwords(), "kfold", 0,
+                         folds=1)
 
 
 class TestSplitPlan:
@@ -314,12 +317,7 @@ class TestEvaluateSpecs:
         plan = plan_splits(corpus, protocol, 3, runs=3, folds=4)
         shared = evaluate_specs(self.SPECS, corpus, stopwords, plan, fit_on_all=fit_on_all)
         for spec, agg in zip(self.SPECS, shared):
-            if protocol == "repeated":
-                own = evaluate_repeated(
-                    spec, corpus, stopwords, runs=3, base_seed=3, fit_on_all=fit_on_all
-                )
-            else:
-                own = cross_validate(spec, corpus, stopwords, k=4, seed=3, fit_on_all=fit_on_all)
+            (own,) = evaluate_specs([spec], corpus, stopwords, plan, fit_on_all=fit_on_all)
             assert agg.per_run == own.per_run
             assert agg.seeds == own.seeds
             np.testing.assert_array_equal(agg.pooled_confusion, own.pooled_confusion)

@@ -50,12 +50,8 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown hyperparameter"):
             make_classifier(ClassifierSpec("knn", {"neighbors": 3}))
 
-    def test_spec_seed_beats_derived_seed(self):
-        model = make_classifier(ClassifierSpec("mlp", seed=123), seed=456)
-        assert model.seed == 123
-
     def test_explicit_seed_param_wins(self):
-        model = make_classifier(ClassifierSpec("mlp", {"seed": 7}, seed=1), seed=2)
+        model = make_classifier(ClassifierSpec("mlp", {"seed": 7}), seed=2)
         assert model.seed == 7
 
     @pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
