@@ -147,15 +147,17 @@ class ClassifierBase(BaseEstimator):
     kind's ``_fit(X, y)`` with a CSR matrix and class codes. The fit is
     refused with ``DivergedError`` on a numpy overflow, invalid or divide
     error, and when ``_fit`` returns the loss at its starting parameters
-    and ``final_loss_`` is above it. ``decision_scores`` returns one row of
-    three per-class scores per input row (class-code order); ``predict``
-    takes the argmax, breaking exact ties toward the lowest class code.
+    and ``final_loss_`` is above ``loss_limit`` times it.
+    ``decision_scores`` returns one row of three per-class scores per input
+    row (class-code order); ``predict`` takes the argmax, breaking exact
+    ties toward the lowest class code.
 
     Each kind declares ``constraints`` and ``fitted``, the (JSON key,
     attribute, codec, axes) rows that ``rusent.models`` saves and loads.
     """
 
     fitted = ()
+    loss_limit = 1.0
 
     def _check_fitted(self):
         """Raise ValueError if the fitted state breaks a rule that the
@@ -173,7 +175,7 @@ class ClassifierBase(BaseEstimator):
                 start = self._fit(X, y)
         except FloatingPointError as exc:
             raise DivergedError(f"{self.kind} training diverged ({exc})") from None
-        if start is not None and not self.final_loss_ <= start:  # NaN fails too
+        if start is not None and not self.final_loss_ <= self.loss_limit * start:  # NaN fails
             raise DivergedError(f"{self.kind} training diverged (final loss "
                                 f"{self.final_loss_}, starting loss {start})")
         self.n_features_ = X.shape[1]

@@ -13,12 +13,12 @@ import sys
 
 from . import __version__
 from .artifacts import csv_rows, replacing, write_csv, write_json
-from .config import RunConfig, apply_cli_values, parse_config_file
+from .config import PROTOCOLS, SCHEMA, RunConfig, apply_cli_values, parse_config_file
 from .corpus import (LABEL_NAMES, Corpus, LabeledComment, Sentiment, label_distribution,
                      load_csv)
-from .eval import confusion_matrix, evaluate_specs, metrics, plan_splits
+from .eval import confusion_matrix, evaluate_specs, fit_vocabulary, metrics, plan_splits
 from .exceptions import ConfigError, MalformedRowError, RusentError
-from .features import TfidfVectorizer, load_tfidf, save_tfidf, write_word_frequencies
+from .features import load_tfidf, save_tfidf, write_word_frequencies
 from .models import CLASSIFIER_KINDS, ClassifierSpec, load_model, make_classifier, save_model
 from .preprocess import TokenizedComment, default_stopwords, load_stopwords, preprocess_corpus
 
@@ -27,6 +27,20 @@ DISTRIBUTION_FILE = "label_distribution.json"
 PREPROCESSED_FILE = "preprocessed.csv"
 TFIDF_FILE = "tfidf.json"
 WORD_FREQ_FILE = "word_frequencies.csv"
+
+# The config keys that a flag of the same name, with "-" for "_", overrides;
+# each with its help text.
+FLAGS = {
+    "dataset": "dataset CSV (comment,sentiment[,ignored])",
+    "stopwords": "stop-word file (one word per line)",
+    "seed": "base seed for all randomness",
+    "out": "output directory for stage artifacts",
+    "protocol": "evaluation protocol",
+    "max_features": "vocabulary size cap (default 3000)",
+    "fit_on_all": "fit the tf-idf vocabulary on train+test instead of train only",
+    "skip_bad_rows": "skip malformed dataset rows instead of aborting",
+    "strip_punct": "strip leading/trailing punctuation from tokens",
+}
 
 
 def _round6(obj):
@@ -39,11 +53,13 @@ def _round6(obj):
     return obj
 
 
-def _require_artifact(path, producer):
+def _stage_input(config, name, producer):
+    """The path of the artifact ``name`` in the output directory; a missing
+    one names the stage that writes it."""
+    path = os.path.join(config.out, name)
     if not os.path.exists(path):
-        raise FileNotFoundError(
-            f"missing artifact {path}; run the '{producer}' stage first"
-        )
+        raise FileNotFoundError(f"missing artifact {path}; run the '{producer}' stage first")
+    return path
 
 
 def _info(message):
@@ -54,14 +70,6 @@ def _load_stopword_list(config):
     if config.stopwords:
         return load_stopwords(config.stopwords)
     return default_stopwords()
-
-
-def _distribution_payload(corpus):
-    dist = label_distribution(corpus)
-    return {
-        s.label: {"count": d["count"], "fraction": d["fraction"]}
-        for s, d in dist.items()
-    }
 
 
 def _distribution_line(corpus):
@@ -84,24 +92,18 @@ def _artifact_rows(path, label_columns):
         yield fields
 
 
-def _read_preprocessed(path):
-    """Rebuild (corpus, docs) from a preprocessed CSV; row ids are the
-    artifact's own data-row ordinals."""
+def _staged_split(config, path):
+    """The split of evaluate_once(seed=config.seed) over the preprocessed CSV
+    at ``path``, shared by fit-features, train and predict: (planned split,
+    train docs, test docs). Row ids are the artifact's data-row ordinals."""
     records = []
     docs = []
     for i, (text, label, text_final) in enumerate(_artifact_rows(path, (1,))):
         records.append(LabeledComment(text, label, i))
         docs.append(TokenizedComment(i, tuple(text_final.split()), label))
-    return Corpus(tuple(records)), docs
-
-
-def _staged_split(config, corpus, docs):
-    """The split of evaluate_once(seed=config.seed), shared by fit-features,
-    train and predict: (planned split, train docs, test docs)."""
-    (part,) = plan_splits(corpus, "repeated", config.seed, runs=1,
+    (part,) = plan_splits(Corpus(tuple(records)), "repeated", config.seed, runs=1,
                           train_ratio=config.train_ratio)
-    docs_of = dict(zip(corpus, docs))
-    return part, [docs_of[r] for r in part.train], [docs_of[r] for r in part.test]
+    return part, [docs[r.row_id] for r in part.train], [docs[r.row_id] for r in part.test]
 
 
 def _load_dataset(config):
@@ -116,7 +118,7 @@ def cmd_ingest(config, args):
     os.makedirs(config.out, exist_ok=True)
     out_path = os.path.join(config.out, CORPUS_FILE)
     write_csv(out_path, ["comment", "sentiment"], ([r.text, r.label.label] for r in corpus))
-    payload = _distribution_payload(corpus)
+    payload = {s.label: d for s, d in label_distribution(corpus).items()}
     write_json(os.path.join(config.out, DISTRIBUTION_FILE), _round6(payload))
     print(json.dumps(_round6(payload), sort_keys=True))
     _info(f"ingested {len(corpus)} records -> {out_path}")
@@ -124,9 +126,7 @@ def cmd_ingest(config, args):
 
 
 def cmd_preprocess(config, args):
-    corpus_path = os.path.join(config.out, CORPUS_FILE)
-    _require_artifact(corpus_path, "ingest")
-    corpus = load_csv(corpus_path, has_header=True, dedup=False)
+    corpus = load_csv(_stage_input(config, CORPUS_FILE, "ingest"), has_header=True, dedup=False)
     stopwords = _load_stopword_list(config)
     docs = preprocess_corpus(corpus, stopwords, config.strip_punct)
     out_path = os.path.join(config.out, PREPROCESSED_FILE)
@@ -141,15 +141,12 @@ def cmd_preprocess(config, args):
 
 
 def cmd_fit_features(config, args):
-    pre_path = os.path.join(config.out, PREPROCESSED_FILE)
-    _require_artifact(pre_path, "preprocess")
-    corpus, docs = _read_preprocessed(pre_path)
-    if config.fit_on_all:
-        fit_docs = docs
-    else:
-        part, fit_docs, _ = _staged_split(config, corpus, docs)
+    part, train_docs, test_docs = _staged_split(
+        config, _stage_input(config, PREPROCESSED_FILE, "preprocess"))
+    if not config.fit_on_all:
         _info(f"vocabulary fit on train split: {_distribution_line(part.train)}")
-    vectorizer = TfidfVectorizer(max_features=config.max_features).fit(fit_docs)
+    vectorizer = fit_vocabulary(train_docs, test_docs, fit_on_all=config.fit_on_all,
+                                max_features=config.max_features)
     model_path = os.path.join(config.out, TFIDF_FILE)
     save_tfidf(vectorizer, model_path)
     write_word_frequencies(vectorizer, os.path.join(config.out, WORD_FREQ_FILE))
@@ -158,12 +155,9 @@ def cmd_fit_features(config, args):
 
 
 def cmd_train(config, args):
-    pre_path = os.path.join(config.out, PREPROCESSED_FILE)
-    tfidf_path = os.path.join(config.out, TFIDF_FILE)
-    _require_artifact(pre_path, "preprocess")
-    _require_artifact(tfidf_path, "fit-features")
-    corpus, docs = _read_preprocessed(pre_path)
-    part, train_docs, _ = _staged_split(config, corpus, docs)
+    pre_path = _stage_input(config, PREPROCESSED_FILE, "preprocess")
+    tfidf_path = _stage_input(config, TFIDF_FILE, "fit-features")
+    part, train_docs, _ = _staged_split(config, pre_path)
     _info(f"train split: {_distribution_line(part.train)}")
     _info(f"test split:  {_distribution_line(part.test)}")
     vectorizer = load_tfidf(tfidf_path)
@@ -179,14 +173,10 @@ def cmd_train(config, args):
 
 
 def cmd_predict(config, args):
-    pre_path = os.path.join(config.out, PREPROCESSED_FILE)
-    tfidf_path = os.path.join(config.out, TFIDF_FILE)
-    model_path = os.path.join(config.out, f"model_{args.classifier}.json")
-    _require_artifact(pre_path, "preprocess")
-    _require_artifact(tfidf_path, "fit-features")
-    _require_artifact(model_path, "train")
-    corpus, docs = _read_preprocessed(pre_path)
-    part, _, test_docs = _staged_split(config, corpus, docs)
+    pre_path = _stage_input(config, PREPROCESSED_FILE, "preprocess")
+    tfidf_path = _stage_input(config, TFIDF_FILE, "fit-features")
+    model_path = _stage_input(config, f"model_{args.classifier}.json", "train")
+    part, _, test_docs = _staged_split(config, pre_path)
     vectorizer = load_tfidf(tfidf_path)
     model = load_model(model_path)
     predictions = model.predict(vectorizer.transform(test_docs))
@@ -199,8 +189,7 @@ def cmd_predict(config, args):
 
 
 def cmd_evaluate(config, args):
-    pred_path = os.path.join(config.out, f"predictions_{args.classifier}.csv")
-    _require_artifact(pred_path, "predict")
+    pred_path = _stage_input(config, f"predictions_{args.classifier}.csv", "predict")
     rows = list(_artifact_rows(pred_path, (1, 2)))
     cm = confusion_matrix([truth for _, truth, _ in rows], [pred for _, _, pred in rows])
     report = metrics(cm)
@@ -318,29 +307,10 @@ _COMMANDS = {
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a key=value config file")
-    common.add_argument("--dataset", help="dataset CSV (comment,sentiment[,ignored])")
-    common.add_argument("--stopwords", help="stop-word file (one word per line)")
-    common.add_argument("--seed", type=int, help="base seed for all randomness")
-    common.add_argument("--out", help="output directory for stage artifacts")
-    common.add_argument(
-        "--protocol", choices=["repeated", "kfold"], help="evaluation protocol"
-    )
-    common.add_argument(
-        "--max-features", type=int, dest="max_features",
-        help="vocabulary size cap (default 3000)",
-    )
-    common.add_argument(
-        "--fit-on-all", action="store_true", default=None, dest="fit_on_all",
-        help="fit the tf-idf vocabulary on train+test instead of train only",
-    )
-    common.add_argument(
-        "--skip-bad-rows", action="store_true", default=None, dest="skip_bad_rows",
-        help="skip malformed dataset rows instead of aborting",
-    )
-    common.add_argument(
-        "--strip-punct", action="store_true", default=None, dest="strip_punct",
-        help="strip leading/trailing punctuation from tokens",
-    )
+    for key, help_text in FLAGS.items():  # a bool key is a switch; unset flags stay None
+        value = ({"action": "store_true", "default": None} if SCHEMA[key] is bool else
+                 {"type": SCHEMA[key], "choices": PROTOCOLS if key == "protocol" else None})
+        common.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text, **value)
 
     parser = argparse.ArgumentParser(
         prog="rusent",
@@ -360,22 +330,8 @@ def _build_parser():
 
 
 def build_config(args):
-    if args.config:
-        config = parse_config_file(args.config)
-    else:
-        config = RunConfig()
-    return apply_cli_values(
-        config,
-        dataset=args.dataset,
-        stopwords=args.stopwords,
-        seed=args.seed,
-        out=args.out,
-        protocol=args.protocol,
-        max_features=args.max_features,
-        fit_on_all=args.fit_on_all,
-        skip_bad_rows=args.skip_bad_rows,
-        strip_punct=args.strip_punct,
-    )
+    config = parse_config_file(args.config) if args.config else RunConfig()
+    return apply_cli_values(config, **{key: getattr(args, key) for key in FLAGS})
 
 
 def main(argv=None):

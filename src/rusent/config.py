@@ -36,8 +36,8 @@ class RunConfig:
 
 
 # Key -> value type of the top-level keys; ``str | None`` fields are paths.
-_SCHEMA = {f.name: f.type if isinstance(f.type, type) else str
-           for f in fields(RunConfig) if f.name != "overrides"}
+SCHEMA = {f.name: f.type if isinstance(f.type, type) else str
+          for f in fields(RunConfig) if f.name != "overrides"}
 
 # Value rules of the top-level keys, in the form of ``BaseEstimator.constraints``.
 _RULES = {
@@ -49,28 +49,22 @@ _RULES = {
     "seed": (lambda v: v >= 0, ">= 0"),
 }
 
+# Value type -> (parser of the text after '=', what a bad value is told it expects).
+_PARSERS = {
+    bool: (lambda raw: {"true": True, "false": False}[raw.lower()], "true or false"),
+    int: (int, "an integer"),
+    float: (float, "a number"),
+}
+
 
 def _convert(key, raw, target_type):
-    if target_type is bool:
-        low = raw.lower()
-        if low in ("true", "false"):
-            return low == "true"
-        raise ConfigError(f"config key {key!r} expects true or false, got {raw!r}")
-    if target_type is int:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"config key {key!r} expects an integer, got {raw!r}"
-            ) from None
-    if target_type is float:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"config key {key!r} expects a number, got {raw!r}"
-            ) from None
-    return raw
+    if target_type not in _PARSERS:
+        return raw
+    parse, expected = _PARSERS[target_type]
+    try:
+        return parse(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"config key {key!r} expects {expected}, got {raw!r}") from None
 
 
 def parse_config_file(path):
@@ -103,8 +97,8 @@ def parse_config_file(path):
             # takes its default's type; validate() rejects an unknown name
             default = classifier_class(kind)().get_params().get(param, "")
             overrides.setdefault(kind, {})[param] = _convert(key, raw, type(default))
-        elif key in _SCHEMA:
-            values[key] = _convert(key, raw, _SCHEMA[key])
+        elif key in SCHEMA:
+            values[key] = _convert(key, raw, SCHEMA[key])
         else:
             raise ConfigError(f"unknown config key {key!r}")
     return validate(RunConfig(**values, overrides=overrides))
@@ -127,5 +121,4 @@ def validate(config):
 
 def apply_cli_values(config, **cli_values):
     """Overlay non-None CLI flag values onto a config."""
-    updates = {k: v for k, v in cli_values.items() if v is not None}
-    return validate(replace(config, **updates)) if updates else validate(config)
+    return validate(replace(config, **{k: v for k, v in cli_values.items() if v is not None}))

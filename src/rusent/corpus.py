@@ -149,16 +149,8 @@ def kfold(corpus, k, seed):
     n = len(corpus)
     if not 2 <= k <= n:
         raise ValueError(f"k must be in [2, {n}], got {k}")
-    order = np.random.default_rng(seed).permutation(n)
-    base, extra = divmod(n, k)
-    pairs = []
-    start = 0
-    for fold in range(k):
-        size = base + (1 if fold < extra else 0)
-        test_idx = order[start : start + size]
-        start += size
-        mask = np.zeros(n, dtype=bool)
-        mask[test_idx] = True
-        pairs.append(SplitResult(Corpus(tuple(corpus[i] for i in order if not mask[i])),
-                                 Corpus(tuple(corpus[i] for i in test_idx))))
-    return pairs
+    folds = np.array_split(np.random.default_rng(seed).permutation(n), k)
+    trains = (np.concatenate(folds[:f] + folds[f + 1:]) for f in range(k))
+    return [SplitResult(Corpus(tuple(corpus[i] for i in train)),
+                        Corpus(tuple(corpus[i] for i in test)))
+            for train, test in zip(trains, folds)]

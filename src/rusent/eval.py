@@ -230,6 +230,13 @@ def plan_splits(corpus, protocol, seed, *, runs=10, train_ratio=0.8, folds=10):
     return [PlannedSplit(cut.train, cut.test, s) for s, cut in zip(seeds, cuts)]
 
 
+def fit_vocabulary(train_docs, test_docs, *, fit_on_all=False, max_features=3000):
+    """The tf-idf vectorizer of one split, fit on its train docs, or on
+    train and test docs together when ``fit_on_all``."""
+    return TfidfVectorizer(max_features=max_features).fit(
+        train_docs + test_docs if fit_on_all else train_docs)
+
+
 def evaluate_specs(specs, corpus, stopwords, plan, *, fit_on_all=False,
                    max_features=3000, strip_punct=False):
     """Fit and score every classifier spec on every split of ``plan``;
@@ -243,8 +250,8 @@ def evaluate_specs(specs, corpus, stopwords, plan, *, fit_on_all=False,
         test_docs = [docs_of[r] for r in part.test]
         if not train_docs:
             raise EmptyCorpusError("empty training partition")
-        vectorizer = TfidfVectorizer(max_features=max_features)
-        vectorizer.fit(train_docs + test_docs if fit_on_all else train_docs)
+        vectorizer = fit_vocabulary(train_docs, test_docs, fit_on_all=fit_on_all,
+                                    max_features=max_features)
         X_train = vectorizer.transform(train_docs)
         X_test = vectorizer.transform(test_docs)
         y_train, y_test = part.train.labels(), part.test.labels()

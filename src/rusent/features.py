@@ -103,7 +103,7 @@ class TfidfVectorizer(BaseEstimator):
 
     @classmethod
     def from_dict(cls, payload):
-        """Rebuild a ``to_dict`` payload; ArtifactError names a missing or bad key."""
+        """Rebuild a ``to_dict`` payload; a ValueError names a missing or bad key."""
         terms, df, idf, n_documents, max_features = fields(
             payload, ("terms", "df", "idf", "N", "max_features")
         )
@@ -111,7 +111,10 @@ class TfidfVectorizer(BaseEstimator):
             raise ArtifactError("terms: expected a list of strings")
         sizes = {"terms": len(terms)}
         model = cls(max_features=decode_value("max_features", INTS, max_features, (), sizes))
+        cls.check_params(model.get_params())  # the message starts with the key
         model.vocabulary_ = {t: i for i, t in enumerate(terms)}
+        if len(model.vocabulary_) < len(terms):
+            raise ArtifactError("terms: expected distinct terms")
         model.document_frequency_ = decode_value("df", INTS, df, ("terms",), sizes)
         model.idf_ = decode_value("idf", FLOATS, idf, ("terms",), sizes)
         model.feature_counts_ = None

@@ -1,12 +1,14 @@
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from rusent import CLASSIFIER_KINDS, ClassifierSpec, evaluate_once, load_csv
-from rusent.cli import main
-from rusent.config import RunConfig, apply_cli_values, parse_config_file
+from rusent import cli
+from rusent.cli import FLAGS, main
+from rusent.config import SCHEMA, RunConfig, apply_cli_values, parse_config_file
 from rusent.exceptions import ConfigError
 from rusent.preprocess import default_stopwords
 
@@ -100,6 +102,23 @@ class TestConfigParsing:
         assert updated.fit_on_all is True
         assert updated.runs == config.runs
 
+    @pytest.mark.parametrize("key", list(FLAGS))
+    def test_flag_overrides_its_config_key(self, tmp_path, monkeypatch, key):
+        assert key in {f.name for f in fields(RunConfig)}
+        # the key's text in the config file, and a different value for its flag
+        file_text, flag_value = {"protocol": ("kfold", "repeated")}.get(key) or {
+            bool: ("false", True), int: ("3", 5), str: ("from-file", "from-flag")}[SCHEMA[key]]
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {file_text}\n", encoding="utf-8")
+        file_value = getattr(parse_config_file(path), key)
+        assert file_value != flag_value
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "train", lambda config, args: seen.append(config))
+        flag = ["--" + key.replace("_", "-")] + ([] if flag_value is True else [str(flag_value)])
+        for argv in ([], flag):
+            main(["train", "--classifier", "knn", "--config", str(path), *argv])
+        assert [getattr(config, key) for config in seen] == [file_value, flag_value]
+
     def test_defaults(self):
         config = RunConfig()
         assert config.max_features == 3000
@@ -130,6 +149,9 @@ CORRUPT_ARTIFACTS = {
     "nan-coef": ("model_logistic_regression.json",
                  lambda doc: doc["parameters"]["coef"][1].__setitem__(0, float("nan"))),
     "infinite-idf": ("tfidf.json", lambda doc: doc["idf"].__setitem__(0, float("inf"))),
+    "tfidf-max_features-zero": ("tfidf.json", lambda doc: doc.update(max_features=0)),
+    "tfidf-duplicate-terms": ("tfidf.json",
+                              lambda doc: doc["terms"].__setitem__(1, doc["terms"][0])),
 }
 
 
@@ -198,6 +220,22 @@ class TestCliExitCodes:
         assert capsys.readouterr().err.endswith(
             "error: mlp training diverged (every hidden unit is inactive on every "
             "training row)\n")
+
+    def test_absurd_mlp_loss_exits_1(self, dataset, tmp_path, capsys):
+        # a hidden unit survives these steps, so the layer is not dead, but the
+        # training loss ends near 25,000 nats from a start near 1.1
+        path = tmp_path / "absurd.cfg"
+        path.write_text(f"dataset = {dataset}\nout = {tmp_path / 'out'}\nseed = 4\n"
+                        "mlp.lr = 1e5\nmlp.epochs = 5\nmlp.hidden_units = 32\n",
+                        encoding="utf-8")
+        for stage in (["ingest"], ["preprocess"], ["fit-features"]):
+            assert main(stage + ["--config", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--classifier", "mlp", "--config", str(path)]) == 1
+        *progress, last = capsys.readouterr().err.splitlines()
+        assert all(line.startswith(("train split: ", "test split: ")) for line in progress)
+        assert last.startswith("error: mlp training diverged (final loss 25003.69")
+        assert ", starting loss 1.10" in last
 
     def test_removed_top_level_allow_missing_class_exits_2(self, dataset, tmp_path):
         path = tmp_path / "old.cfg"
@@ -360,10 +398,13 @@ class TestStagedPipeline:
         assert set(dist) == {"negative", "neutral", "positive"}
         assert sum(d["count"] for d in dist.values()) == 90
 
-    @pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
-    def test_staged_flow_matches_evaluate_once(self, dataset, fast_config, tmp_path, kind):
+    @pytest.mark.parametrize("kind, fit_on_all", [*((kind, False) for kind in CLASSIFIER_KINDS),
+                                                  ("mlp", True)],
+                             ids=[*CLASSIFIER_KINDS, "mlp-fit-on-all"])
+    def test_staged_flow_matches_evaluate_once(self, dataset, fast_config, tmp_path, kind,
+                                               fit_on_all):
         # The staged train draws the same seed as evaluate_once's split does.
-        common = ["--config", str(fast_config), "--seed", "21"]
+        common = ["--config", str(fast_config), "--seed", "21"] + ["--fit-on-all"] * fit_on_all
         for args in (
             ["ingest"],
             ["preprocess"],
@@ -377,9 +418,12 @@ class TestStagedPipeline:
 
         corpus = load_csv(dataset)
         spec = ClassifierSpec(kind, parse_config_file(fast_config).classifier_overrides(kind))
-        cm, report = evaluate_once(spec, corpus, default_stopwords(), seed=21)
+        cm, report = evaluate_once(spec, corpus, default_stopwords(), seed=21,
+                                   fit_on_all=fit_on_all)
         assert staged["confusion"] == cm.tolist()
         assert staged["accuracy"] == round(report.accuracy, 6)
+        tfidf = json.loads((tmp_path / "out" / "tfidf.json").read_text())
+        assert tfidf["N"] == (90 if fit_on_all else 72)  # documents the vocabulary saw
 
     def test_preprocessed_text_final_matches_layout(self, tmp_path):
         data = write_dataset(

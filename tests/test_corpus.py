@@ -242,6 +242,15 @@ class TestKfold:
             all_ids = [r.row_id for _, test in pairs for r in test]
             assert sorted(all_ids) == list(range(n))
 
+    def test_pinned_folds(self):
+        # each train side is the other folds, in permutation order
+        corpus = build_corpus([(f"t{i}", "neutral") for i in range(8)])
+        pairs = [([r.row_id for r in train], [r.row_id for r in test])
+                 for train, test in kfold(corpus, 3, seed=4)]
+        assert pairs == [([7, 4, 5, 3, 6], [1, 2, 0]),
+                         ([1, 2, 0, 3, 6], [7, 4, 5]),
+                         ([1, 2, 0, 7, 4, 5], [3, 6])]
+
     def test_deterministic(self):
         corpus = build_corpus([(f"t{i}", "neutral") for i in range(29)])
         a = kfold(corpus, 7, seed=13)
