@@ -11,7 +11,6 @@ import numbers
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import logsumexp, softmax
 
 from .artifacts import FLOATS, INTS
 from .exceptions import DivergedError, NotFittedError
@@ -120,13 +119,28 @@ def check_dimension(X, n_features):
         )
 
 
+def softmax(logits):
+    """Row-wise softmax of the 2-D ``logits``: exp(x - row max) / row sum."""
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
 def softmax_cross_entropy(logits, y):
     """Mean cross-entropy of softmax(``logits``) against the class codes
     ``y``, and its per-row gradient in the logits, softmax - onehot (not yet
-    divided by the row count)."""
+    divided by the row count). The log-sum-exp is scipy.special.logsumexp's
+    to the bit: the row's m maxima leave the sum s of exp(x - max), and it is
+    log1p(s / m) + log(m) + max."""
     rows = np.arange(logits.shape[0])
-    loss = float(np.mean(logsumexp(logits, axis=1) - logits[rows, y]))
-    delta = softmax(logits, axis=1)
+    top = logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits - top)
+    at_top = logits == top
+    m = at_top.sum(axis=1)
+    s = np.where(at_top, 0.0, exp).sum(axis=1) / m
+    with np.errstate(divide="ignore"):  # a row with a NaN has no max (m = 0): NaN loss
+        log_sum = np.log1p(s) + np.log(m) + top[:, 0]
+    loss = float(np.mean(log_sum - logits[rows, y]))
+    delta = exp / exp.sum(axis=1, keepdims=True)
     delta[rows, y] -= 1.0
     return loss, delta
 

@@ -70,17 +70,13 @@ class MetricsReport:
     supports: tuple
     undefined: tuple
 
+    def _averages(self):
+        return {f"{avg}_{m}": getattr(self, f"{avg}_{m}")
+                for avg in ("macro", "weighted") for m in ("precision", "recall", "f1")}
+
     def scalar_metrics(self):
         """Flat metric name -> value map used for aggregation and CSV export."""
-        out = {
-            "accuracy": self.accuracy,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "weighted_precision": self.weighted_precision,
-            "weighted_recall": self.weighted_recall,
-            "weighted_f1": self.weighted_f1,
-        }
+        out = {"accuracy": self.accuracy, **self._averages()}
         for i, name in enumerate(LABEL_NAMES):
             out[f"precision_{name}"] = self.precision[i]
             out[f"recall_{name}"] = self.recall[i]
@@ -100,12 +96,7 @@ class MetricsReport:
                 }
                 for i, name in enumerate(LABEL_NAMES)
             ],
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "weighted_precision": self.weighted_precision,
-            "weighted_recall": self.weighted_recall,
-            "weighted_f1": self.weighted_f1,
+            **self._averages(),
             "undefined": list(self.undefined),
         }
 

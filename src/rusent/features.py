@@ -118,7 +118,11 @@ class TfidfVectorizer(BaseEstimator):
         model.document_frequency_ = decode_value("df", INTS, df, ("terms",), sizes)
         model.idf_ = decode_value("idf", FLOATS, idf, ("terms",), sizes)
         model.feature_counts_ = None
-        model.n_documents_ = decode_value("N", INTS, n_documents, (), sizes)
+        model.n_documents_ = n = decode_value("N", INTS, n_documents, (), sizes)
+        if n < 1:  # fit saw N >= 1 documents, each term in 1..N of them
+            raise ArtifactError(f"N: expected an integer >= 1, got {n}")
+        if np.any((model.document_frequency_ < 1) | (model.document_frequency_ > n)):
+            raise ArtifactError(f"df: expected document counts in [1, N = {n}]")
         model.n_features_ = len(terms)
         return model
 

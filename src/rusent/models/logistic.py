@@ -2,10 +2,9 @@
 gradient descent."""
 
 import numpy as np
-from scipy.special import softmax
 
 from ..base import (COUNT, LINEAR_FITTED, N_CLASSES, NON_NEGATIVE, POSITIVE, ClassifierBase,
-                    softmax_cross_entropy)
+                    softmax, softmax_cross_entropy)
 
 
 def softmax_objective(W, b, X, y, l2):
@@ -47,16 +46,15 @@ class LogisticRegression(ClassifierBase):
             curve.append(loss)
             W -= self.lr * grad_W
             b -= self.lr * grad_b
-        final_loss, _, _ = softmax_objective(W, b, X, y, self.l2)
-        curve.append(final_loss)
+        curve.append(softmax_objective(W, b, X, y, self.l2)[0])
         self.coef_ = W
         self.intercept_ = b
         self.loss_curve_ = curve
         self.epochs_ = self.epochs
-        self.final_loss_ = final_loss
+        self.final_loss_ = curve[-1]
         return curve[0]  # the loss at the zero starting weights
 
     def decision_scores(self, X):
         """Softmax probabilities (rows sum to 1)."""
         X = self._validate_input(X)
-        return softmax(X @ self.coef_.T + self.intercept_, axis=1)
+        return softmax(X @ self.coef_.T + self.intercept_)

@@ -2,30 +2,34 @@
 mean cross-entropy loss, mini-batch stochastic gradient descent."""
 
 import numpy as np
-from scipy.special import softmax
+import scipy.sparse as sp
 
 from ..artifacts import FLOATS, INTS
-from ..base import AT_LEAST_ONE, COUNT, N_CLASSES, POSITIVE, ClassifierBase, softmax_cross_entropy
+from ..base import (AT_LEAST_ONE, COUNT, N_CLASSES, POSITIVE, ClassifierBase, softmax,
+                    softmax_cross_entropy)
 from ..exceptions import DivergedError
 
 
-def batch_gradients(W1T, b1, W2, b2, X, y):
-    """Mean cross-entropy on the rows of ``X`` and its gradients.
+def compact(X, start, stop):
+    """Rows ``start:stop`` of the CSR matrix ``X`` over only the columns they
+    use: (rows, cols), where column j of ``rows`` is column cols[j] of ``X``."""
+    lo, hi = X.indptr[start], X.indptr[stop]
+    cols, inverse = np.unique(X.indices[lo:hi], return_inverse=True)
+    return sp.csr_matrix((X.data[lo:hi], inverse, X.indptr[start : stop + 1] - lo),
+                         shape=(stop - start, cols.size)), cols
 
-    Returns (loss, cols, gW1T, gb1, gW2, gb2). Two layouts keep a step
-    cheap on wide vocabularies: the hidden weights ``W1T`` arrive
-    feature-major, shape (V, H), so the sparse product needs no transposed
-    copy, and ``gW1T`` holds only the gradient rows of the feature columns
-    ``cols`` present in ``X`` (it is exactly zero elsewhere).
-    """
-    z1 = X @ W1T + b1
+
+def batch_gradients(W1T, b1, W2, b2, X, cols, y):
+    """Mean cross-entropy on the rows of ``X`` and its gradients, (loss, gW1T,
+    gb1, gW2, gb2). ``X`` holds only the feature columns ``cols`` its rows use
+    (``compact``), the hidden weights ``W1T`` are feature-major, shape (V, H),
+    and ``gW1T`` holds only the gradient rows ``cols`` (the rest are zero)."""
+    z1 = X @ W1T[cols] + b1
     a1 = np.maximum(0.0, z1)
     loss, delta2 = softmax_cross_entropy(a1 @ W2.T + b2, y)
     delta2 /= X.shape[0]
     delta1 = (delta2 @ W2) * (z1 > 0.0)
-    cols = np.unique(X.indices)
-    return (loss, cols, X[:, cols].T @ delta1, delta1.sum(axis=0),
-            delta2.T @ a1, delta2.sum(axis=0))
+    return loss, X.T @ delta1, delta1.sum(axis=0), delta2.T @ a1, delta2.sum(axis=0)
 
 
 def mlp_objective(params, X, y):
@@ -36,7 +40,8 @@ def mlp_objective(params, X, y):
     (3, H). Returns (loss, (gW1, gb1, gW2, gb2)).
     """
     W1, b1, W2, b2 = params
-    loss, cols, gW1T, gb1, gW2, gb2 = batch_gradients(W1.T, b1, W2, b2, X, y)
+    rows, cols = compact(X, 0, X.shape[0])
+    loss, gW1T, gb1, gW2, gb2 = batch_gradients(W1.T, b1, W2, b2, rows, cols, y)
     gW1 = np.zeros_like(W1)
     gW1[:, cols] = gW1T.T
     return loss, (gW1, gb1, gW2, gb2)
@@ -83,22 +88,26 @@ class MLPClassifier(ClassifierBase):
         rng = np.random.default_rng(self.seed)
         W1, b1, W2, b2 = init_params(V, self.hidden_units, rng)
         W1T = np.ascontiguousarray(W1.T)
-        start_loss = batch_gradients(W1T, b1, W2, b2, X, y)[0]
+        every_row = compact(X, 0, n)
+        start_loss = batch_gradients(W1T, b1, W2, b2, *every_row, y)[0]
         curve = []
         for _ in range(self.epochs):
+            # one shuffled copy per epoch, so each mini-batch is a contiguous row slice
             order = rng.permutation(n)
+            X_epoch, y_epoch = X[order], y[order]
             batch_losses = []
             for start in range(0, n, self.batch_size):
-                idx = order[start : start + self.batch_size]
-                loss, cols, gW1T, gb1, gW2, gb2 = batch_gradients(
-                    W1T, b1, W2, b2, X[idx], y[idx])
+                stop = min(start + self.batch_size, n)
+                rows, cols = compact(X_epoch, start, stop)
+                loss, gW1T, gb1, gW2, gb2 = batch_gradients(
+                    W1T, b1, W2, b2, rows, cols, y_epoch[start:stop])
                 W2 -= self.lr * gW2
                 b2 -= self.lr * gb2
                 W1T[cols, :] -= self.lr * gW1T
                 b1 -= self.lr * gb1
                 batch_losses.append(loss)
             curve.append(float(np.mean(batch_losses)))
-        self.final_loss_ = batch_gradients(W1T, b1, W2, b2, X, y)[0]
+        self.final_loss_ = batch_gradients(W1T, b1, W2, b2, *every_row, y)[0]
         if not np.any(X @ W1T + b1 > 0.0):  # the output is one constant class
             raise DivergedError("mlp training diverged (every hidden unit is inactive on "
                                 "every training row)")
@@ -114,4 +123,4 @@ class MLPClassifier(ClassifierBase):
         """Softmax output probabilities (rows sum to 1)."""
         X = self._validate_input(X)
         hidden = np.maximum(0.0, X @ self.hidden_coef_.T + self.hidden_intercept_)
-        return softmax(hidden @ self.output_coef_.T + self.output_intercept_, axis=1)
+        return softmax(hidden @ self.output_coef_.T + self.output_intercept_)

@@ -1,10 +1,9 @@
 """Multinomial naive Bayes over fractional tf-idf weights."""
 
 import numpy as np
-from scipy.special import softmax
 
 from ..artifacts import FLOATS, INTS, LOG_PROBS
-from ..base import FLAG, N_CLASSES, POSITIVE, ClassifierBase
+from ..base import FLAG, N_CLASSES, POSITIVE, ClassifierBase, softmax
 from ..exceptions import MissingClassError
 
 
@@ -56,4 +55,4 @@ class MultinomialNaiveBayes(ClassifierBase):
         """Class posterior probabilities (rows sum to 1)."""
         X = self._validate_input(X)
         joint = X @ self.feature_log_prob_.T + self.class_log_prior_
-        return softmax(joint, axis=1)
+        return softmax(joint)

@@ -152,6 +152,8 @@ CORRUPT_ARTIFACTS = {
     "tfidf-max_features-zero": ("tfidf.json", lambda doc: doc.update(max_features=0)),
     "tfidf-duplicate-terms": ("tfidf.json",
                               lambda doc: doc["terms"].__setitem__(1, doc["terms"][0])),
+    "tfidf-negative-N": ("tfidf.json", lambda doc: doc.update(N=-3)),
+    "tfidf-df-above-N": ("tfidf.json", lambda doc: doc["df"].__setitem__(0, doc["N"] + 1)),
 }
 
 

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from rusent import MLPClassifier, TfidfVectorizer, preprocess_corpus
+from rusent.base import softmax_cross_entropy
 from rusent.exceptions import DivergedError, NotFittedError
 from rusent.models.mlp import init_params, mlp_objective
 from rusent.preprocess import default_stopwords
@@ -82,6 +83,53 @@ class TestBatchStep:
                model.output_intercept_)
         for param, grad, fitted in zip(params, grads, got):
             np.testing.assert_allclose(fitted, param - lr * grad, rtol=0, atol=1e-12)
+
+
+def gathered_batch_fit(X, y, hidden_units, lr, epochs, batch_size, seed):
+    """The training loop before contiguous compacted batches: each batch's
+    rows gathered with ``X[idx]`` and multiplied over every column."""
+    rng = np.random.default_rng(seed)
+    W1, b1, W2, b2 = init_params(X.shape[1], hidden_units, rng)
+    W1T = np.ascontiguousarray(W1.T)
+    curve = []
+    for _ in range(epochs):
+        order = rng.permutation(X.shape[0])
+        losses = []
+        for start in range(0, X.shape[0], batch_size):
+            idx = order[start : start + batch_size]
+            Xb, yb = X[idx], y[idx]
+            z1 = Xb @ W1T + b1
+            a1 = np.maximum(0.0, z1)
+            loss, delta2 = softmax_cross_entropy(a1 @ W2.T + b2, yb)
+            delta2 /= Xb.shape[0]
+            delta1 = (delta2 @ W2) * (z1 > 0.0)
+            cols = np.unique(Xb.indices)
+            W2 -= lr * (delta2.T @ a1)
+            b2 -= lr * delta2.sum(axis=0)
+            W1T[cols, :] -= lr * (Xb[:, cols].T @ delta1)
+            b1 -= lr * delta1.sum(axis=0)
+            losses.append(loss)
+        curve.append(float(np.mean(losses)))
+    return (W1T.T, b1, W2, b2), curve
+
+
+class TestExactBatches:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fit_equals_gathered_batches_bit_for_bit(self, seed):
+        # 23 rows in batches of 5 leave a short last batch of 3; row 7 is
+        # all zero, as a document emptied by preprocessing is
+        X, y = random_tfidf_instance(seed + 40, n_docs=23, vocab_size=15, doc_len=3)
+        X.data[X.indptr[7] : X.indptr[8]] = 0.0
+        X.eliminate_zeros()
+        assert X[7].nnz == 0 and X.shape[0] % 5 == 3
+        params, curve = gathered_batch_fit(X, y, 6, 0.5, 4, 5, seed)
+        model = MLPClassifier(hidden_units=6, lr=0.5, epochs=4, batch_size=5,
+                              seed=seed).fit(X, y)
+        got = (model.hidden_coef_, model.hidden_intercept_, model.output_coef_,
+               model.output_intercept_)
+        for want, fitted in zip(params, got):
+            assert np.array_equal(fitted, want)
+        assert model.loss_curve_ == curve
 
 
 class TestTraining:

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.special as special
+
+import rusent
 
 from rusent import (
     CLASSIFIER_KINDS,
@@ -11,6 +17,7 @@ from rusent import (
     make_classifier,
     save_model,
 )
+from rusent.base import softmax, softmax_cross_entropy
 from rusent.exceptions import NotFittedError
 from rusent.models import classifier_class, model_from_dict, model_to_dict
 
@@ -164,6 +171,58 @@ class TestSerialization:
     def test_missing_model_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_model(tmp_path / "missing.json")
+
+
+class TestSoftmaxHead:
+    """``base.softmax`` and ``softmax_cross_entropy`` give what
+    scipy.special's softmax and logsumexp give, without importing them."""
+
+    def test_pinned_bits(self):
+        logits = np.array([[0.6, 0.6, -3.6],  # tied maxima
+                           [0.0, 0.0, 0.0],  # an all-zero row: three maxima
+                           [1000.0, -1000.0, 999.5],  # large magnitudes
+                           [-745.0, -745.0, -800.0],
+                           [-0.2, -2.8, -0.3]])
+        labels = [0, 2, 2, 1, 1]
+        # naive Bayes gives a class missing from training a log prior of -inf
+        missing_class = np.array([[0.3, -np.inf, -1.2]])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):  # as in fit
+            losses = [softmax_cross_entropy(row[None], [c])[0] for row, c in zip(logits, labels)]
+            _, delta = softmax_cross_entropy(logits, labels)
+            probs = softmax(missing_class)
+        # log(sum(exp(x - max))) + max misses the first and the last by one bit
+        assert [v.hex() for v in losses] == [
+            "0x1.66b7457e5ca49p-1", "0x1.193ea7aad030bp+0", "0x1.f2ba37edae000p-1",
+            "0x1.62e42fefa3800p-1", "0x1.a42dcd31c004dp+1"]
+        assert [v.hex() for v in delta[0].tolist()] == [
+            "-0x1.01e7b7df6d88cp-1", "0x1.fc30904124ee9p-2", "0x1.e7b7df6d88b09p-8"]
+        assert [v.hex() for v in delta[2].tolist()] == [
+            "0x1.3eb2fd4d34391p-1", "0x0.0p+0", "-0x1.3eb2fd4d34390p-1"]
+        assert [v.hex() for v in probs[0].tolist()] == [
+            "0x1.a2991f2a97914p-1", "0x0.0p+0", "0x1.759b8355a1bafp-3"]
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 30.0, 1e3])
+    def test_matches_scipy_special(self, scale):
+        rng = np.random.default_rng(5)
+        logits = rng.normal(scale=scale, size=(200, 3))
+        logits[::7, 1] = logits[::7, 0]
+        y = rng.integers(0, 3, size=200)
+        rows = np.arange(200)
+        loss, delta = softmax_cross_entropy(logits, y)
+        want = special.softmax(logits, axis=1)
+        np.testing.assert_allclose(softmax(logits), want, rtol=1e-15, atol=0)
+        want[rows, y] -= 1.0
+        np.testing.assert_allclose(delta, want, rtol=1e-15, atol=0)
+        want_loss = np.mean(special.logsumexp(logits, axis=1) - logits[rows, y])
+        assert loss == pytest.approx(want_loss, rel=1e-15, abs=0)
+
+    def test_cli_start_up_skips_scipy_special(self):
+        # importing scipy.special costs a CLI process about 0.13 s
+        src = os.path.dirname(os.path.dirname(rusent.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import rusent.cli, sys; sys.exit('scipy.special' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestSklearnInterop:
