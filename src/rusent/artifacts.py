@@ -2,10 +2,12 @@
 JSON artifact format of saved models and tf-idf vocabularies.
 
 Each file is written through ``replacing``, so it appears whole or not at
-all. ``FLOATS`` and ``INTS`` are arrays of finite numbers (plain numbers
-when they have no axes); ``LOG_PROBS`` is a float array that stores -inf as
-null, keeping the document strict JSON; ``CSR`` is a sparse matrix stored as
-its ``data``/``indices``/``indptr``/``shape`` fields.
+all. A fitted object is saved as the payload of ``to_payload``; its
+``fitted`` rows pick a codec per key. ``FLOATS`` and ``INTS`` are arrays of
+finite numbers (plain numbers when they have no axes); ``LOG_PROBS`` is a
+float array that stores -inf as null, keeping the document strict JSON;
+``CSR`` is a sparse matrix stored as its ``data``/``indices``/``indptr``/``shape``
+fields; ``TERMS`` is a list of distinct strings.
 """
 
 import csv
@@ -16,9 +18,9 @@ from contextlib import contextmanager, suppress
 import numpy as np
 import scipy.sparse as sp
 
-from .exceptions import ArtifactError, MalformedRowError
+from .exceptions import ArtifactError, MalformedRowError, NotFittedError
 
-FLOATS, INTS, LOG_PROBS, CSR = "floats", "ints", "log_probs", "csr"
+FLOATS, INTS, LOG_PROBS, CSR, TERMS = "floats", "ints", "log_probs", "csr", "terms"
 
 
 @contextmanager
@@ -93,6 +95,8 @@ def encode_value(codec, value):
     if codec == CSR:
         return {"data": value.data.tolist(), "indices": value.indices.tolist(),
                 "indptr": value.indptr.tolist(), "shape": list(value.shape)}
+    if codec == TERMS:  # not through numpy, whose strings drop trailing NULs
+        return list(value)
     value = np.asarray(value).tolist()
     return [p if np.isfinite(p) else None for p in value] if codec == LOG_PROBS else value
 
@@ -106,6 +110,12 @@ def _decode(codec, raw):
         )
         value.check_format(full_check=True)
         return value
+    if codec == TERMS:
+        if not isinstance(raw, list) or not all(isinstance(t, str) for t in raw):
+            raise ValueError("expected a list of strings")
+        if len(set(raw)) < len(raw):
+            raise ValueError("expected distinct terms")
+        return np.array(raw, dtype=object)
     nulls = codec == LOG_PROBS and isinstance(raw, list) and [p is None for p in raw]
     if nulls:
         raw = [0.0 if null else p for p, null in zip(raw, nulls)]
@@ -135,3 +145,41 @@ def decode_value(key, codec, raw, axes, sizes):
     except (TypeError, ValueError) as exc:  # TypeError: e.g. a number where a list belongs
         raise ArtifactError(f"{key}: {exc}") from None
     return value.item() if value.ndim == 0 else value
+
+
+def to_payload(obj):
+    """The JSON payload of the fitted ``obj``: its ``kind``, ``hyperparams``,
+    ``dimension`` and, under ``parameters``, the attributes its ``fitted``
+    rows declare."""
+    if getattr(obj, "n_features_", None) is None:  # never fitted, or its fit was refused
+        raise NotFittedError(f"{type(obj).__name__} is not fitted; call fit() first")
+    return {
+        "kind": obj.kind,
+        "hyperparams": obj.get_params(),
+        "dimension": obj.n_features_,
+        "parameters": {key: encode_value(codec, getattr(obj, attr))
+                       for key, attr, codec, _ in obj.fitted},
+    }
+
+
+def from_payload(payload, classes):
+    """Rebuild a ``to_payload`` payload whose kind is a key of the kind ->
+    class mapping ``classes``, then call the object's ``_check_fitted``. A
+    ValueError names the first key that is missing, breaks its rule, or
+    holds an array whose shape disagrees with its axes."""
+    kind, hyperparams, dimension, parameters = fields(
+        payload, ("kind", "hyperparams", "dimension", "parameters")
+    )
+    if not isinstance(kind, str) or kind not in classes:
+        raise ArtifactError(f"kind: expected one of {sorted(classes)}, got {kind!r}")
+    cls = classes[kind]
+    fields(hyperparams, cls.constraints, "hyperparams.")
+    cls.check_params(hyperparams)
+    obj = cls(**hyperparams)
+    obj.n_features_ = decode_value("dimension", INTS, dimension, (), {})
+    sizes = {"dimension": obj.n_features_, **hyperparams}
+    for key, attr, codec, axes in cls.fitted:
+        (raw,) = fields(parameters, (key,), "parameters.")
+        setattr(obj, attr, decode_value(f"parameters.{key}", codec, raw, axes, sizes))
+    obj._check_fitted()
+    return obj

@@ -20,8 +20,8 @@ N_CLASSES = 3
 
 # Hyperparameter rules for ``BaseEstimator.constraints``: (test, rule text).
 # A test that raises TypeError (None > 0, say) fails.
-POSITIVE = (lambda v: v > 0, "> 0")
-NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+POSITIVE = (lambda v: 0 < v < np.inf, "finite and > 0")
+NON_NEGATIVE = (lambda v: 0 <= v < np.inf, "finite and >= 0")
 COUNT = (lambda v: isinstance(v, numbers.Integral) and v >= 0, "an integer >= 0")
 AT_LEAST_ONE = (lambda v: isinstance(v, numbers.Integral) and v >= 1, "an integer >= 1")
 FLAG = (lambda v: isinstance(v, bool), "true or false")
@@ -167,7 +167,8 @@ class ClassifierBase(BaseEstimator):
     ties toward the lowest class code.
 
     Each kind declares ``constraints`` and ``fitted``, the (JSON key,
-    attribute, codec, axes) rows that ``rusent.models`` saves and loads.
+    attribute, codec, axes) rows that ``artifacts.to_payload`` saves and
+    ``artifacts.from_payload`` loads.
     """
 
     fitted = ()

@@ -12,9 +12,8 @@ from collections import Counter
 import numpy as np
 import scipy.sparse as sp
 
-from .artifacts import FLOATS, INTS, decode_value, fields, read_json, write_csv, write_json
+from .artifacts import INTS, TERMS, from_payload, read_json, to_payload, write_csv, write_json
 from .base import AT_LEAST_ONE, BaseEstimator, check_is_fitted
-from .exceptions import ArtifactError
 
 DEFAULT_MAX_FEATURES = 3000
 
@@ -28,13 +27,21 @@ def _doc_tokens(doc):
 class TfidfVectorizer(BaseEstimator):
     """Fit a capped vocabulary with idf weights; transform docs to sparse rows.
 
-    Fitted attributes: ``vocabulary_`` (term -> dense index),
-    ``document_frequency_``, ``idf_``, ``feature_counts_`` (total corpus
-    count per retained term, None after deserialization), ``n_documents_``
-    and ``n_features_``.
+    Fitted attributes: ``terms_`` (the retained terms, sorted),
+    ``document_frequency_``, ``n_documents_`` and ``n_features_``, which
+    ``save_tfidf`` stores; ``vocabulary_`` (term -> dense index) and
+    ``idf_``, derived from them; and ``feature_counts_`` (total corpus count
+    per retained term, None after loading).
     """
 
+    kind = "tfidf"
     constraints = {"max_features": AT_LEAST_ONE}
+    fitted = (
+        ("terms", "terms_", TERMS, ("dimension",)),
+        ("df", "document_frequency_", INTS, ("dimension",)),
+        ("N", "n_documents_", INTS, ()),
+    )
+    feature_counts_ = None
 
     def __init__(self, max_features=DEFAULT_MAX_FEATURES):
         self.max_features = max_features
@@ -53,15 +60,24 @@ class TfidfVectorizer(BaseEstimator):
         if not totals:
             raise ValueError("no terms: every document is empty")
         retained = sorted(totals, key=lambda t: (-totals[t], t))[: self.max_features]
-        terms = sorted(retained)
-        n = len(docs)
-        self.vocabulary_ = {t: i for i, t in enumerate(terms)}
-        self.document_frequency_ = np.array([df[t] for t in terms], dtype=np.int64)
-        self.feature_counts_ = np.array([totals[t] for t in terms], dtype=np.int64)
-        self.idf_ = np.log((1.0 + n) / (1.0 + self.document_frequency_)) + 1.0
-        self.n_documents_ = n
-        self.n_features_ = len(terms)
+        self.terms_ = sorted(retained)
+        self.document_frequency_ = np.array([df[t] for t in self.terms_], dtype=np.int64)
+        self.feature_counts_ = np.array([totals[t] for t in self.terms_], dtype=np.int64)
+        self.n_documents_ = len(docs)
+        self.n_features_ = len(self.terms_)
+        self._check_fitted()
         return self
+
+    def _check_fitted(self):
+        """Derive ``vocabulary_`` and ``idf_``; raise ValueError unless
+        N >= 1 and each term is in 1..N documents, as after any fit."""
+        n, df = self.n_documents_, self.document_frequency_
+        if n < 1:
+            raise ValueError(f"parameters.N: expected an integer >= 1, got {n}")
+        if np.any((df < 1) | (df > n)):
+            raise ValueError(f"parameters.df: expected document counts in [1, N = {n}]")
+        self.vocabulary_ = {t: i for i, t in enumerate(self.terms_)}
+        self.idf_ = np.log((1.0 + n) / (1.0 + df)) + 1.0
 
     def transform(self, docs):
         """Row i is the l2-normalized tf-idf vector of docs[i]; out-of-vocabulary
@@ -91,48 +107,13 @@ class TfidfVectorizer(BaseEstimator):
         docs = list(docs)
         return self.fit(docs).transform(docs)
 
-    def to_dict(self):
-        check_is_fitted(self, "vocabulary_")
-        return {
-            "terms": sorted(self.vocabulary_, key=self.vocabulary_.get),
-            "df": self.document_frequency_.tolist(),
-            "idf": self.idf_.tolist(),
-            "N": self.n_documents_,
-            "max_features": self.max_features,
-        }
-
-    @classmethod
-    def from_dict(cls, payload):
-        """Rebuild a ``to_dict`` payload; a ValueError names a missing or bad key."""
-        terms, df, idf, n_documents, max_features = fields(
-            payload, ("terms", "df", "idf", "N", "max_features")
-        )
-        if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
-            raise ArtifactError("terms: expected a list of strings")
-        sizes = {"terms": len(terms)}
-        model = cls(max_features=decode_value("max_features", INTS, max_features, (), sizes))
-        cls.check_params(model.get_params())  # the message starts with the key
-        model.vocabulary_ = {t: i for i, t in enumerate(terms)}
-        if len(model.vocabulary_) < len(terms):
-            raise ArtifactError("terms: expected distinct terms")
-        model.document_frequency_ = decode_value("df", INTS, df, ("terms",), sizes)
-        model.idf_ = decode_value("idf", FLOATS, idf, ("terms",), sizes)
-        model.feature_counts_ = None
-        model.n_documents_ = n = decode_value("N", INTS, n_documents, (), sizes)
-        if n < 1:  # fit saw N >= 1 documents, each term in 1..N of them
-            raise ArtifactError(f"N: expected an integer >= 1, got {n}")
-        if np.any((model.document_frequency_ < 1) | (model.document_frequency_ > n)):
-            raise ArtifactError(f"df: expected document counts in [1, N = {n}]")
-        model.n_features_ = len(terms)
-        return model
-
 
 def save_tfidf(model, path):
-    write_json(path, model.to_dict())
+    write_json(path, to_payload(model))
 
 
 def load_tfidf(path):
-    return read_json(path, TfidfVectorizer.from_dict)
+    return read_json(path, lambda payload: from_payload(payload, {"tfidf": TfidfVectorizer}))
 
 
 def write_word_frequencies(model, path):
@@ -141,9 +122,5 @@ def write_word_frequencies(model, path):
     check_is_fitted(model, "vocabulary_")
     if model.feature_counts_ is None:
         raise ValueError("word frequencies unavailable on a deserialized model")
-    terms = sorted(
-        model.vocabulary_,
-        key=lambda t: (-model.feature_counts_[model.vocabulary_[t]], t),
-    )
-    write_csv(path, ["term", "count"],
-              ([t, int(model.feature_counts_[model.vocabulary_[t]])] for t in terms))
+    rows = zip(model.terms_, model.feature_counts_.tolist())
+    write_csv(path, ["term", "count"], sorted(rows, key=lambda row: (-row[1], row[0])))

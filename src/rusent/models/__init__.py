@@ -1,10 +1,9 @@
 """The five classifier kinds behind one fit/predict surface, plus
-JSON model persistence."""
+saving and loading them as JSON model files."""
 
 from dataclasses import dataclass, field
 
-from ..artifacts import INTS, decode_value, encode_value, fields, read_json, write_json
-from ..exceptions import ArtifactError
+from ..artifacts import from_payload, read_json, to_payload, write_json
 from .knn import KNeighborsClassifier
 from .logistic import LogisticRegression
 from .mlp import MLPClassifier
@@ -57,41 +56,9 @@ def make_classifier(spec, seed=None):
     return cls(**params)
 
 
-def model_to_dict(model):
-    """Self-describing JSON payload: kind, hyperparams, dimension, parameters."""
-    return {
-        "kind": model.kind,
-        "hyperparams": model.get_params(),
-        "dimension": model.n_features_,
-        "parameters": {key: encode_value(codec, getattr(model, attr))
-                       for key, attr, codec, _ in model.fitted},
-    }
-
-
-def model_from_dict(payload):
-    """Rebuild a ``model_to_dict`` payload. A ValueError names the first key that is
-    missing, breaks its rule, or holds an array whose shape disagrees with its axes."""
-    kind, hyperparams, dimension, parameters = fields(
-        payload, ("kind", "hyperparams", "dimension", "parameters")
-    )
-    if kind not in CLASSIFIER_KINDS:
-        raise ArtifactError(f"kind: unknown classifier kind {kind!r}")
-    cls = _REGISTRY[kind]
-    fields(hyperparams, cls.constraints, "hyperparams.")
-    cls.check_params(hyperparams)
-    model = cls(**hyperparams)
-    model.n_features_ = decode_value("dimension", INTS, dimension, (), {})
-    sizes = {"dimension": model.n_features_, **hyperparams}
-    for key, attr, codec, axes in cls.fitted:
-        (raw,) = fields(parameters, (key,), "parameters.")
-        setattr(model, attr, decode_value(f"parameters.{key}", codec, raw, axes, sizes))
-    model._check_fitted()
-    return model
-
-
 def save_model(model, path):
-    write_json(path, model_to_dict(model))
+    write_json(path, to_payload(model))
 
 
 def load_model(path):
-    return read_json(path, model_from_dict)
+    return read_json(path, lambda payload: from_payload(payload, _REGISTRY))

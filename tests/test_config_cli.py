@@ -128,18 +128,32 @@ class TestConfigParsing:
         assert config.protocol == "repeated"
 
 
-def _drop(key):
-    return lambda doc: doc.pop(key)
+def _drop(key, section=None):
+    return lambda doc: (doc[section] if section else doc).pop(key)
+
+
+def _parent_tfidf_layout(doc):
+    """Rewrite ``doc`` as the flat tfidf.json of earlier releases, which
+    stored idf next to df and N and had no kind, hyperparams or dimension."""
+    params = doc.pop("parameters")
+    n, df = params["N"], np.array(params["df"])
+    flat = {**params, "idf": (np.log((1.0 + n) / (1.0 + df)) + 1.0).tolist(),
+            "max_features": doc["hyperparams"]["max_features"]}
+    doc.clear()
+    doc.update(flat)
 
 
 CORRUPT_ARTIFACTS = {
     **{f"model-no-{key}": ("model_knn.json", _drop(key))
        for key in ("kind", "hyperparams", "dimension", "parameters")},
-    **{f"tfidf-no-{key}": ("tfidf.json", _drop(key))
-       for key in ("N", "df", "idf", "terms", "max_features")},
+    **{f"tfidf-no-{key}": ("tfidf.json", _drop(key, "parameters"))
+       for key in ("N", "df", "terms")},
+    "tfidf-no-max_features": ("tfidf.json", _drop("max_features", "hyperparams")),
     "k-zero": ("model_knn.json", lambda doc: doc["hyperparams"].update(k=0)),
     "k-above-rows": ("model_knn.json", lambda doc: doc["hyperparams"].update(k=10**6)),
     "unknown-hyperparam": ("model_knn.json", lambda doc: doc["hyperparams"].update(seed=0)),
+    "infinite-hyperparam": ("model_logistic_regression.json",
+                            lambda doc: doc["hyperparams"].update(lr=float("inf"))),
     "dimension-off": ("model_knn.json",
                       lambda doc: doc.update(dimension=doc["dimension"] + 1)),
     "short-labels": ("model_knn.json", lambda doc: doc["parameters"]["labels"].pop()),
@@ -148,12 +162,16 @@ CORRUPT_ARTIFACTS = {
                            or doc["parameters"]["labels"].pop()),
     "nan-coef": ("model_logistic_regression.json",
                  lambda doc: doc["parameters"]["coef"][1].__setitem__(0, float("nan"))),
-    "infinite-idf": ("tfidf.json", lambda doc: doc["idf"].__setitem__(0, float("inf"))),
-    "tfidf-max_features-zero": ("tfidf.json", lambda doc: doc.update(max_features=0)),
-    "tfidf-duplicate-terms": ("tfidf.json",
-                              lambda doc: doc["terms"].__setitem__(1, doc["terms"][0])),
-    "tfidf-negative-N": ("tfidf.json", lambda doc: doc.update(N=-3)),
-    "tfidf-df-above-N": ("tfidf.json", lambda doc: doc["df"].__setitem__(0, doc["N"] + 1)),
+    "tfidf-max_features-zero": ("tfidf.json",
+                                lambda doc: doc["hyperparams"].update(max_features=0)),
+    "tfidf-dimension-off": ("tfidf.json",
+                            lambda doc: doc.update(dimension=doc["dimension"] + 1)),
+    "tfidf-duplicate-terms": ("tfidf.json", lambda doc: doc["parameters"]["terms"].__setitem__(
+        1, doc["parameters"]["terms"][0])),
+    "tfidf-negative-N": ("tfidf.json", lambda doc: doc["parameters"].update(N=-3)),
+    "tfidf-df-above-N": ("tfidf.json", lambda doc: doc["parameters"]["df"].__setitem__(
+        0, doc["parameters"]["N"] + 1)),
+    "tfidf-parent-layout": ("tfidf.json", _parent_tfidf_layout),
 }
 
 
@@ -185,9 +203,10 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize(
         "line, message",
-        [("mlp.lr = -1", "mlp.lr must be > 0, got -1.0"),
-         ("linear_svm.lr = 1.0", "linear_svm.lr must be in (0, 1), got 1.0")],
-        ids=["mlp.lr", "linear_svm.lr"],
+        [("mlp.lr = -1", "mlp.lr must be finite and > 0, got -1.0"),
+         ("linear_svm.lr = 1.0", "linear_svm.lr must be in (0, 1), got 1.0"),
+         ("linear_svm.C = inf", "linear_svm.C must be finite and >= 0, got inf")],
+        ids=["mlp.lr", "linear_svm.lr", "linear_svm.C"],
     )
     def test_invalid_hyperparameter_exits_2_before_any_stage(
         self, dataset, tmp_path, capsys, line, message
@@ -366,6 +385,25 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "artifact, source, expected",
+        [("tfidf.json", "model_knn.json", "['tfidf'], got 'knn'"),
+         ("model_knn.json", "tfidf.json", f"{sorted(CLASSIFIER_KINDS)}, got 'tfidf'")],
+        ids=["knn-model-as-tfidf", "tfidf-as-knn-model"],
+    )
+    def test_artifact_of_another_kind_exits_1(self, dataset, tmp_path, capsys, artifact,
+                                              source, expected):
+        out = tmp_path / "out"
+        common = ["--dataset", dataset, "--out", str(out)]
+        for args in (["ingest"], ["preprocess"], ["fit-features"],
+                     ["train", "--classifier", "knn"]):
+            assert main(args + common) == 0
+        (out / artifact).write_bytes((out / source).read_bytes())
+        capsys.readouterr()
+        assert main(["predict", "--classifier", "knn"] + common) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {out / artifact}: kind: expected one of {expected}\n"
+
 
 class TestStagedPipeline:
     def test_full_chain_and_artifacts(self, dataset, tmp_path):
@@ -425,7 +463,20 @@ class TestStagedPipeline:
         assert staged["confusion"] == cm.tolist()
         assert staged["accuracy"] == round(report.accuracy, 6)
         tfidf = json.loads((tmp_path / "out" / "tfidf.json").read_text())
-        assert tfidf["N"] == (90 if fit_on_all else 72)  # documents the vocabulary saw
+        # the number of documents the vocabulary saw
+        assert tfidf["parameters"]["N"] == (90 if fit_on_all else 72)
+
+    def test_staged_reruns_are_byte_identical(self, fast_config, tmp_path):
+        stages = [["ingest"], ["preprocess"], ["fit-features"]] + [
+            [stage, "--classifier", kind] for kind in ("mlp", "naive_bayes")
+            for stage in ("train", "predict", "evaluate")]
+        runs = []
+        for out in (tmp_path / "first", tmp_path / "second"):
+            for args in stages:
+                assert main(args + ["--config", str(fast_config), "--out", str(out)]) == 0
+            runs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert {"tfidf.json", "model_mlp.json", "model_naive_bayes.json"} <= set(runs[0])
+        assert runs[0] == runs[1]
 
     def test_preprocessed_text_final_matches_layout(self, tmp_path):
         data = write_dataset(

@@ -91,9 +91,11 @@ class TestTransform:
         vec = TfidfVectorizer().fit(toy_docs)
         assert vec.transform([[]]).nnz == 0
 
-    def test_unfitted_raises(self):
+    def test_unfitted_raises(self, tmp_path):
         with pytest.raises(NotFittedError):
             TfidfVectorizer().transform([["acha"]])
+        with pytest.raises(NotFittedError):
+            save_tfidf(TfidfVectorizer(), tmp_path / "tfidf.json")
 
     def test_rows_unit_norm_or_zero(self):
         rng = np.random.default_rng(3)
@@ -147,8 +149,12 @@ class TestSerialization:
         path = tmp_path / "tfidf.json"
         save_tfidf(vec, path)
         payload = json.loads(path.read_text())
-        assert set(payload) == {"terms", "df", "idf", "N", "max_features"}
-        assert payload["N"] == 3
+        assert payload == {
+            "kind": "tfidf",
+            "hyperparams": {"max_features": 3000},
+            "dimension": 3,
+            "parameters": {"terms": ["acha", "bura", "drama"], "df": [2, 2, 2], "N": 3},
+        }
         loaded = load_tfidf(path)
         probe = [["acha", "drama", "acha"], ["bura"], []]
         np.testing.assert_array_equal(
