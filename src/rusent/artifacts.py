@@ -4,10 +4,9 @@ JSON artifact format of saved models and tf-idf vocabularies.
 Each file is written through ``replacing``, so it appears whole or not at
 all. A fitted object is saved as the payload of ``to_payload``; its
 ``fitted`` rows pick a codec per key. ``FLOATS`` and ``INTS`` are arrays of
-finite numbers (plain numbers when they have no axes); ``LOG_PROBS`` is a
-float array that stores -inf as null, keeping the document strict JSON;
-``CSR`` is a sparse matrix stored as its ``data``/``indices``/``indptr``/``shape``
-fields; ``TERMS`` is a list of distinct strings.
+finite numbers (plain numbers when they have no axes); ``CSR`` is a sparse
+matrix stored as its ``data``/``indices``/``indptr``/``shape`` fields;
+``TERMS`` is a list of distinct strings.
 """
 
 import csv
@@ -20,7 +19,7 @@ import scipy.sparse as sp
 
 from .exceptions import ArtifactError, MalformedRowError, NotFittedError
 
-FLOATS, INTS, LOG_PROBS, CSR, TERMS = "floats", "ints", "log_probs", "csr", "terms"
+FLOATS, INTS, CSR, TERMS = "floats", "ints", "csr", "terms"
 
 
 @contextmanager
@@ -97,8 +96,7 @@ def encode_value(codec, value):
                 "indptr": value.indptr.tolist(), "shape": list(value.shape)}
     if codec == TERMS:  # not through numpy, whose strings drop trailing NULs
         return list(value)
-    value = np.asarray(value).tolist()
-    return [p if np.isfinite(p) else None for p in value] if codec == LOG_PROBS else value
+    return np.asarray(value).tolist()
 
 
 def _decode(codec, raw):
@@ -116,17 +114,12 @@ def _decode(codec, raw):
         if len(set(raw)) < len(raw):
             raise ValueError("expected distinct terms")
         return np.array(raw, dtype=object)
-    nulls = codec == LOG_PROBS and isinstance(raw, list) and [p is None for p in raw]
-    if nulls:
-        raw = [0.0 if null else p for p, null in zip(raw, nulls)]
     value = np.array(raw)
     if value.size and value.dtype.kind not in ("i" if codec == INTS else "iuf"):
         raise ValueError("expected integers" if codec == INTS else "expected numbers")
     value = value.astype(np.int64 if codec == INTS else np.float64)
     if not np.isfinite(value).all():  # JSON NaN and Infinity parse as floats
         raise ValueError("expected finite numbers")
-    if nulls:
-        value[nulls] = -np.inf
     return value
 
 

@@ -6,13 +6,12 @@ carrying a trailing underscore) so they compose with pipeline tooling that
 relies on those conventions, without this package depending on scikit-learn.
 """
 
-import inspect
 import numbers
 
 import numpy as np
 import scipy.sparse as sp
 
-from .artifacts import FLOATS, INTS
+from .artifacts import FLOATS
 from .exceptions import DivergedError, NotFittedError
 
 N_CLASSES = 3
@@ -29,14 +28,10 @@ FLAG = (lambda v: isinstance(v, bool), "true or false")
 
 class BaseEstimator:
     """Minimal scikit-learn-compatible parameter handling. ``constraints``
-    holds a (test, rule text) pair for every constructor parameter."""
+    holds a (test, rule text) pair for every constructor parameter, in
+    signature order."""
 
     constraints = {}
-
-    @classmethod
-    def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [name for name in sig.parameters if name != "self"]
 
     @classmethod
     def check_params(cls, params):
@@ -58,7 +53,7 @@ class BaseEstimator:
                 raise ValueError(f"{name} must be {rule}, got {value!r}")
 
     def get_params(self, deep=True):
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {name: getattr(self, name) for name in self.constraints}
 
     def set_params(self, **params):
         self.check_params(params)
@@ -100,15 +95,16 @@ def check_feature_matrix(X):
     return X
 
 
-def check_labels(y, n_rows=None):
-    y = np.asarray(y, dtype=np.int64).ravel()
+def check_labels(y, n_rows=None, name="labels"):
+    """``y`` as int64 class codes; a fractional label is refused, not truncated."""
+    y = np.asarray(y).ravel()
     if n_rows is not None and y.shape[0] != n_rows:
         raise ValueError(
             f"label count {y.shape[0]} does not match row count {n_rows}"
         )
-    if y.size and (y.min() < 0 or y.max() >= N_CLASSES):
-        raise ValueError(f"labels must be class codes in [0, {N_CLASSES})")
-    return y
+    if not np.isin(y, np.arange(N_CLASSES)).all():
+        raise ValueError(f"{name} must be class codes in [0, {N_CLASSES})")
+    return y.astype(np.int64)
 
 
 def check_dimension(X, n_features):
@@ -149,7 +145,6 @@ def softmax_cross_entropy(logits, y):
 LINEAR_FITTED = (
     ("coef", "coef_", FLOATS, (N_CLASSES, "dimension")),
     ("intercept", "intercept_", FLOATS, (N_CLASSES,)),
-    ("epochs_run", "epochs_", INTS, ()),
     ("final_loss", "final_loss_", FLOATS, ()),
 )
 
@@ -175,8 +170,9 @@ class ClassifierBase(BaseEstimator):
     loss_limit = 1.0
 
     def _check_fitted(self):
-        """Raise ValueError if the fitted state breaks a rule that the
-        ``fitted`` axes cannot state; the model loader calls it."""
+        """Derive what the kind computes from its ``fitted`` state, and raise
+        ValueError naming ``parameters.<key>`` if that state breaks a rule
+        its axes cannot state. ``fit`` and the model loader both call it."""
 
     def fit(self, X, y):
         self.check_params(self.get_params())
@@ -193,6 +189,7 @@ class ClassifierBase(BaseEstimator):
         if start is not None and not self.final_loss_ <= self.loss_limit * start:  # NaN fails
             raise DivergedError(f"{self.kind} training diverged (final loss "
                                 f"{self.final_loss_}, starting loss {start})")
+        self._check_fitted()
         self.n_features_ = X.shape[1]
         return self
 

@@ -78,6 +78,7 @@ def parse_config_file(path):
         raise ConfigError(f"{path}: {exc}") from None
     values = {}
     overrides = {}
+    lines_of = {}  # key -> the line that set it
     for ln, raw_line in enumerate(lines, start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -87,6 +88,10 @@ def parse_config_file(path):
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
+        if key in lines_of:
+            raise ConfigError(f"{path}:{ln}: config key {key!r} is given twice "
+                              f"(lines {lines_of[key]} and {ln})")
+        lines_of[key] = ln
         if "." in key:
             kind, _, param = key.partition(".")
             if kind not in CLASSIFIER_KINDS:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import N_CLASSES
+from .base import N_CLASSES, check_labels
 from .corpus import LABEL_NAMES, Corpus, kfold, split
 from .exceptions import EmptyCorpusError
 from .features import TfidfVectorizer
@@ -17,17 +17,14 @@ from .seeding import derive_seed
 
 def confusion_matrix(y_true, y_pred):
     """3x3 count matrix: cell[i][j] = records with true class i predicted j."""
-    y_true = np.asarray(y_true, dtype=np.int64).ravel()
-    y_pred = np.asarray(y_pred, dtype=np.int64).ravel()
+    y_true = check_labels(y_true, name="truth labels")
+    y_pred = check_labels(y_pred, name="prediction labels")
     if y_true.shape[0] != y_pred.shape[0]:
         raise ValueError(
             f"length mismatch: {y_true.shape[0]} truths vs {y_pred.shape[0]} predictions"
         )
     if y_true.shape[0] == 0:
         raise ValueError("cannot build a confusion matrix from zero records")
-    for name, arr in (("truth", y_true), ("prediction", y_pred)):
-        if arr.min() < 0 or arr.max() >= N_CLASSES:
-            raise ValueError(f"{name} labels must be class codes in [0, {N_CLASSES})")
     cm = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     np.add.at(cm, (y_true, y_pred), 1)
     return cm

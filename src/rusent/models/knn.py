@@ -27,7 +27,6 @@ class KNeighborsClassifier(ClassifierBase):
 
     def _fit(self, X, y):
         self.X_, self.y_ = X, y
-        self._check_fitted()
 
     def _check_fitted(self):
         check_labels(self.y_)

@@ -50,7 +50,6 @@ class LogisticRegression(ClassifierBase):
         self.coef_ = W
         self.intercept_ = b
         self.loss_curve_ = curve
-        self.epochs_ = self.epochs
         self.final_loss_ = curve[-1]
         return curve[0]  # the loss at the zero starting weights
 

@@ -4,7 +4,7 @@ mean cross-entropy loss, mini-batch stochastic gradient descent."""
 import numpy as np
 import scipy.sparse as sp
 
-from ..artifacts import FLOATS, INTS
+from ..artifacts import FLOATS
 from ..base import (AT_LEAST_ONE, COUNT, N_CLASSES, POSITIVE, ClassifierBase, softmax,
                     softmax_cross_entropy)
 from ..exceptions import DivergedError
@@ -68,7 +68,6 @@ class MLPClassifier(ClassifierBase):
         ("hidden_intercept", "hidden_intercept_", FLOATS, ("hidden_units",)),
         ("output_coef", "output_coef_", FLOATS, (N_CLASSES, "hidden_units")),
         ("output_intercept", "output_intercept_", FLOATS, (N_CLASSES,)),
-        ("epochs_run", "epochs_", INTS, ()),
         ("final_loss", "final_loss_", FLOATS, ()),
     )
     loss_curve_ = None  # not saved: a loaded model reads None
@@ -116,7 +115,6 @@ class MLPClassifier(ClassifierBase):
         self.output_coef_ = W2
         self.output_intercept_ = b2
         self.loss_curve_ = curve
-        self.epochs_ = self.epochs
         return start_loss
 
     def decision_scores(self, X):

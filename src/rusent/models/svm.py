@@ -108,7 +108,6 @@ class LinearSVM(ClassifierBase):
         self.coef_ = W
         self.intercept_ = intercepts
         self.objective_per_class_ = objectives
-        self.epochs_ = self.epochs
         self.final_loss_ = float(np.mean(objectives))
         # the objective at zero weights (every hinge is 1), averaged as final_loss_ is
         return float(np.mean([self.C] * N_CLASSES))

@@ -76,6 +76,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="runs"):
             parse_config_file(path)
 
+    @pytest.mark.parametrize("key, first, second", [("seed", "1", "2"), ("mlp.lr", "0.1", "0.2")])
+    def test_key_given_twice_rejected(self, tmp_path, capsys, key, first, second):
+        path = tmp_path / "twice.cfg"
+        path.write_text(f"{key} = {first}\nruns = 2\n# again\n{key} = {second}\n",
+                        encoding="utf-8")
+        message = f"{path}:4: config key {key!r} is given twice (lines 1 and 4)"
+        with pytest.raises(ConfigError) as info:
+            parse_config_file(path)
+        assert str(info.value) == message
+        assert main(["compare", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_bool_values(self, tmp_path):
         path = tmp_path / "ok.cfg"
         path.write_text("fit_on_all = true\ndedup = FALSE\n", encoding="utf-8")
@@ -143,6 +155,32 @@ def _parent_tfidf_layout(doc):
     doc.update(flat)
 
 
+def _parent_nb_layout(doc):
+    """Rewrite ``doc`` as the model_naive_bayes.json of earlier releases, which
+    stored class_log_prior and feature_log_prob instead of the weight sums."""
+    params = doc["parameters"]
+    counts = np.array(params["class_count"])
+    smoothed = np.array(params.pop("feature_weight_sum")) + doc["hyperparams"]["alpha"]
+    params["class_log_prior"] = np.log(counts / counts.sum()).tolist()
+    params["feature_log_prob"] = (np.log(smoothed) - np.log(
+        smoothed.sum(axis=1, keepdims=True))).tolist()
+
+
+# case -> (corruption, the start of the error after the file name)
+CORRUPT_NB_MODELS = {
+    "nb-negative-count": (lambda doc: doc["parameters"].update(  # all negative: shares in [0, 1]
+        class_count=[-c for c in doc["parameters"]["class_count"]]), "parameters.class_count: "),
+    "nb-zero-counts": (lambda doc: doc["parameters"].update(class_count=[0, 0, 0]),
+                       "parameters.class_count: "),
+    "nb-negative-weight-sum": (lambda doc: doc["parameters"]["feature_weight_sum"][1]
+                               .__setitem__(0, -0.5), "parameters.feature_weight_sum: "),
+    "nb-weight-on-empty-class": (lambda doc: doc["parameters"]["class_count"].__setitem__(2, 0),
+                                 "parameters.feature_weight_sum: "),
+    "nb-weight-sum-1e308": (lambda doc: doc["parameters"]["feature_weight_sum"][0].__setitem__(
+        slice(None), [1e308] * doc["dimension"]), "parameters.feature_weight_sum: "),
+    "nb-parent-layout": (_parent_nb_layout, "missing key 'parameters.feature_weight_sum'"),
+}
+
 CORRUPT_ARTIFACTS = {
     **{f"model-no-{key}": ("model_knn.json", _drop(key))
        for key in ("kind", "hyperparams", "dimension", "parameters")},
@@ -172,6 +210,8 @@ CORRUPT_ARTIFACTS = {
     "tfidf-df-above-N": ("tfidf.json", lambda doc: doc["parameters"]["df"].__setitem__(
         0, doc["parameters"]["N"] + 1)),
     "tfidf-parent-layout": ("tfidf.json", _parent_tfidf_layout),
+    **{case: ("model_naive_bayes.json", corrupt)
+       for case, (corrupt, _) in CORRUPT_NB_MODELS.items()},
 }
 
 
@@ -365,10 +405,9 @@ class TestCliExitCodes:
         assert main(command + common) == 1
         assert f"{artifact} line 3: expected 3 fields, got 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "artifact, corrupt", list(CORRUPT_ARTIFACTS.values()), ids=list(CORRUPT_ARTIFACTS)
-    )
-    def test_corrupt_json_artifact_exits_1(self, dataset, tmp_path, capsys, artifact, corrupt):
+    @pytest.mark.parametrize("case", list(CORRUPT_ARTIFACTS), ids=list(CORRUPT_ARTIFACTS))
+    def test_corrupt_json_artifact_exits_1(self, dataset, tmp_path, capsys, case):
+        artifact, corrupt = CORRUPT_ARTIFACTS[case]
         out = tmp_path / "out"
         common = ["--dataset", dataset, "--out", str(out)]
         kind = artifact[len("model_"):-len(".json")] if artifact.startswith("model_") else "knn"
@@ -384,6 +423,8 @@ class TestCliExitCodes:
         assert main(["predict", "--classifier", kind] + common) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        if case in CORRUPT_NB_MODELS:
+            assert err.startswith(f"error: {path}: {CORRUPT_NB_MODELS[case][1]}")
 
     @pytest.mark.parametrize(
         "artifact, source, expected",

@@ -90,6 +90,17 @@ class TestConfusionMatrix:
         with pytest.raises(ValueError):
             confusion_matrix([], [])
 
+    @pytest.mark.parametrize(
+        "truth, pred, name",
+        [([0.5, 1.5, 2.5], [0, 1, 2], "truth"), ([0, 1, 2], [0, 1, 1.9], "prediction"),
+         ([0, 1, 3], [0, 1, 2], "truth"), ([0, 1, 2], [-1, 1, 2], "prediction")],
+        ids=["fractional-truth", "fractional-prediction", "truth-above", "prediction-below"],
+    )
+    def test_label_that_is_not_a_class_code(self, truth, pred, name):
+        # a fractional label is refused, not truncated to a class code
+        with pytest.raises(ValueError, match=rf"^{name} labels must be class codes in \[0, 3\)$"):
+            confusion_matrix(truth, pred)
+
 
 class TestAccuracy:
     def test_reference_matrices(self):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -65,10 +66,13 @@ class TestRegistry:
         model = make_classifier(ClassifierSpec("mlp", {"seed": 7}), seed=2)
         assert model.seed == 7
 
-    @pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
+    @pytest.mark.parametrize("kind", [*CLASSIFIER_KINDS, "tfidf"])
     def test_constraints_cover_every_hyperparameter(self, kind):
-        cls = classifier_class(kind)
-        assert set(cls.constraints) == set(cls._param_names())
+        # get_params and __repr__ take their names, in this order, from constraints
+        cls = TfidfVectorizer if kind == "tfidf" else classifier_class(kind)
+        names = [name for name in inspect.signature(cls.__init__).parameters if name != "self"]
+        assert list(cls.constraints) == names
+        assert list(cls().get_params()) == names
         cls.check_params(cls().get_params())
 
 
@@ -114,6 +118,16 @@ class TestUniformSurface:
         assert pred[0] in (0, 1, 2)
 
     @pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
+    @pytest.mark.parametrize("labels", [[0.9, 1.9, 2.9] * 6, [0, 1, 2.5] * 6, [0, 1, 3] * 6])
+    def test_label_that_is_not_a_class_code_rejected(self, kind, labels):
+        X, _ = random_tfidf_instance(17, n_docs=18, vocab_size=7, doc_len=5)
+        model = make_classifier(ClassifierSpec(kind, FAST_PARAMS[kind]), seed=0)
+        with pytest.raises(ValueError, match=r"labels must be class codes in \[0, 3\)"):
+            model.fit(X, labels)
+        with pytest.raises(NotFittedError):
+            model.predict(X)
+
+    @pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
     def test_non_finite_feature_rejected(self, kind):
         model, X, y = fitted_model(kind)
         bad = X.copy()
@@ -143,12 +157,15 @@ class TestDeterminism:
 
 class TestSerialization:
     @pytest.mark.parametrize(
-        "kind, labels",
-        [(kind, (0, 1, 2) * 6) for kind in CLASSIFIER_KINDS]
-        + [("naive_bayes", (0, 1) * 9), ("tfidf", None)],
-        ids=[*CLASSIFIER_KINDS, "naive_bayes-missing-class", "tfidf"],
+        "kind, labels, parent_keys",
+        [(kind, (0, 1, 2) * 6, {}) for kind in CLASSIFIER_KINDS]
+        + [("naive_bayes", (0, 1) * 9, {}),
+           # model files of earlier releases also stored epochs_run
+           ("logistic_regression", (0, 1, 2) * 6, {"epochs_run": 20}), ("tfidf", None, {})],
+        ids=[*CLASSIFIER_KINDS, "naive_bayes-missing-class", "logistic_regression-epochs_run",
+             "tfidf"],
     )
-    def test_round_trip_identical_predictions(self, kind, labels, tmp_path):
+    def test_round_trip_identical_predictions(self, kind, labels, parent_keys, tmp_path):
         if kind == "tfidf":  # four terms, capped to three; the probe has an unseen one
             nul = "drama\x00"  # a trailing NUL, which numpy strings would drop
             docs = [["acha", nul], ["acha", "bura", "bura"], ["kamal", nul], ["bura"]]
@@ -160,16 +177,25 @@ class TestSerialization:
             probe, _ = random_tfidf_instance(99, n_docs=10, vocab_size=7, doc_len=5)
             save, load = save_model, load_model
             outputs = lambda m: (m.predict(probe), m.decision_scores(probe))
-        path = tmp_path / f"{kind}.json"
+            if kind == "naive_bayes":  # the derived state is rebuilt to the bit
+                outputs = lambda m: (m.predict(probe), m.decision_scores(probe),
+                                     m.class_log_prior_, m.feature_log_prob_)
+        path = written = tmp_path / f"{kind}.json"
         save(model, path)
-        loaded = load(path)
+        if parent_keys:
+            doc = json.loads(path.read_text())
+            doc["parameters"].update(parent_keys)
+            written = tmp_path / "parent.json"
+            written.write_text(json.dumps(doc))
+        loaded = load(written)
         for got, expected in zip(outputs(loaded), outputs(model), strict=True):
             np.testing.assert_array_equal(got, expected)
         again = tmp_path / "again.json"
         save(loaded, again)
         assert again.read_bytes() == path.read_bytes()
-        if labels is not None and 2 not in labels:
-            assert json.loads(path.read_text())["parameters"]["class_log_prior"][2] is None
+        if kind == "naive_bayes" and 2 not in labels:
+            assert json.loads(path.read_text())["parameters"]["class_count"][2] == 0
+            assert loaded.class_log_prior_[2] == -np.inf
 
     @pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
     def test_payload_is_self_describing(self, kind):
