@@ -14,9 +14,9 @@ import sys
 from . import __version__
 from .artifacts import csv_rows, replacing, write_csv, write_json
 from .config import PROTOCOLS, SCHEMA, RunConfig, apply_cli_values, parse_config_file
-from .corpus import (LABEL_NAMES, Corpus, LabeledComment, Sentiment, label_distribution,
-                     load_csv)
-from .eval import confusion_matrix, evaluate_specs, fit_vocabulary, metrics, plan_splits
+from .corpus import LABEL_NAMES, Corpus, Sentiment, label_distribution, load_csv
+from .eval import (confusion_matrix, evaluate_specs, fit_vocabulary, metrics, plan_splits,
+                   train_seed)
 from .exceptions import ConfigError, MalformedRowError, RusentError
 from .features import load_tfidf, save_tfidf, write_word_frequencies
 from .models import CLASSIFIER_KINDS, ClassifierSpec, load_model, make_classifier, save_model
@@ -27,6 +27,8 @@ DISTRIBUTION_FILE = "label_distribution.json"
 PREPROCESSED_FILE = "preprocessed.csv"
 TFIDF_FILE = "tfidf.json"
 WORD_FREQ_FILE = "word_frequencies.csv"
+TRAIN_FILE = "train.csv"
+TEST_FILE = "test.csv"
 
 # The config keys that a flag of the same name, with "-" for "_", overrides;
 # each with its help text.
@@ -77,33 +79,26 @@ def _distribution_line(corpus):
     return " ".join(f"{s.label} {dist[s]['fraction']:.1%}" for s in Sentiment)
 
 
-def _artifact_rows(path, label_columns):
-    """The first three fields of each data row of a stage CSV artifact,
-    with those at ``label_columns`` parsed into Sentiment labels; a shorter
-    row or a bad label raises MalformedRowError naming its line."""
+def _artifact_rows(path, parsers):
+    """The first three fields of each data row of a stage CSV artifact, those
+    at a column of ``parsers`` parsed by its function; a shorter row or a
+    field that does not parse raises MalformedRowError naming its line."""
     for line, row in csv_rows(path):
         try:
             if len(row) < 3:
                 raise ValueError(f"expected 3 fields, got {len(row)}")
-            fields = [Sentiment.parse(v) if i in label_columns else v
-                      for i, v in enumerate(row[:3])]
+            fields = [parsers.get(i, str)(v) for i, v in enumerate(row[:3])]
         except ValueError as exc:
             raise MalformedRowError(f"{path} line {line}: {exc}", [(line, str(exc))]) from None
         yield fields
 
 
-def _staged_split(config, path):
-    """The split of evaluate_once(seed=config.seed) over the preprocessed CSV
-    at ``path``, shared by fit-features, train and predict: (planned split,
-    train docs, test docs). Row ids are the artifact's data-row ordinals."""
-    records = []
-    docs = []
-    for i, (text, label, text_final) in enumerate(_artifact_rows(path, (1,))):
-        records.append(LabeledComment(text, label, i))
-        docs.append(TokenizedComment(i, tuple(text_final.split()), label))
-    (part,) = plan_splits(Corpus(tuple(records)), "repeated", config.seed, runs=1,
-                          train_ratio=config.train_ratio)
-    return part, [docs[r.row_id] for r in part.train], [docs[r.row_id] for r in part.test]
+def _split_side(config, name):
+    """The docs of one side of the staged split, in split order, from the
+    file ``name`` that fit-features wrote; row ids index preprocessed.csv."""
+    path = _stage_input(config, name, "fit-features")
+    return [TokenizedComment(row_id, tuple(text_final.split()), label)
+            for row_id, label, text_final in _artifact_rows(path, {0: int, 1: Sentiment.parse})]
 
 
 def _load_dataset(config):
@@ -141,31 +136,32 @@ def cmd_preprocess(config, args):
 
 
 def cmd_fit_features(config, args):
-    part, train_docs, test_docs = _staged_split(
-        config, _stage_input(config, PREPROCESSED_FILE, "preprocess"))
-    if not config.fit_on_all:
-        _info(f"vocabulary fit on train split: {_distribution_line(part.train)}")
-    vectorizer = fit_vocabulary(train_docs, test_docs, fit_on_all=config.fit_on_all,
-                                max_features=config.max_features)
+    """Cut the staged split, as evaluate_once(seed=config.seed) does, for train and predict."""
+    rows = enumerate(_artifact_rows(_stage_input(config, PREPROCESSED_FILE, "preprocess"),
+                                    {1: Sentiment.parse}))
+    docs = Corpus(tuple(TokenizedComment(i, tuple(text_final.split()), label)
+                        for i, (_, label, text_final) in rows))
+    (part,) = plan_splits(docs, "repeated", config.seed, runs=1, train_ratio=config.train_ratio)
+    vectorizer = fit_vocabulary(part.train.records, part.test.records,
+                                fit_on_all=config.fit_on_all, max_features=config.max_features)
     model_path = os.path.join(config.out, TFIDF_FILE)
     save_tfidf(vectorizer, model_path)
     write_word_frequencies(vectorizer, os.path.join(config.out, WORD_FREQ_FILE))
     _info(f"fitted tf-idf vocabulary of {vectorizer.n_features_} terms -> {model_path}")
+    for name, side in ((TRAIN_FILE, part.train), (TEST_FILE, part.test)):
+        path = os.path.join(config.out, name)
+        write_csv(path, ["row_id", "sentiment", "text_final"],
+                  ([d.row_id, d.label.label, d.text_final] for d in side))
+        _info(f"{len(side)} records ({_distribution_line(side)}) -> {path}")
     return 0
 
 
 def cmd_train(config, args):
-    pre_path = _stage_input(config, PREPROCESSED_FILE, "preprocess")
-    tfidf_path = _stage_input(config, TFIDF_FILE, "fit-features")
-    part, train_docs, _ = _staged_split(config, pre_path)
-    _info(f"train split: {_distribution_line(part.train)}")
-    _info(f"test split:  {_distribution_line(part.test)}")
-    vectorizer = load_tfidf(tfidf_path)
-    X = vectorizer.transform(train_docs)
-    y = part.train.labels()
+    docs = _split_side(config, TRAIN_FILE)
+    X = load_tfidf(_stage_input(config, TFIDF_FILE, "fit-features")).transform(docs)
     spec = ClassifierSpec(args.classifier, config.classifier_overrides(args.classifier))
-    model = make_classifier(spec, seed=part.train_seed(spec.kind))
-    model.fit(X, y)
+    model = make_classifier(spec, seed=train_seed(config.seed, spec.kind))
+    model.fit(X, [d.label for d in docs])
     model_path = os.path.join(config.out, f"model_{spec.kind}.json")
     save_model(model, model_path)
     _info(f"trained {spec.kind} on {X.shape[0]} records -> {model_path}")
@@ -173,24 +169,21 @@ def cmd_train(config, args):
 
 
 def cmd_predict(config, args):
-    pre_path = _stage_input(config, PREPROCESSED_FILE, "preprocess")
-    tfidf_path = _stage_input(config, TFIDF_FILE, "fit-features")
     model_path = _stage_input(config, f"model_{args.classifier}.json", "train")
-    part, _, test_docs = _staged_split(config, pre_path)
-    vectorizer = load_tfidf(tfidf_path)
-    model = load_model(model_path)
-    predictions = model.predict(vectorizer.transform(test_docs))
+    docs = _split_side(config, TEST_FILE)
+    X = load_tfidf(_stage_input(config, TFIDF_FILE, "fit-features")).transform(docs)
+    predictions = load_model(model_path).predict(X)
     out_path = os.path.join(config.out, f"predictions_{args.classifier}.csv")
     write_csv(out_path, ["row_id", "truth", "predicted"],
-              ([r.row_id, r.label.label, Sentiment(int(p)).label]
-               for r, p in zip(part.test, predictions)))
-    _info(f"predicted {len(test_docs)} test records -> {out_path}")
+              ([d.row_id, d.label.label, Sentiment(int(p)).label]
+               for d, p in zip(docs, predictions)))
+    _info(f"predicted {len(docs)} test records -> {out_path}")
     return 0
 
 
 def cmd_evaluate(config, args):
     pred_path = _stage_input(config, f"predictions_{args.classifier}.csv", "predict")
-    rows = list(_artifact_rows(pred_path, (1, 2)))
+    rows = list(_artifact_rows(pred_path, {1: Sentiment.parse, 2: Sentiment.parse}))
     cm = confusion_matrix([truth for _, truth, _ in rows], [pred for _, _, pred in rows])
     report = metrics(cm)
     payload = {

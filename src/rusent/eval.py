@@ -177,12 +177,16 @@ def _aggregate(cms, seeds):
     )
 
 
+def train_seed(seed, kind, fold=None):
+    """The seed that trains ``kind`` in run ``seed``, or in fold ``fold`` of a k-fold plan."""
+    prefix = "" if fold is None else f"fold{fold}:"
+    return derive_seed(seed, f"{prefix}train:{kind}")
+
+
 @dataclass(frozen=True)
 class PlannedSplit:
-    """One train/test split of a run. A repeated-protocol run (``fold``
-    None) trains kind K with derive_seed(seed, "train:K") and reports
-    ``seed``; fold i trains with derive_seed(seed, "fold<i>:train:K") and
-    reports that train seed."""
+    """One train/test split of a run. A repeated-protocol run reports
+    ``seed``; fold i reports the seed that trains each kind on it."""
 
     train: Corpus
     test: Corpus
@@ -194,8 +198,7 @@ class PlannedSplit:
         return f"seed {self.seed}" if self.fold is None else f"fold {self.fold}"
 
     def train_seed(self, kind):
-        prefix = "" if self.fold is None else f"fold{self.fold}:"
-        return derive_seed(self.seed, f"{prefix}train:{kind}")
+        return train_seed(self.seed, kind, self.fold)
 
     def reported_seed(self, kind):
         return self.seed if self.fold is None else self.train_seed(kind)

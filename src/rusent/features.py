@@ -69,9 +69,11 @@ class TfidfVectorizer(BaseEstimator):
         return self
 
     def _check_fitted(self):
-        """Derive ``vocabulary_`` and ``idf_``; raise ValueError unless
-        N >= 1 and each term is in 1..N documents, as after any fit."""
-        n, df = self.n_documents_, self.document_frequency_
+        """Derive ``vocabulary_`` and ``idf_``; raise ValueError unless, as after any
+        fit, 1..max_features terms are sorted and each is in 1..N >= 1 documents."""
+        n, df, terms = self.n_documents_, self.document_frequency_, self.terms_
+        if not 1 <= len(terms) <= self.max_features or list(terms) != sorted(terms):
+            raise ValueError(f"parameters.terms: expected 1 to {self.max_features} sorted terms")
         if n < 1:
             raise ValueError(f"parameters.N: expected an integer >= 1, got {n}")
         if np.any((df < 1) | (df > n)):

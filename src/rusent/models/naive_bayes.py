@@ -60,6 +60,8 @@ class MultinomialNaiveBayes(ClassifierBase):
                 or not np.isfinite(self.feature_log_prob_).all()):
             raise ValueError("parameters.feature_weight_sum: expected sums >= 0, 0 for a class "
                              f"of count 0, and finite log-likelihoods at alpha = {self.alpha}")
+        if np.any(counts == 0) and not self.allow_missing_class:
+            raise ValueError("parameters.class_count: a count of 0 needs allow_missing_class")
 
     def decision_scores(self, X):
         """Class posterior probabilities (rows sum to 1)."""

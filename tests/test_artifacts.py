@@ -69,7 +69,9 @@ class TestCsvRows:
 
 # The stage that reads each staged artifact, per classifier kind.
 CONSUMERS = {
-    "preprocessed.csv": ("fit-features", "train", "predict"),
+    "preprocessed.csv": ("fit-features",),
+    "train.csv": ("train",),
+    "test.csv": ("predict",),
     "tfidf.json": ("train", "predict"),
     "model_{kind}.json": ("predict",),
     "predictions_{kind}.csv": ("evaluate",),

@@ -179,6 +179,19 @@ CORRUPT_NB_MODELS = {
     "nb-weight-sum-1e308": (lambda doc: doc["parameters"]["feature_weight_sum"][0].__setitem__(
         slice(None), [1e308] * doc["dimension"]), "parameters.feature_weight_sum: "),
     "nb-parent-layout": (_parent_nb_layout, "missing key 'parameters.feature_weight_sum'"),
+    "nb-missing-class": (lambda doc: doc["parameters"]["class_count"].__setitem__(2, 0)
+                         or doc["parameters"]["feature_weight_sum"][2].__setitem__(
+                             slice(None), [0.0] * doc["dimension"]), "parameters.class_count: "),
+}
+
+# case -> (corruption of tfidf.json, the start of the error after the file name)
+CORRUPT_TFIDF_TERMS = {
+    "tfidf-empty-terms": (lambda doc: doc["parameters"].update(terms=[], df=[])
+                          or doc.update(dimension=0), "parameters.terms: "),
+    "tfidf-terms-above-max_features": (lambda doc: doc["hyperparams"].update(
+        max_features=len(doc["parameters"]["terms"]) - 1), "parameters.terms: "),
+    "tfidf-unsorted-terms": (lambda doc: doc["parameters"]["terms"].reverse(),
+                             "parameters.terms: "),
 }
 
 CORRUPT_ARTIFACTS = {
@@ -212,6 +225,7 @@ CORRUPT_ARTIFACTS = {
     "tfidf-parent-layout": ("tfidf.json", _parent_tfidf_layout),
     **{case: ("model_naive_bayes.json", corrupt)
        for case, (corrupt, _) in CORRUPT_NB_MODELS.items()},
+    **{case: ("tfidf.json", corrupt) for case, (corrupt, _) in CORRUPT_TFIDF_TERMS.items()},
 }
 
 
@@ -316,11 +330,11 @@ class TestCliExitCodes:
         if command[0] == "train":
             for args in (["ingest"], ["preprocess"], ["fit-features"]):
                 assert main(args + common) == 0
-            path = str(out / "preprocessed.csv")
+            path = str(out / "train.csv")
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
         if command[0] == "train":
-            lines[2] = "acha " * 30000 + ",negative,acha\n"  # one field above the limit
+            lines[2] = "7,negative," + "acha " * 30000 + "\n"  # one field above the limit
         else:  # a quote opened on line 3 that never closes
             lines[2] = '"' + lines[2]
             lines.append("acha " * 30000 + "\n")
@@ -333,7 +347,7 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize(
         "command, artifact, column",
-        [(["train", "--classifier", "knn"], "preprocessed.csv", 1),
+        [(["train", "--classifier", "knn"], "train.csv", 1),
          (["evaluate", "--classifier", "knn"], "predictions_knn.csv", 1),
          (["evaluate", "--classifier", "knn"], "predictions_knn.csv", 2)],
         ids=["train", "evaluate-truth", "evaluate-predicted"],
@@ -423,8 +437,9 @@ class TestCliExitCodes:
         assert main(["predict", "--classifier", kind] + common) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
-        if case in CORRUPT_NB_MODELS:
-            assert err.startswith(f"error: {path}: {CORRUPT_NB_MODELS[case][1]}")
+        named = {**CORRUPT_NB_MODELS, **CORRUPT_TFIDF_TERMS}
+        if case in named:
+            assert err.startswith(f"error: {path}: {named[case][1]}")
 
     @pytest.mark.parametrize(
         "artifact, source, expected",
@@ -506,6 +521,29 @@ class TestStagedPipeline:
         tfidf = json.loads((tmp_path / "out" / "tfidf.json").read_text())
         # the number of documents the vocabulary saw
         assert tfidf["parameters"]["N"] == (90 if fit_on_all else 72)
+
+    def test_split_is_fixed_by_fit_features(self, dataset, tmp_path):
+        # train and predict given other seeds still score fit-features' held-out rows
+        out = tmp_path / "out"
+        common = ["--dataset", dataset, "--out", str(out)]
+        for args in (["ingest"], ["preprocess"], ["fit-features", "--seed", "1"],
+                     ["train", "--classifier", "naive_bayes", "--seed", "2"],
+                     ["predict", "--classifier", "naive_bayes", "--seed", "3"],
+                     ["evaluate", "--classifier", "naive_bayes", "--seed", "3"]):
+            assert main(args + common) == 0
+        cm, report = evaluate_once(ClassifierSpec("naive_bayes"), load_csv(dataset),
+                                   default_stopwords(), seed=1)
+        expected = {"classifier": "naive_bayes", "count": int(cm.sum()),
+                    "confusion": cm.tolist(), **report.as_dict()}
+        staged = json.loads((out / "metrics_naive_bayes.json").read_text())
+        assert staged == json.loads(json.dumps(cli._round6(expected)))
+
+        def row_ids(name):
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                return [row[0] for row in list(csv.reader(fh))[1:]]
+
+        assert row_ids("predictions_naive_bayes.csv") == row_ids("test.csv")
+        assert not set(row_ids("test.csv")) & set(row_ids("train.csv"))
 
     def test_staged_reruns_are_byte_identical(self, fast_config, tmp_path):
         stages = [["ingest"], ["preprocess"], ["fit-features"]] + [
