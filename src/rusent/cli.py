@@ -14,7 +14,7 @@ import sys
 from . import __version__
 from .artifacts import csv_rows, replacing, write_csv, write_json
 from .config import PROTOCOLS, SCHEMA, RunConfig, apply_cli_values, parse_config_file
-from .corpus import LABEL_NAMES, Corpus, Sentiment, label_distribution, load_csv
+from .corpus import LABEL_NAMES, Sentiment, label_distribution, load_csv
 from .eval import (confusion_matrix, evaluate_specs, fit_vocabulary, metrics, plan_splits,
                    train_seed)
 from .exceptions import ConfigError, MalformedRowError, RusentError
@@ -104,8 +104,7 @@ def _split_side(config, name):
 def _load_dataset(config):
     if not config.dataset:
         raise ConfigError("no dataset configured; set 'dataset' or pass --dataset")
-    return load_csv(config.dataset, has_header=config.has_header, dedup=config.dedup,
-                    skip_bad_rows=config.skip_bad_rows)
+    return load_csv(config.dataset, dedup=config.dedup, skip_bad_rows=config.skip_bad_rows)
 
 
 def cmd_ingest(config, args):
@@ -121,7 +120,7 @@ def cmd_ingest(config, args):
 
 
 def cmd_preprocess(config, args):
-    corpus = load_csv(_stage_input(config, CORPUS_FILE, "ingest"), has_header=True, dedup=False)
+    corpus = load_csv(_stage_input(config, CORPUS_FILE, "ingest"), dedup=False)
     stopwords = _load_stopword_list(config)
     docs = preprocess_corpus(corpus, stopwords, config.strip_punct)
     out_path = os.path.join(config.out, PREPROCESSED_FILE)
@@ -139,11 +138,11 @@ def cmd_fit_features(config, args):
     """Cut the staged split, as evaluate_once(seed=config.seed) does, for train and predict."""
     rows = enumerate(_artifact_rows(_stage_input(config, PREPROCESSED_FILE, "preprocess"),
                                     {1: Sentiment.parse}))
-    docs = Corpus(tuple(TokenizedComment(i, tuple(text_final.split()), label)
-                        for i, (_, label, text_final) in rows))
+    docs = [TokenizedComment(i, tuple(text_final.split()), label)
+            for i, (_, label, text_final) in rows]
     (part,) = plan_splits(docs, "repeated", config.seed, runs=1, train_ratio=config.train_ratio)
-    vectorizer = fit_vocabulary(part.train.records, part.test.records,
-                                fit_on_all=config.fit_on_all, max_features=config.max_features)
+    vectorizer = fit_vocabulary(part, fit_on_all=config.fit_on_all,
+                                max_features=config.max_features)
     model_path = os.path.join(config.out, TFIDF_FILE)
     save_tfidf(vectorizer, model_path)
     write_word_frequencies(vectorizer, os.path.join(config.out, WORD_FREQ_FILE))
@@ -250,7 +249,8 @@ def cmd_compare(config, args):
     corpus = _load_dataset(config)
     stopwords = _load_stopword_list(config)
     _info(f"corpus: {len(corpus)} records, {_distribution_line(corpus)}")
-    plan = plan_splits(corpus, config.protocol, config.seed, runs=config.runs,
+    docs = preprocess_corpus(corpus, stopwords, config.strip_punct)
+    plan = plan_splits(docs, config.protocol, config.seed, runs=config.runs,
                        train_ratio=config.train_ratio, folds=config.folds)
     for part in plan:
         _info(
@@ -269,12 +269,9 @@ def cmd_compare(config, args):
     )
     aggregates = evaluate_specs(
         [ClassifierSpec(kind, config.classifier_overrides(kind)) for kind in CLASSIFIER_KINDS],
-        corpus,
-        stopwords,
         plan,
         fit_on_all=config.fit_on_all,
         max_features=config.max_features,
-        strip_punct=config.strip_punct,
     )
     results = dict(zip(CLASSIFIER_KINDS, aggregates))
     for kind, agg in results.items():

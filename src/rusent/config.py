@@ -17,7 +17,6 @@ PROTOCOLS = ("repeated", "kfold")
 class RunConfig:
     dataset: str | None = None
     stopwords: str | None = None
-    has_header: bool = True
     dedup: bool = True
     skip_bad_rows: bool = False
     strip_punct: bool = False

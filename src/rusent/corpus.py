@@ -71,37 +71,44 @@ class SplitResult(NamedTuple):
     test: Corpus
 
 
-def load_csv(path, *, has_header=True, dedup=True, skip_bad_rows=False):
+def _parse_row(row):
+    """The (text, label) of a dataset row, or why the row is not a data row."""
+    if len(row) < 2:
+        return "expected at least 2 fields"
+    if not row[0].strip():
+        return "empty comment text"
+    try:
+        return row[0].strip(), Sentiment.parse(row[1])
+    except ValueError as exc:
+        return str(exc)
+
+
+def load_csv(path, *, dedup=True, skip_bad_rows=False):
     """Load a comment,sentiment[,ignored] CSV file into a Corpus.
 
     Each data row needs at least two fields: the comment text and a
-    sentiment label. Any further fields are discarded. Rows with empty
-    text or an unparseable label abort the load with their line numbers
-    unless ``skip_bad_rows`` is set; a row that is not valid CSV always
-    does. With ``dedup``, repeats of an exact (text, label) pair are dropped.
+    sentiment label. Any further fields are discarded. Line 1 is a header,
+    and skipped, exactly when it is not a valid data row; row ids count
+    the data rows from 0. Rows with empty text or an unparseable label
+    abort the load with their line numbers unless ``skip_bad_rows`` is
+    set; a row that is not valid CSV always does. With ``dedup``, repeats
+    of an exact (text, label) pair are dropped.
     """
     records = []
     bad_rows = []
     seen = set()
-    for row_id, (line, row) in enumerate(csv_rows(path, has_header=has_header)):
-        if len(row) < 2:
-            bad_rows.append((line, "expected at least 2 fields"))
-            continue
-        text = row[0].strip()
-        if not text:
-            bad_rows.append((line, "empty comment text"))
-            continue
-        try:
-            label = Sentiment.parse(row[1])
-        except ValueError:
-            bad_rows.append((line, f"unknown sentiment label {row[1]!r}"))
+    rows = ((line, _parse_row(row)) for line, row in csv_rows(path, has_header=False))
+    data_rows = ((line, parsed) for line, parsed in rows
+                 if line != 1 or not isinstance(parsed, str))
+    for row_id, (line, parsed) in enumerate(data_rows):
+        if isinstance(parsed, str):
+            bad_rows.append((line, parsed))
             continue
         if dedup:
-            key = (text, label)
-            if key in seen:
+            if parsed in seen:
                 continue
-            seen.add(key)
-        records.append(LabeledComment(text, label, row_id))
+            seen.add(parsed)
+        records.append(LabeledComment(*parsed, row_id))
     if bad_rows and not skip_bad_rows:
         listing = "; ".join(f"line {ln}: {why}" for ln, why in bad_rows)
         raise MalformedRowError(

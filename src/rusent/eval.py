@@ -221,30 +221,25 @@ def plan_splits(corpus, protocol, seed, *, runs=10, train_ratio=0.8, folds=10):
     return [PlannedSplit(cut.train, cut.test, s) for s, cut in zip(seeds, cuts)]
 
 
-def fit_vocabulary(train_docs, test_docs, *, fit_on_all=False, max_features=3000):
-    """The tf-idf vectorizer of one split, fit on its train docs, or on
-    train and test docs together when ``fit_on_all``."""
-    return TfidfVectorizer(max_features=max_features).fit(
-        train_docs + test_docs if fit_on_all else train_docs)
+def fit_vocabulary(part, *, fit_on_all=False, max_features=3000):
+    """The tf-idf vectorizer of the planned split ``part``, fit on its train
+    docs, or on train and test docs together when ``fit_on_all``."""
+    docs = part.train.records + part.test.records if fit_on_all else part.train.records
+    return TfidfVectorizer(max_features=max_features).fit(docs)
 
 
-def evaluate_specs(specs, corpus, stopwords, plan, *, fit_on_all=False,
-                   max_features=3000, strip_punct=False):
-    """Fit and score every classifier spec on every split of ``plan``;
-    returns one RunAggregate per spec. The corpus is preprocessed once,
-    and each split's tf-idf matrices (train-only vocabulary unless
-    ``fit_on_all``) are built once and shared by all specs."""
-    docs_of = dict(zip(corpus, preprocess_corpus(corpus, stopwords, strip_punct)))
+def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=3000):
+    """Fit and score every classifier spec on every split of ``plan``, a plan
+    of preprocessed documents; returns one RunAggregate per spec. Each
+    split's tf-idf matrices (train-only vocabulary unless ``fit_on_all``)
+    are built once and shared by all specs."""
     cms = [[] for _ in specs]
     for part in plan:
-        train_docs = [docs_of[r] for r in part.train]
-        test_docs = [docs_of[r] for r in part.test]
-        if not train_docs:
+        if not part.train:
             raise EmptyCorpusError("empty training partition")
-        vectorizer = fit_vocabulary(train_docs, test_docs, fit_on_all=fit_on_all,
-                                    max_features=max_features)
-        X_train = vectorizer.transform(train_docs)
-        X_test = vectorizer.transform(test_docs)
+        vectorizer = fit_vocabulary(part, fit_on_all=fit_on_all, max_features=max_features)
+        X_train = vectorizer.transform(part.train)
+        X_test = vectorizer.transform(part.test)
         y_train, y_test = part.train.labels(), part.test.labels()
         for spec, spec_cms in zip(specs, cms):
             model = make_classifier(spec, seed=part.train_seed(spec.kind))
@@ -259,7 +254,7 @@ def evaluate_once(spec, corpus, stopwords, *, train_ratio=0.8, fit_on_all=False,
     """Run the full pipeline once on the one split of a repeated-protocol
     plan at ``seed``: preprocess, vectorize (train-only vocabulary unless
     ``fit_on_all``), train, score the held-out part."""
-    plan = plan_splits(corpus, "repeated", seed, runs=1, train_ratio=train_ratio)
-    (agg,) = evaluate_specs([spec], corpus, stopwords, plan, fit_on_all=fit_on_all,
-                            max_features=max_features, strip_punct=strip_punct)
+    docs = preprocess_corpus(corpus, stopwords, strip_punct)
+    plan = plan_splits(docs, "repeated", seed, runs=1, train_ratio=train_ratio)
+    (agg,) = evaluate_specs([spec], plan, fit_on_all=fit_on_all, max_features=max_features)
     return agg.pooled_confusion, agg.per_run[0]

@@ -64,6 +64,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="max_featurs"):
             parse_config_file(path)
 
+    def test_has_header_is_unknown_key(self, tmp_path, capsys):
+        # the header is recognised from the dataset's first line instead
+        path = tmp_path / "old.cfg"
+        path.write_text("has_header = false\n", encoding="utf-8")
+        assert main(["compare", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "config error: unknown config key 'has_header'\n"
+
     def test_unknown_classifier_param_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("knn.neighbors = 5\n", encoding="utf-8")
@@ -194,39 +201,52 @@ CORRUPT_TFIDF_TERMS = {
                              "parameters.terms: "),
 }
 
-CORRUPT_ARTIFACTS = {
-    **{f"model-no-{key}": ("model_knn.json", _drop(key))
-       for key in ("kind", "hyperparams", "dimension", "parameters")},
-    **{f"tfidf-no-{key}": ("tfidf.json", _drop(key, "parameters"))
-       for key in ("N", "df", "terms")},
-    "tfidf-no-max_features": ("tfidf.json", _drop("max_features", "hyperparams")),
-    "k-zero": ("model_knn.json", lambda doc: doc["hyperparams"].update(k=0)),
-    "k-above-rows": ("model_knn.json", lambda doc: doc["hyperparams"].update(k=10**6)),
-    "unknown-hyperparam": ("model_knn.json", lambda doc: doc["hyperparams"].update(seed=0)),
-    "infinite-hyperparam": ("model_logistic_regression.json",
-                            lambda doc: doc["hyperparams"].update(lr=float("inf"))),
-    "dimension-off": ("model_knn.json",
-                      lambda doc: doc.update(dimension=doc["dimension"] + 1)),
-    "short-labels": ("model_knn.json", lambda doc: doc["parameters"]["labels"].pop()),
-    "label-out-of-range": ("model_knn.json",
-                           lambda doc: doc["parameters"]["labels"].insert(0, 3)
-                           or doc["parameters"]["labels"].pop()),
-    "nan-coef": ("model_logistic_regression.json",
-                 lambda doc: doc["parameters"]["coef"][1].__setitem__(0, float("nan"))),
-    "tfidf-max_features-zero": ("tfidf.json",
-                                lambda doc: doc["hyperparams"].update(max_features=0)),
-    "tfidf-dimension-off": ("tfidf.json",
-                            lambda doc: doc.update(dimension=doc["dimension"] + 1)),
-    "tfidf-duplicate-terms": ("tfidf.json", lambda doc: doc["parameters"]["terms"].__setitem__(
-        1, doc["parameters"]["terms"][0])),
-    "tfidf-negative-N": ("tfidf.json", lambda doc: doc["parameters"].update(N=-3)),
-    "tfidf-df-above-N": ("tfidf.json", lambda doc: doc["parameters"]["df"].__setitem__(
-        0, doc["parameters"]["N"] + 1)),
-    "tfidf-parent-layout": ("tfidf.json", _parent_tfidf_layout),
-    **{case: ("model_naive_bayes.json", corrupt)
-       for case, (corrupt, _) in CORRUPT_NB_MODELS.items()},
-    **{case: ("tfidf.json", corrupt) for case, (corrupt, _) in CORRUPT_TFIDF_TERMS.items()},
-}
+
+def merge_cases(*tables):
+    """One case table from the dicts ``tables``. An id in two of them raises at
+    import, instead of the later case silently replacing the earlier one."""
+    merged = {}
+    for table in tables:
+        for case, value in table.items():
+            if case in merged:
+                raise ValueError(f"case id {case!r} is given twice")
+            merged[case] = value
+    return merged
+
+
+CORRUPT_ARTIFACTS = merge_cases(
+    {f"model-no-{key}": ("model_knn.json", _drop(key))
+     for key in ("kind", "hyperparams", "dimension", "parameters")},
+    {f"tfidf-no-{key}": ("tfidf.json", _drop(key, "parameters")) for key in ("N", "df", "terms")},
+    {
+        "tfidf-no-max_features": ("tfidf.json", _drop("max_features", "hyperparams")),
+        "k-zero": ("model_knn.json", lambda doc: doc["hyperparams"].update(k=0)),
+        "k-above-rows": ("model_knn.json", lambda doc: doc["hyperparams"].update(k=10**6)),
+        "unknown-hyperparam": ("model_knn.json", lambda doc: doc["hyperparams"].update(seed=0)),
+        "infinite-hyperparam": ("model_logistic_regression.json",
+                                lambda doc: doc["hyperparams"].update(lr=float("inf"))),
+        "dimension-off": ("model_knn.json",
+                          lambda doc: doc.update(dimension=doc["dimension"] + 1)),
+        "short-labels": ("model_knn.json", lambda doc: doc["parameters"]["labels"].pop()),
+        "label-out-of-range": ("model_knn.json",
+                               lambda doc: doc["parameters"]["labels"].insert(0, 3)
+                               or doc["parameters"]["labels"].pop()),
+        "nan-coef": ("model_logistic_regression.json",
+                     lambda doc: doc["parameters"]["coef"][1].__setitem__(0, float("nan"))),
+        "tfidf-max_features-zero": ("tfidf.json",
+                                    lambda doc: doc["hyperparams"].update(max_features=0)),
+        "tfidf-dimension-off": ("tfidf.json",
+                                lambda doc: doc.update(dimension=doc["dimension"] + 1)),
+        "tfidf-duplicate-terms": ("tfidf.json", lambda doc: doc["parameters"]["terms"].__setitem__(
+            1, doc["parameters"]["terms"][0])),
+        "tfidf-negative-N": ("tfidf.json", lambda doc: doc["parameters"].update(N=-3)),
+        "tfidf-df-above-N": ("tfidf.json", lambda doc: doc["parameters"]["df"].__setitem__(
+            0, doc["parameters"]["N"] + 1)),
+        "tfidf-parent-layout": ("tfidf.json", _parent_tfidf_layout),
+    },
+    {case: ("model_naive_bayes.json", corrupt) for case, (corrupt, _) in CORRUPT_NB_MODELS.items()},
+    {case: ("tfidf.json", corrupt) for case, (corrupt, _) in CORRUPT_TFIDF_TERMS.items()},
+)
 
 
 def edit_staged_row(dataset, tmp_path, artifact, edit):

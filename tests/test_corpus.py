@@ -48,10 +48,18 @@ class TestLoadCsv:
 
     def test_file_without_header(self, tmp_path):
         path = write_rows(
-            tmp_path / "data.csv", [["acha", "positive"]], header=None
+            tmp_path / "data.csv", [["acha", "positive"], ["bura", "negative"]], header=None
         )
-        corpus = load_csv(path, has_header=False)
-        assert len(corpus) == 1
+        corpus = load_csv(path)
+        assert [r.text for r in corpus] == ["acha", "bura"]
+        assert [r.row_id for r in corpus] == [0, 1]
+
+    @pytest.mark.parametrize("header", [("comment", "sentiment"), ("comment",),
+                                        ("", "positive"), ("text", "label", "positive")])
+    def test_line_1_is_header_when_not_a_data_row(self, tmp_path, header):
+        path = write_rows(tmp_path / "data.csv", [["acha", "positive"]], header=header)
+        corpus = load_csv(path)
+        assert [(r.text, r.row_id) for r in corpus] == [("acha", 0)]
 
     def test_quoted_comma_fields(self, tmp_path):
         path = write_rows(

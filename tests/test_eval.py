@@ -13,6 +13,7 @@ from rusent import (
     kfold,
     metrics,
     plan_splits,
+    preprocess_corpus,
     split,
 )
 from rusent.preprocess import StopWordList
@@ -227,8 +228,8 @@ class TestEvaluateOnce:
 
 def evaluate_one(spec, corpus, stopwords, protocol, seed, **plan_options):
     """The RunAggregate of ``spec`` alone on the plan of ``protocol``."""
-    plan = plan_splits(corpus, protocol, seed, **plan_options)
-    return evaluate_specs([spec], corpus, stopwords, plan)[0]
+    plan = plan_splits(preprocess_corpus(corpus, stopwords), protocol, seed, **plan_options)
+    return evaluate_specs([spec], plan)[0]
 
 
 class TestEvaluateRepeated:
@@ -323,12 +324,11 @@ class TestEvaluateSpecs:
     def test_shared_features_match_single_spec_runs(self, protocol, fit_on_all):
         # Every spec is fitted on the same X_train/X_test: an estimator that
         # changed its input would change the results of the specs after it.
-        corpus = three_class_corpus(60, seed=6)
-        stopwords = default_stopwords()
-        plan = plan_splits(corpus, protocol, 3, runs=3, folds=4)
-        shared = evaluate_specs(self.SPECS, corpus, stopwords, plan, fit_on_all=fit_on_all)
+        docs = preprocess_corpus(three_class_corpus(60, seed=6), default_stopwords())
+        plan = plan_splits(docs, protocol, 3, runs=3, folds=4)
+        shared = evaluate_specs(self.SPECS, plan, fit_on_all=fit_on_all)
         for spec, agg in zip(self.SPECS, shared):
-            (own,) = evaluate_specs([spec], corpus, stopwords, plan, fit_on_all=fit_on_all)
+            (own,) = evaluate_specs([spec], plan, fit_on_all=fit_on_all)
             assert agg.per_run == own.per_run
             assert agg.seeds == own.seeds
             np.testing.assert_array_equal(agg.pooled_confusion, own.pooled_confusion)
