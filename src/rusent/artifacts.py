@@ -15,7 +15,6 @@ import os
 from contextlib import contextmanager, suppress
 
 import numpy as np
-import scipy.sparse as sp
 
 from .exceptions import ArtifactError, MalformedRowError, NotFittedError
 
@@ -101,6 +100,7 @@ def encode_value(codec, value):
 
 def _decode(codec, raw):
     if codec == CSR:
+        import scipy.sparse as sp  # here, so that a stage reading no matrix never loads it
         data, indices, indptr, shape = fields(raw, ("data", "indices", "indptr", "shape"))
         value = sp.csr_matrix(
             (_decode(FLOATS, data), _decode(INTS, indices), _decode(INTS, indptr)),

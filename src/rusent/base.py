@@ -9,7 +9,6 @@ relies on those conventions, without this package depending on scikit-learn.
 import numbers
 
 import numpy as np
-import scipy.sparse as sp
 
 from .artifacts import FLOATS
 from .exceptions import DivergedError, NotFittedError
@@ -77,6 +76,7 @@ def check_is_fitted(estimator, *attributes):
 def check_feature_matrix(X):
     """Coerce ``X`` to a float64 CSR matrix with canonical (sorted) indices;
     NaN or infinite entries raise ValueError."""
+    import scipy.sparse as sp  # here, so that a stage reading no matrix never loads it
     if sp.issparse(X):
         X = X.tocsr()
         if X.dtype != np.float64:

@@ -155,7 +155,7 @@ def kfold(corpus, k, seed):
     (the first ``n mod k`` folds carry the extra record)."""
     n = len(corpus)
     if not 2 <= k <= n:
-        raise ValueError(f"k must be in [2, {n}], got {k}")
+        raise ValueError(f"folds must be in [2, {n}], got {k}")
     folds = np.array_split(np.random.default_rng(seed).permutation(n), k)
     trains = (np.concatenate(folds[:f] + folds[f + 1:]) for f in range(k))
     return [SplitResult(Corpus(tuple(corpus[i] for i in train)),

@@ -10,7 +10,6 @@ corpus frequency are kept, ties broken lexicographically ascending.
 from collections import Counter
 
 import numpy as np
-import scipy.sparse as sp
 
 from .artifacts import INTS, TERMS, from_payload, read_json, to_payload, write_csv, write_json
 from .base import AT_LEAST_ONE, BaseEstimator, check_is_fitted
@@ -84,6 +83,7 @@ class TfidfVectorizer(BaseEstimator):
     def transform(self, docs):
         """Row i is the l2-normalized tf-idf vector of docs[i]; out-of-vocabulary
         tokens are ignored and fully out-of-vocabulary docs come out all-zero."""
+        import scipy.sparse as sp  # here, so that a stage reading no matrix never loads it
         check_is_fitted(self, "vocabulary_")
         indptr = [0]
         indices = []

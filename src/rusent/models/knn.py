@@ -31,7 +31,7 @@ class KNeighborsClassifier(ClassifierBase):
     def _check_fitted(self):
         check_labels(self.y_)
         if self.k > self.X_.shape[0]:
-            raise ValueError(f"k must be in [1, {self.X_.shape[0]}], got {self.k}")
+            raise ValueError(f"knn.k must be in [1, {self.X_.shape[0]}], got {self.k}")
 
     def _votes(self, X):
         """Per-class vote counts among the k nearest training rows of each

@@ -2,7 +2,6 @@
 mean cross-entropy loss, mini-batch stochastic gradient descent."""
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..artifacts import FLOATS
 from ..base import (AT_LEAST_ONE, COUNT, N_CLASSES, POSITIVE, ClassifierBase, softmax,
@@ -10,26 +9,36 @@ from ..base import (AT_LEAST_ONE, COUNT, N_CLASSES, POSITIVE, ClassifierBase, so
 from ..exceptions import DivergedError
 
 
-def compact(X, start, stop):
-    """Rows ``start:stop`` of the CSR matrix ``X`` over only the columns they
-    use: (rows, cols), where column j of ``rows`` is column cols[j] of ``X``."""
-    lo, hi = X.indptr[start], X.indptr[stop]
-    cols, inverse = np.unique(X.indices[lo:hi], return_inverse=True)
-    return sp.csr_matrix((X.data[lo:hi], inverse, X.indptr[start : stop + 1] - lo),
-                         shape=(stop - start, cols.size)), cols
+def compact(data, indices, indptr, start, stop):
+    """Rows ``start:stop`` of the CSR matrix with arrays (data, indices, indptr)
+    over only the columns they use: the rows' (data, indices, indptr) and cols,
+    where column j of the rows is column cols[j] of the matrix."""
+    lo, hi = indptr[start], indptr[stop]
+    cols, inverse = np.unique(indices[lo:hi], return_inverse=True)
+    return data[lo:hi], inverse.astype(indptr.dtype), indptr[start : stop + 1] - lo, cols
 
 
-def batch_gradients(W1T, b1, W2, b2, X, cols, y):
-    """Mean cross-entropy on the rows of ``X`` and its gradients, (loss, gW1T,
-    gb1, gW2, gb2). ``X`` holds only the feature columns ``cols`` its rows use
-    (``compact``), the hidden weights ``W1T`` are feature-major, shape (V, H),
-    and ``gW1T`` holds only the gradient rows ``cols`` (the rest are zero)."""
-    z1 = X @ W1T[cols] + b1
+def batch_gradients(W1T, b1, W2, b2, data, indices, indptr, cols, y):
+    """Mean cross-entropy on the CSR rows (data, indices, indptr) and its
+    gradients, (loss, gW1T, gb1, gW2, gb2). The rows hold only the feature
+    columns ``cols`` they use (``compact``), the hidden weights ``W1T`` are
+    feature-major, shape (V, H), and ``gW1T`` holds only the gradient rows
+    ``cols`` (the rest are zero)."""
+    # The compiled kernels behind `csr_matrix @ dense` and `csr_matrix.T @ dense`,
+    # called on the raw arrays: building the two CSR objects costs far more than
+    # the products. The module is private; tests/test_mlp.py pins them to `@`.
+    from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
+    n, m, H = indptr.size - 1, cols.size, b1.size
+    z1 = np.zeros((n, H))
+    csr_matvecs(n, m, H, indptr, indices, data, W1T[cols].ravel(), z1.ravel())
+    z1 += b1
     a1 = np.maximum(0.0, z1)
     loss, delta2 = softmax_cross_entropy(a1 @ W2.T + b2, y)
-    delta2 /= X.shape[0]
+    delta2 /= n
     delta1 = (delta2 @ W2) * (z1 > 0.0)
-    return loss, X.T @ delta1, delta1.sum(axis=0), delta2.T @ a1, delta2.sum(axis=0)
+    gW1T = np.zeros((m, H))
+    csc_matvecs(m, n, H, indptr, indices, data, delta1.ravel(), gW1T.ravel())
+    return loss, gW1T, delta1.sum(axis=0), delta2.T @ a1, delta2.sum(axis=0)
 
 
 def mlp_objective(params, X, y):
@@ -40,8 +49,8 @@ def mlp_objective(params, X, y):
     (3, H). Returns (loss, (gW1, gb1, gW2, gb2)).
     """
     W1, b1, W2, b2 = params
-    rows, cols = compact(X, 0, X.shape[0])
-    loss, gW1T, gb1, gW2, gb2 = batch_gradients(W1.T, b1, W2, b2, rows, cols, y)
+    *batch, cols = compact(X.data, X.indices, X.indptr, 0, X.shape[0])
+    loss, gW1T, gb1, gW2, gb2 = batch_gradients(W1.T, b1, W2, b2, *batch, cols, y)
     gW1 = np.zeros_like(W1)
     gW1[:, cols] = gW1T.T
     return loss, (gW1, gb1, gW2, gb2)
@@ -87,19 +96,23 @@ class MLPClassifier(ClassifierBase):
         rng = np.random.default_rng(self.seed)
         W1, b1, W2, b2 = init_params(V, self.hidden_units, rng)
         W1T = np.ascontiguousarray(W1.T)
-        every_row = compact(X, 0, n)
+        every_row = compact(X.data, X.indices, X.indptr, 0, n)
         start_loss = batch_gradients(W1T, b1, W2, b2, *every_row, y)[0]
+        row_nnz = np.diff(X.indptr)
         curve = []
         for _ in range(self.epochs):
-            # one shuffled copy per epoch, so each mini-batch is a contiguous row slice
+            # the rows, shuffled, as CSR arrays: each mini-batch is a contiguous slice
             order = rng.permutation(n)
-            X_epoch, y_epoch = X[order], y[order]
+            indptr = np.zeros_like(X.indptr)
+            np.cumsum(row_nnz[order], out=indptr[1:])
+            at = np.repeat(X.indptr[order] - indptr[:-1], row_nnz[order]) + np.arange(indptr[-1])
+            data, indices, y_epoch = X.data[at], X.indices[at], y[order]
             batch_losses = []
             for start in range(0, n, self.batch_size):
                 stop = min(start + self.batch_size, n)
-                rows, cols = compact(X_epoch, start, stop)
+                *batch, cols = compact(data, indices, indptr, start, stop)
                 loss, gW1T, gb1, gW2, gb2 = batch_gradients(
-                    W1T, b1, W2, b2, rows, cols, y_epoch[start:stop])
+                    W1T, b1, W2, b2, *batch, cols, y_epoch[start:stop])
                 W2 -= self.lr * gW2
                 b2 -= self.lr * gb2
                 W1T[cols, :] -= self.lr * gW1T

@@ -332,6 +332,22 @@ class TestCliExitCodes:
         assert last.startswith("error: mlp training diverged (final loss 25003.69")
         assert ", starting loss 1.10" in last
 
+    @pytest.mark.parametrize(
+        "n_records, lines, message",
+        [(30, "protocol = kfold\nfolds = 40\n", "folds must be in [2, 30], got 40"),
+         (90, "runs = 1\nknn.k = 500\n", "knn.k must be in [1, 72], got 500")],
+        ids=["folds", "knn.k"],
+    )
+    def test_setting_too_large_for_the_corpus_names_its_key(
+        self, tmp_path, capsys, n_records, lines, message
+    ):
+        # both are checked against the data, not at config time
+        data = write_dataset(tmp_path / "data.csv", three_class_corpus(n_records, seed=8))
+        path = tmp_path / "big.cfg"
+        path.write_text(f"dataset = {data}\nout = {tmp_path / 'out'}\n{lines}", encoding="utf-8")
+        assert main(["compare", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+
     def test_removed_top_level_allow_missing_class_exits_2(self, dataset, tmp_path):
         path = tmp_path / "old.cfg"
         path.write_text(f"dataset = {dataset}\nallow_missing_class = true\n",

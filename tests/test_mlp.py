@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from rusent import MLPClassifier, TfidfVectorizer, preprocess_corpus
 from rusent.base import softmax_cross_entropy
 from rusent.exceptions import DivergedError, NotFittedError
-from rusent.models.mlp import init_params, mlp_objective
+from rusent.models.mlp import batch_gradients, compact, init_params, mlp_objective
 from rusent.preprocess import default_stopwords
 
 from conftest import central_diff, random_tfidf_instance, relative_error, three_class_corpus
@@ -130,6 +131,81 @@ class TestExactBatches:
         for want, fitted in zip(params, got):
             assert np.array_equal(fitted, want)
         assert model.loss_curve_ == curve
+
+
+def kernel_batch(case):
+    """(matrix, start, stop, hidden units) of one kernel-oracle batch."""
+    X, _ = random_tfidf_instance(50, n_docs=12, vocab_size=20, doc_len=5)
+    if case == "emptied_row":
+        X.data[X.indptr[4] : X.indptr[5]] = 0.0
+        X.eliminate_zeros()
+        return X, 2, 9, 6
+    if case == "every_row_empty":
+        return sp.csr_matrix(X.shape), 0, 5, 6
+    if case == "single_row":
+        return X, 7, 8, 6
+    if case == "int64_indices":
+        X.indices, X.indptr = X.indices.astype(np.int64), X.indptr.astype(np.int64)
+        return X, 3, 12, 6
+    return X, 0, 12, 1  # one hidden unit: `@` takes its matrix-vector path
+
+
+class TestSparseKernels:
+    """``batch_gradients`` runs its two sparse products through scipy's
+    compiled CSR kernels on the batch's raw arrays; each must equal scipy's
+    public ``@`` on the same batch bit for bit. A scipy release that changes
+    or moves the kernels fails here."""
+
+    @pytest.mark.parametrize("case", ["emptied_row", "every_row_empty", "single_row",
+                                      "int64_indices", "one_hidden_unit"])
+    def test_products_equal_csr_matmul(self, monkeypatch, case):
+        X, start, stop, H = kernel_batch(case)
+        data, indices, indptr, cols = compact(X.data, X.indices, X.indptr, start, stop)
+        assert indices.dtype == indptr.dtype == X.indptr.dtype
+        assert (cols.size == 0) == (case == "every_row_empty")
+        rng = np.random.default_rng(7)
+        W1T = rng.normal(size=(X.shape[1], H))
+        W2, b2 = rng.normal(size=(3, H)), rng.normal(size=3)
+        b1 = rng.normal(size=H)
+        y = rng.integers(0, 3, size=stop - start)
+        seen = {}
+
+        def spy(name, kernel):
+            def call(*args):
+                kernel(*args)
+                seen[name] = args[-2].copy(), args[-1].copy()  # (dense input, output)
+            return call
+
+        for name in ("csr_matvecs", "csc_matvecs"):
+            monkeypatch.setattr(_sparsetools, name, spy(name, getattr(_sparsetools, name)))
+        gW1T = batch_gradients(W1T, b1, W2, b2, data, indices, indptr, cols, y)[1]
+        monkeypatch.undo()
+        rows = sp.csr_matrix((data, indices, indptr), shape=(stop - start, cols.size))
+        weights, z1 = seen["csr_matvecs"]
+        delta1, out = seen["csc_matvecs"]
+        assert np.array_equal(weights, W1T[cols].ravel())
+        assert np.array_equal(z1.reshape(-1, H), rows @ W1T[cols])
+        assert np.array_equal(out.reshape(-1, H), rows.T @ delta1.reshape(-1, H))
+        assert np.array_equal(gW1T, out.reshape(-1, H))
+
+    def test_no_sparse_matrix_built_per_epoch(self, monkeypatch):
+        X, y = random_tfidf_instance(3, n_docs=30, vocab_size=12, doc_len=4)
+        built = []
+
+        def counting(init):
+            def __init__(self, *args, **kwargs):
+                built.append(type(self).__name__)
+                init(self, *args, **kwargs)
+            return __init__
+
+        for cls in (sp.csr_matrix, sp.csc_matrix):
+            monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+        counts = []
+        for epochs in (0, 3):
+            built.clear()
+            MLPClassifier(hidden_units=4, epochs=epochs, batch_size=4).fit(X, y)
+            counts.append(len(built))
+        assert counts[0] == counts[1]
 
 
 class TestTraining:
