@@ -53,9 +53,10 @@ def write_csv(path, header, rows):
 def csv_rows(path, has_header=True):
     """Yield (line, fields) for each non-blank row of the CSV file at ``path``,
     skipping the first row if ``has_header``; ``line`` is where the row
-    starts. An unparseable row raises MalformedRowError naming that line,
-    and bytes that are not UTF-8 raise one naming the file."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    starts; a leading UTF-8 byte-order mark is skipped. An unparseable row
+    raises MalformedRowError naming that line, and bytes that are not UTF-8
+    raise one naming the file."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         line = 1
         try:
@@ -140,12 +141,19 @@ def decode_value(key, codec, raw, axes, sizes):
     return value.item() if value.ndim == 0 else value
 
 
+def check_is_fitted(obj):
+    """Raise NotFittedError unless ``obj`` has an ``n_features_``: a fit sets it
+    last, and a classifier's fit clears it before training, so a diverged fit
+    leaves none."""
+    if getattr(obj, "n_features_", None) is None:
+        raise NotFittedError(f"{type(obj).__name__} is not fitted; call fit() first")
+
+
 def to_payload(obj):
     """The JSON payload of the fitted ``obj``: its ``kind``, ``hyperparams``,
     ``dimension`` and, under ``parameters``, the attributes its ``fitted``
     rows declare."""
-    if getattr(obj, "n_features_", None) is None:  # never fitted, or its fit was refused
-        raise NotFittedError(f"{type(obj).__name__} is not fitted; call fit() first")
+    check_is_fitted(obj)
     return {
         "kind": obj.kind,
         "hyperparams": obj.get_params(),

@@ -10,8 +10,8 @@ import numbers
 
 import numpy as np
 
-from .artifacts import FLOATS
-from .exceptions import DivergedError, NotFittedError
+from .artifacts import FLOATS, check_is_fitted
+from .exceptions import DivergedError
 
 N_CLASSES = 3
 
@@ -65,33 +65,24 @@ class BaseEstimator:
         return f"{type(self).__name__}({args})"
 
 
-def check_is_fitted(estimator, *attributes):
-    for attr in attributes:
-        if getattr(estimator, attr, None) is None:
-            raise NotFittedError(
-                f"{type(estimator).__name__} is not fitted; call fit() first"
-            )
-
-
-def check_feature_matrix(X):
-    """Coerce ``X`` to a float64 CSR matrix with canonical (sorted) indices;
-    NaN or infinite entries raise ValueError."""
+def check_feature_matrix(X, n_features=None):
+    """``X``, any scipy sparse matrix or 2-D array, as a float64 CSR matrix with
+    sorted indices and no duplicates. The caller's arrays are never rewritten:
+    a result that needs sorting or summing is a copy. Raises ValueError for
+    input that is not 2-D, a NaN or infinite entry, or a width other than
+    ``n_features`` when that is given."""
     import scipy.sparse as sp  # here, so that a stage reading no matrix never loads it
-    if sp.issparse(X):
-        X = X.tocsr()
-        if X.dtype != np.float64:
-            X = X.astype(np.float64)
+    if np.ndim(X) != 2:
+        raise ValueError(f"feature matrix must be 2-D, got {np.ndim(X)}-D")
+    X = sp.csr_matrix(X, dtype=np.float64)  # may share the input's arrays
+    if not X.has_canonical_format:
+        X = X.copy()
         X.sum_duplicates()
-        X.sort_indices()
-    else:
-        arr = np.asarray(X, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        if arr.ndim != 2:
-            raise ValueError(f"feature matrix must be 2-D, got {arr.ndim}-D")
-        X = sp.csr_matrix(arr)
     if not np.isfinite(X.data).all():
         raise ValueError("feature matrix has a non-finite (NaN or infinite) entry")
+    if n_features is not None and X.shape[1] != n_features:
+        raise ValueError(f"dimension mismatch: input has {X.shape[1]} features, "
+                         f"model expects {n_features}")
     return X
 
 
@@ -105,14 +96,6 @@ def check_labels(y, n_rows=None, name="labels"):
     if not np.isin(y, np.arange(N_CLASSES)).all():
         raise ValueError(f"{name} must be class codes in [0, {N_CLASSES})")
     return y.astype(np.int64)
-
-
-def check_dimension(X, n_features):
-    if X.shape[1] != n_features:
-        raise ValueError(
-            f"dimension mismatch: input has {X.shape[1]} features, "
-            f"model expects {n_features}"
-        )
 
 
 def softmax(logits):
@@ -203,7 +186,5 @@ class ClassifierBase(BaseEstimator):
         return np.argmax(self.decision_scores(X), axis=1).astype(np.int64)
 
     def _validate_input(self, X):
-        check_is_fitted(self, "n_features_")
-        X = check_feature_matrix(X)
-        check_dimension(X, self.n_features_)
-        return X
+        check_is_fitted(self)
+        return check_feature_matrix(X, self.n_features_)

@@ -69,7 +69,7 @@ def _convert(key, raw, target_type):
 def parse_config_file(path):
     """Parse a config file into a RunConfig (file values over defaults)."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None

@@ -31,9 +31,13 @@ def confusion_matrix(y_true, y_pred):
 
 
 def _check_matrix(cm):
-    cm = np.asarray(cm, dtype=np.int64)
+    """``cm`` as int64 counts; a cell that is not a whole number is refused, not truncated."""
+    cm = np.asarray(cm)
     if cm.shape != (N_CLASSES, N_CLASSES):
         raise ValueError(f"confusion matrix must be {N_CLASSES}x{N_CLASSES}")
+    if not (np.isfinite(cm) & (np.floor(cm) == cm)).all():
+        raise ValueError("confusion matrix cells must be whole numbers")
+    cm = cm.astype(np.int64)
     if cm.min() < 0:
         raise ValueError("confusion matrix cells must be non-negative")
     if cm.sum() < 1:
@@ -186,7 +190,7 @@ def train_seed(seed, kind, fold=None):
 @dataclass(frozen=True)
 class PlannedSplit:
     """One train/test split of a run. A repeated-protocol run reports
-    ``seed``; fold i reports the seed that trains each kind on it."""
+    ``seed``; fold i reports the seed each kind's model trained with on it."""
 
     train: Corpus
     test: Corpus
@@ -200,8 +204,11 @@ class PlannedSplit:
     def train_seed(self, kind):
         return train_seed(self.seed, kind, self.fold)
 
-    def reported_seed(self, kind):
-        return self.seed if self.fold is None else self.train_seed(kind)
+    def reported_seed(self, kind, trained_with=None):
+        """``trained_with``: the seed the kind's model trained with, None if it has none."""
+        if self.fold is None:
+            return self.seed
+        return self.train_seed(kind) if trained_with is None else trained_with
 
 
 def plan_splits(corpus, protocol, seed, *, runs=10, train_ratio=0.8, folds=10):
@@ -233,7 +240,7 @@ def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=3000):
     of preprocessed documents; returns one RunAggregate per spec. Each
     split's tf-idf matrices (train-only vocabulary unless ``fit_on_all``)
     are built once and shared by all specs."""
-    cms = [[] for _ in specs]
+    cells = [[] for _ in specs]  # per spec: (confusion matrix, reported seed) per split
     for part in plan:
         if not part.train:
             raise EmptyCorpusError("empty training partition")
@@ -241,12 +248,12 @@ def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=3000):
         X_train = vectorizer.transform(part.train)
         X_test = vectorizer.transform(part.test)
         y_train, y_test = part.train.labels(), part.test.labels()
-        for spec, spec_cms in zip(specs, cms):
+        for spec, spec_cells in zip(specs, cells):
             model = make_classifier(spec, seed=part.train_seed(spec.kind))
             model.fit(X_train, y_train)
-            spec_cms.append(confusion_matrix(y_test, model.predict(X_test)))
-    return [_aggregate(spec_cms, [part.reported_seed(spec.kind) for part in plan])
-            for spec, spec_cms in zip(specs, cms)]
+            spec_cells.append((confusion_matrix(y_test, model.predict(X_test)),
+                               part.reported_seed(spec.kind, getattr(model, "seed", None))))
+    return [_aggregate(*zip(*spec_cells)) for spec_cells in cells]
 
 
 def evaluate_once(spec, corpus, stopwords, *, train_ratio=0.8, fit_on_all=False,

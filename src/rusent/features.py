@@ -63,8 +63,8 @@ class TfidfVectorizer(BaseEstimator):
         self.document_frequency_ = np.array([df[t] for t in self.terms_], dtype=np.int64)
         self.feature_counts_ = np.array([totals[t] for t in self.terms_], dtype=np.int64)
         self.n_documents_ = len(docs)
-        self.n_features_ = len(self.terms_)
         self._check_fitted()
+        self.n_features_ = len(self.terms_)
         return self
 
     def _check_fitted(self):
@@ -84,7 +84,7 @@ class TfidfVectorizer(BaseEstimator):
         """Row i is the l2-normalized tf-idf vector of docs[i]; out-of-vocabulary
         tokens are ignored and fully out-of-vocabulary docs come out all-zero."""
         import scipy.sparse as sp  # here, so that a stage reading no matrix never loads it
-        check_is_fitted(self, "vocabulary_")
+        check_is_fitted(self)
         indptr = [0]
         indices = []
         data = []
@@ -121,7 +121,7 @@ def load_tfidf(path):
 def write_word_frequencies(model, path):
     """Dump (term, total corpus count) for the retained vocabulary as CSV,
     most frequent first."""
-    check_is_fitted(model, "vocabulary_")
+    check_is_fitted(model)
     if model.feature_counts_ is None:
         raise ValueError("word frequencies unavailable on a deserialized model")
     rows = zip(model.terms_, model.feature_counts_.tolist())

@@ -64,7 +64,7 @@ def _parse_stopword_lines(lines, source):
 def load_stopwords(path):
     """Load a stop-word file: one word per line, '#' comments, blanks ignored."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except FileNotFoundError:
         raise FileNotFoundError(f"stop-word file not found: {path}") from None

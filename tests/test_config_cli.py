@@ -71,6 +71,12 @@ class TestConfigParsing:
         assert main(["compare", "--config", str(path)]) == 2
         assert capsys.readouterr().err == "config error: unknown config key 'has_header'\n"
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_text("\ufeffdataset = data.csv\nseed = 3\n", encoding="utf-8")
+        config = parse_config_file(path)
+        assert (config.dataset, config.seed) == ("data.csv", 3)
+
     def test_unknown_classifier_param_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("knn.neighbors = 5\n", encoding="utf-8")
@@ -666,3 +672,19 @@ mlp.epochs = 3
         for entry in payload["classifiers"].values():
             assert entry["runs"] == 5
             assert int(np.array(entry["pooled_confusion"]).sum()) == 90
+
+    def test_kfold_seeds_are_the_ones_the_models_trained_with(self, dataset, tmp_path):
+        # metrics.json reports, per fold, the seed each kind's model trained with
+        seeds = {}
+        for seed in (5, 6):
+            out = tmp_path / f"mlp-seed-{seed}"
+            cfg = tmp_path / f"kfold-{seed}.cfg"
+            cfg.write_text(f"dataset = {dataset}\nout = {out}\nprotocol = kfold\nfolds = 3\n"
+                           f"logistic_regression.epochs = 5\nlinear_svm.epochs = 5\n"
+                           f"mlp.epochs = 3\nmlp.seed = {seed}\n", encoding="utf-8")
+            assert main(["compare", "--config", str(cfg)]) == 0
+            payload = json.loads((out / "metrics.json").read_text())
+            seeds[seed] = {kind: entry["seeds"] for kind, entry in payload["classifiers"].items()}
+        assert seeds[5].pop("mlp") == [5, 5, 5]
+        assert seeds[6].pop("mlp") == [6, 6, 6]
+        assert seeds[5] == seeds[6]

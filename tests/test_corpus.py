@@ -54,6 +54,13 @@ class TestLoadCsv:
         assert [r.text for r in corpus] == ["acha", "bura"]
         assert [r.row_id for r in corpus] == [0, 1]
 
+    @pytest.mark.parametrize("header", [None, ("comment", "sentiment")])
+    def test_byte_order_mark_is_skipped(self, tmp_path, header):
+        path = write_rows(tmp_path / "data.csv", [["acha drama", "positive"]], header=header)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        corpus = load_csv(path)
+        assert [(r.text, r.row_id) for r in corpus] == [("acha drama", 0)]
+
     @pytest.mark.parametrize("header", [("comment", "sentiment"), ("comment",),
                                         ("", "positive"), ("text", "label", "positive")])
     def test_line_1_is_header_when_not_a_data_row(self, tmp_path, header):

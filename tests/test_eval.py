@@ -122,6 +122,16 @@ class TestAccuracy:
         with pytest.raises(ValueError):
             accuracy(np.zeros((3, 3), dtype=int))
 
+    @pytest.mark.parametrize("cell", [2.7, 0.5, np.nan, np.inf], ids=["2.7", "0.5", "nan", "inf"])
+    def test_cell_that_is_not_a_count_rejected(self, cell):
+        # a fractional cell is refused, not truncated to a count
+        cm = [[2.0, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert accuracy(cm) == metrics(cm).accuracy == 1.0
+        cm[0][0] = cell
+        for score in (accuracy, metrics):
+            with pytest.raises(ValueError, match="^confusion matrix cells must be whole numbers$"):
+                score(cm)
+
 
 class TestMetrics:
     def test_reference_svm_class0(self):
@@ -304,6 +314,23 @@ class TestSplitPlan:
         assert [(f.train, f.test) for f in folds] == kfold(corpus, 3, derive_seed(4, "kfold"))
         fold_seed = derive_seed(4, "fold2:train:mlp")
         assert folds[2].train_seed("mlp") == folds[2].reported_seed("mlp") == fold_seed
+
+    @pytest.mark.parametrize("protocol", ["repeated", "kfold"])
+    def test_reported_seed_is_the_one_each_model_trained_with(self, protocol):
+        # a spec's own seed trains every fold's model, so every fold reports it;
+        # a repeated run reports its run seed either way
+        docs = preprocess_corpus(three_class_corpus(30, seed=1), default_stopwords())
+        plan = plan_splits(docs, protocol, 4, runs=2, folds=3)
+        svm = {"epochs": 2}
+        own, hashed, nb = evaluate_specs([ClassifierSpec("linear_svm", {**svm, "seed": 5}),
+                                          ClassifierSpec("linear_svm", svm),
+                                          ClassifierSpec("naive_bayes")], plan)
+        if protocol == "repeated":
+            assert own.seeds == hashed.seeds == nb.seeds == (4, 5)
+        else:
+            assert own.seeds == (5, 5, 5)
+            assert hashed.seeds == tuple(p.train_seed("linear_svm") for p in plan)
+            assert nb.seeds == tuple(p.train_seed("naive_bayes") for p in plan)
 
     def test_unknown_protocol(self):
         with pytest.raises(ValueError):

@@ -145,6 +145,92 @@ class TestUniformSurface:
         assert model.predict(X[0]).item() == 0
 
 
+def count_instance():
+    """An 18x7 int64 count matrix, a quarter of it zero, and labels (0, 1, 2) * 6."""
+    rng = np.random.default_rng(3)
+    counts = rng.integers(1, 4, size=(18, 7)) * (rng.random((18, 7)) < 0.75)
+    return counts, np.array((0, 1, 2) * 6)
+
+
+def unsorted_with_duplicates(A):
+    """The float64 CSR form of the dense ``A`` with each row's entries stored
+    in reverse column order and its first entry stored as two halves."""
+    data, indices, indptr = [], [], [0]
+    for row in A:
+        cols = np.flatnonzero(row)[::-1].tolist()
+        vals = row[cols].astype(np.float64).tolist()
+        if cols:
+            cols.append(cols[0])
+            vals[0] /= 2.0
+            vals.append(vals[0])
+        indices += cols
+        data += vals
+        indptr.append(len(indices))
+    X = sp.csr_matrix((np.array(data), np.array(indices, dtype=np.int32), np.array(indptr)),
+                      shape=A.shape)
+    assert not X.has_canonical_format
+    return X
+
+
+# Every input form of the same counts that the estimators take.
+INPUT_FORMS = {
+    "int64_csr": sp.csr_matrix,
+    "csc": lambda A: sp.csc_matrix(A.astype(np.float64)),
+    "coo": lambda A: sp.coo_matrix(A.astype(np.float64)),
+    "dense": lambda A: A.astype(np.float64),
+    "unsorted_duplicates": unsorted_with_duplicates,
+}
+
+
+@pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
+class TestFeatureMatrixInput:
+    """Each estimator takes any scipy sparse matrix or 2-D array, and never
+    rewrites the caller's arrays."""
+
+    @staticmethod
+    def fresh(kind):
+        return make_classifier(ClassifierSpec(kind, FAST_PARAMS[kind]), seed=0)
+
+    def test_caller_matrix_is_left_as_given(self, kind):
+        A, y = count_instance()
+        X = unsorted_with_duplicates(A)
+        before = [X.data.copy(), X.indices.copy(), X.indptr.copy()]
+        model = self.fresh(kind).fit(X, y)
+        model.predict(X)
+        model.decision_scores(X)
+        for got, expected in zip((X.data, X.indices, X.indptr), before, strict=True):
+            np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("form", INPUT_FORMS)
+    def test_every_input_form_predicts_as_canonical_csr(self, kind, form):
+        A, y = count_instance()
+        canonical = sp.csr_matrix(A.astype(np.float64))
+        reference = self.fresh(kind).fit(canonical, y)
+        model = self.fresh(kind).fit(INPUT_FORMS[form](A), y)
+        for X in (INPUT_FORMS[form](A), canonical):
+            np.testing.assert_array_equal(model.predict(X), reference.predict(canonical))
+            np.testing.assert_array_equal(model.decision_scores(X),
+                                          reference.decision_scores(canonical))
+
+    @pytest.mark.parametrize("X, ndim", [(np.ones(7), 1), (1.0, 0), (np.ones((2, 3, 7)), 3)],
+                             ids=["vector", "scalar", "3-D"])
+    def test_input_that_is_not_2d_refused(self, kind, X, ndim):
+        model, _, _ = fitted_model(kind)
+        message = rf"^feature matrix must be 2-D, got {ndim}-D$"
+        with pytest.raises(ValueError, match=message):
+            self.fresh(kind).fit(X, [0])
+        with pytest.raises(ValueError, match=message):
+            model.predict(X)
+
+    def test_unfitted_objects_are_not_saved(self, kind, tmp_path):
+        path = tmp_path / "unfitted.json"
+        with pytest.raises(NotFittedError):
+            save_model(classifier_class(kind)(), path)
+        with pytest.raises(NotFittedError):
+            save_tfidf(TfidfVectorizer(), path)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
     def test_identical_inputs_identical_parameters(self, kind):

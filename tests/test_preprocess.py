@@ -24,6 +24,11 @@ class TestLoadStopwords:
         assert sw.words == {"hai", "ka", "ki", "ho"}
         assert len(sw) == 4
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "sw.txt"
+        path.write_text("\ufeffhai\nka\n", encoding="utf-8")
+        assert load_stopwords(path).words == {"hai", "ka"}
+
     def test_lowercases_entries(self, tmp_path):
         path = tmp_path / "sw.txt"
         path.write_text("HAI\nhai\n", encoding="utf-8")
