@@ -8,6 +8,7 @@ corpus frequency are kept, ties broken lexicographically ascending.
 """
 
 from collections import Counter
+from itertools import repeat
 
 import numpy as np
 
@@ -85,24 +86,31 @@ class TfidfVectorizer(BaseEstimator):
         tokens are ignored and fully out-of-vocabulary docs come out all-zero."""
         import scipy.sparse as sp  # here, so that a stage reading no matrix never loads it
         check_is_fitted(self)
-        indptr = [0]
-        indices = []
-        data = []
+        ids, lengths = [], []  # column id per token (-1 out of vocabulary), tokens per doc
         for doc in docs:
-            counts = Counter(
-                self.vocabulary_[t] for t in _doc_tokens(doc) if t in self.vocabulary_
-            )
-            cols = sorted(counts)
-            row = np.array([counts[c] * self.idf_[c] for c in cols], dtype=np.float64)
-            norm = np.sqrt(np.sum(row * row))
-            if norm > 0.0:
-                row /= norm
-            indices.extend(cols)
-            data.extend(row)
-            indptr.append(len(indices))
+            before = len(ids)
+            ids.extend(map(self.vocabulary_.get, _doc_tokens(doc), repeat(-1)))
+            lengths.append(len(ids) - before)
+        ids = np.array(ids, dtype=np.int64)
+        known = ids >= 0
+        rows = np.repeat(np.arange(len(lengths)), lengths)[known]
+        width = self.n_features_
+        cells, counts = np.unique(rows * width + ids[known], return_counts=True)
+        rows, cols = np.divmod(cells, width)
+        data = counts * self.idf_[cols]
+        nnz = np.bincount(rows, minlength=len(lengths))
+        indptr = np.concatenate(([0], np.cumsum(nnz)))
+        # Each row's norm is np.sum over a contiguous run of its nnz values, as numpy
+        # sums a 1-D row (pairwise from 8 values on), so rows are summed in blocks of
+        # equal nnz. A nonempty row has a norm >= 1: every count and idf is >= 1.
+        norms = np.zeros(len(lengths))
+        for length in np.unique(nnz[nnz > 0]):
+            same = np.flatnonzero(nnz == length)
+            block = data[indptr[same, None] + np.arange(length)]
+            norms[same] = np.sqrt(np.sum(block * block, axis=1))
         return sp.csr_matrix(
-            (np.array(data, dtype=np.float64), np.array(indices, dtype=np.int32), indptr),
-            shape=(len(indptr) - 1, self.n_features_),
+            (data / np.repeat(norms, nnz), cols.astype(np.int32), indptr),
+            shape=(len(lengths), width),
         )
 
     def fit_transform(self, docs, y=None):

@@ -26,7 +26,7 @@ class KNeighborsClassifier(ClassifierBase):
         self.k = k
 
     def _fit(self, X, y):
-        self.X_, self.y_ = X, y
+        self.X_, self.y_ = X.copy(), y  # X may share the caller's arrays
 
     def _check_fitted(self):
         check_labels(self.y_)

@@ -1,8 +1,10 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rusent import TfidfVectorizer, load_tfidf, save_tfidf
 from rusent.exceptions import NotFittedError
@@ -64,6 +66,10 @@ class TestFit:
     def test_rejects_raw_strings(self):
         with pytest.raises(TypeError):
             TfidfVectorizer().fit(["acha drama"])
+
+    def test_transform_rejects_raw_strings(self, toy_docs):
+        with pytest.raises(TypeError, match="not raw strings"):
+            TfidfVectorizer().fit(toy_docs).transform(["acha drama"])
 
     def test_idf_monotone_in_df(self):
         docs = [["rare", "common"], ["common"], ["common", "mid"], ["mid"]]
@@ -141,6 +147,78 @@ class TestTransform:
         for i in range(X.shape[0]):
             idx = X.indices[X.indptr[i] : X.indptr[i + 1]]
             assert np.all(np.diff(idx) > 0)
+
+
+def per_document_transform(vec, docs):
+    """The per-document loop that ``transform`` replaced: one Counter, one sorted
+    column list and one np.sum norm per document. The reference it must equal."""
+    indptr, indices, data = [0], [], []
+    for doc in docs:
+        counts = Counter(vec.vocabulary_[t] for t in doc if t in vec.vocabulary_)
+        cols = sorted(counts)
+        row = np.array([counts[c] * vec.idf_[c] for c in cols], dtype=np.float64)
+        norm = np.sqrt(np.sum(row * row))
+        if norm > 0.0:
+            row /= norm
+        indices.extend(cols)
+        data.extend(row)
+        indptr.append(len(indices))
+    return sp.csr_matrix(
+        (np.array(data, dtype=np.float64), np.array(indices, dtype=np.int32), indptr),
+        shape=(len(indptr) - 1, vec.n_features_),
+    )
+
+
+# Distinct in-vocabulary terms per row, across numpy's pairwise-sum boundaries:
+# a plain loop below 8 values, 8-way unrolled blocks up to 128, recursive halves above.
+ORACLE_DISTINCT = [*range(1, 140), 200, 255, 256, 257, 300, 511]
+
+
+def oracle_corpus(seed):
+    """A vectorizer fitted on 300 random documents over 600 terms (so the idf
+    varies), and a shuffled batch of three documents per ORACLE_DISTINCT count,
+    each term repeated 1-3 times among out-of-vocabulary tokens, plus empty and
+    fully out-of-vocabulary documents."""
+    rng = np.random.default_rng(seed)
+    terms = [f"w{i}" for i in range(600)]
+    fit_docs = [rng.choice(terms, size=int(rng.integers(1, 40))).tolist() for _ in range(300)]
+    vec = TfidfVectorizer().fit(fit_docs)
+    docs = [[], [], ["unseen"], ["unseen", "unseen", "never"]]
+    for distinct in ORACLE_DISTINCT * 3:
+        chosen = rng.choice(vec.terms_, size=distinct, replace=False)
+        tokens = np.repeat(chosen, rng.integers(1, 4, size=distinct)).tolist()
+        tokens += ["unseen"] * int(rng.integers(0, 3))
+        docs.append([tokens[i] for i in rng.permutation(len(tokens))])
+    return vec, [docs[i] for i in rng.permutation(len(docs))]
+
+
+def assert_same_csr(got, expected):
+    assert got.shape == expected.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestTransformOracle:
+    """``transform`` equals the per-document loop bit for bit: same data bytes,
+    indices, indptr and index dtypes."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_per_document_loop(self, seed):
+        vec, docs = oracle_corpus(seed)
+        assert_same_csr(vec.transform(docs), per_document_transform(vec, docs))
+
+    def test_generator_input(self):
+        vec, docs = oracle_corpus(4)
+        got = vec.transform(TokenizedComment(i, tuple(d), 0) for i, d in enumerate(docs))
+        assert_same_csr(got, per_document_transform(vec, docs))
+
+    @pytest.mark.parametrize("docs", [[], [[]], [["unseen"]], [[], ["unseen"], []]],
+                             ids=["no-documents", "empty", "out-of-vocabulary", "all-zero"])
+    def test_batches_without_terms(self, toy_docs, docs):
+        vec = TfidfVectorizer().fit(toy_docs)
+        assert_same_csr(vec.transform(docs), per_document_transform(vec, docs))
 
 
 class TestSerialization:

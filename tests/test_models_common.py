@@ -201,6 +201,17 @@ class TestFeatureMatrixInput:
         for got, expected in zip((X.data, X.indices, X.indptr), before, strict=True):
             np.testing.assert_array_equal(got, expected)
 
+    def test_model_keeps_no_alias_of_its_input(self, kind):
+        A, y = count_instance()
+        X = sp.csr_matrix(A.astype(np.float64))  # canonical, so it may be shared as given
+        probe = X.copy()
+        model = self.fresh(kind).fit(X, y)
+        expected = model.predict(probe), model.decision_scores(probe)
+        X.data[:] = X.data[::-1]
+        X.indices[:] = 0
+        np.testing.assert_array_equal(model.predict(probe), expected[0])
+        np.testing.assert_array_equal(model.decision_scores(probe), expected[1])
+
     @pytest.mark.parametrize("form", INPUT_FORMS)
     def test_every_input_form_predicts_as_canonical_csr(self, kind, form):
         A, y = count_instance()
