@@ -1,7 +1,8 @@
 """Confusion matrices, derived metrics, and evaluation of the full
 pipeline: a split plan (``plan_splits``) fixes the repeated-run or k-fold
-splits, and one loop (``evaluate_specs``) scores classifiers on them."""
+splits, and ``evaluate_specs`` scores classifiers on them."""
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,25 +236,57 @@ def fit_vocabulary(part, *, fit_on_all=False, max_features=3000):
     return TfidfVectorizer(max_features=max_features).fit(docs)
 
 
+def _fit_predict(cell):
+    """Fit one (split, spec) cell, ``(spec, seed, X_train, y_train, X_test)``:
+    its test predictions and the seed its model trained with (None if none)."""
+    spec, seed, X_train, y_train, X_test = cell
+    model = make_classifier(spec, seed=seed)
+    model.fit(X_train, y_train)
+    return model.predict(X_test), getattr(model, "seed", None)
+
+
 def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=3000):
     """Fit and score every classifier spec on every split of ``plan``, a plan
-    of preprocessed documents; returns one RunAggregate per spec. Each
-    split's tf-idf matrices (train-only vocabulary unless ``fit_on_all``)
-    are built once and shared by all specs."""
-    cells = [[] for _ in specs]  # per spec: (confusion matrix, reported seed) per split
-    for part in plan:
-        if not part.train:
-            raise EmptyCorpusError("empty training partition")
-        vectorizer = fit_vocabulary(part, fit_on_all=fit_on_all, max_features=max_features)
-        X_train = vectorizer.transform(part.train)
-        X_test = vectorizer.transform(part.test)
-        y_train, y_test = part.train.labels(), part.test.labels()
-        for spec, spec_cells in zip(specs, cells):
-            model = make_classifier(spec, seed=part.train_seed(spec.kind))
-            model.fit(X_train, y_train)
-            spec_cells.append((confusion_matrix(y_test, model.predict(X_test)),
-                               part.reported_seed(spec.kind, getattr(model, "seed", None))))
-    return [_aggregate(*zip(*spec_cells)) for spec_cells in cells]
+    of preprocessed documents; returns one RunAggregate per spec. Each split's
+    tf-idf matrices (train-only vocabulary unless ``fit_on_all``) are built
+    once, here; its cells, one per spec, are fit in forked workers, one per
+    cell and allowed CPU, or here if that is one. They merge in plan order:
+    the results, and the first error raised, are those of a serial loop."""
+    import multiprocessing  # here, so that importing the CLI does not load it
+    import signal
+
+    parts, cells, failure = [], [], None  # the splits built; per split and spec, a cell
+    try:
+        for part in plan:
+            if not part.train:
+                raise EmptyCorpusError("empty training partition")
+            vectorizer = fit_vocabulary(part, fit_on_all=fit_on_all, max_features=max_features)
+            X_train, X_test = vectorizer.transform(part.train), vectorizer.transform(part.test)
+            y_train = part.train.labels()
+            parts.append(part)
+            cells += [(spec, part.train_seed(spec.kind), X_train, y_train, X_test)
+                      for spec in specs]
+    except ValueError as exc:  # a serial loop raises it after scoring the splits before
+        failure = exc
+    forks = "fork" in multiprocessing.get_all_start_methods() and hasattr(os, "sched_getaffinity")
+    workers = min(len(cells), len(os.sched_getaffinity(0))) if forks else 1
+    scored = [[] for _ in specs]  # per spec: (confusion matrix, reported seed) per split
+    pool = None
+    try:
+        if workers > 1:  # Ctrl-C stops this process, which then stops the workers
+            pool = multiprocessing.get_context("fork").Pool(
+                workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
+        results = (pool.imap if pool else map)(_fit_predict, cells)
+        for i, (predicted, trained_with) in enumerate(results):
+            part, spec = parts[i // len(specs)], specs[i % len(specs)]
+            scored[i % len(specs)].append((confusion_matrix(part.test.labels(), predicted),
+                                           part.reported_seed(spec.kind, trained_with)))
+    finally:
+        if pool is not None:
+            pool.terminate()
+    if failure is not None:
+        raise failure
+    return [_aggregate(*zip(*spec_cells)) for spec_cells in scored]
 
 
 def evaluate_once(spec, corpus, stopwords, *, train_ratio=0.8, fit_on_all=False,

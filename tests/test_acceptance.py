@@ -12,6 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 from rusent import (
+    CLASSIFIER_KINDS,
     KNeighborsClassifier,
     LinearSVM,
     LogisticRegression,
@@ -267,7 +268,7 @@ def test_criterion_7_partition_properties():
     _check(7, "partition properties (split, kfold)", ok)
 
 
-def test_criterion_8_compare_determinism(tmp_path):
+def test_criterion_8_compare_determinism(tmp_path, monkeypatch):
     corpus = three_class_corpus(500, seed=99)
     data = tmp_path / "synthetic.csv"
     with open(data, "w", encoding="utf-8", newline="") as fh:
@@ -277,8 +278,7 @@ def test_criterion_8_compare_determinism(tmp_path):
             writer.writerow([record.text, record.label.label, "nan"])
     out = tmp_path / "out"
     config = tmp_path / "run.cfg"
-    config.write_text(
-        f"""dataset = {data}
+    settings = f"""dataset = {data}
 out = {out}
 seed = 17
 runs = 2
@@ -286,9 +286,8 @@ logistic_regression.epochs = 30
 linear_svm.epochs = 30
 mlp.epochs = 5
 mlp.hidden_units = 8
-""",
-        encoding="utf-8",
-    )
+"""
+    config.write_text(settings, encoding="utf-8")
     identical = True
     for protocol in ("repeated", "kfold"):
         args = ["compare", "--config", str(config), "--protocol", protocol]
@@ -298,4 +297,23 @@ mlp.hidden_units = 8
         assert main(args) == 0
         second = (out / "metrics.json").read_bytes()
         identical &= first == second and len(first) > 0
-    _check(8, "byte-identical compare reruns (repeated and kfold)", identical)
+    # The same outputs whether the cells are scored in this process (one
+    # allowed CPU) or in two forked workers. With mlp.seed set, every fold
+    # reports the seed that a worker says its model trained with.
+    outputs = ["metrics.json", "metrics.csv", "ranking.txt",
+               *(f"confusion_{kind}.csv" for kind in CLASSIFIER_KINDS)]
+    for extra in ("", "mlp.seed = 5\n"):
+        config.write_text(settings + extra, encoding="utf-8")
+        for protocol in ("repeated", "kfold"):
+            runs = []
+            for cpus in ({0}, {0, 1}):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                                    raising=False)
+                assert main(["compare", "--config", str(config), "--protocol", protocol]) == 0
+                runs.append([(out / name).read_bytes() for name in outputs])
+            identical &= runs[0] == runs[1]
+            if extra:
+                seeds = json.loads(runs[1][0])["classifiers"]["mlp"]["seeds"]
+                identical &= seeds == ([17, 18] if protocol == "repeated" else [5] * 10)
+    _check(8, "byte-identical compare reruns (repeated and kfold, one CPU or two)",
+           identical)

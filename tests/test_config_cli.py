@@ -1,5 +1,7 @@
 import csv
 import json
+import multiprocessing
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -312,6 +314,26 @@ class TestCliExitCodes:
         assert all(line.startswith(("corpus: ", "[seed ")) for line in progress)
         assert last.startswith("error: logistic_regression training diverged (")
         assert not (out / "metrics.json").exists()
+
+    def test_first_of_two_diverged_cells_is_reported_and_no_worker_outlives_main(
+        self, dataset, tmp_path, capfd, monkeypatch
+    ):
+        # logistic regression and the MLP both diverge, each in its own forked
+        # worker; the error is the one a serial loop raises first, and capfd
+        # would also catch anything a worker wrote to stderr
+        path = tmp_path / "diverge.cfg"
+        path.write_text(
+            f"dataset = {dataset}\nout = {tmp_path / 'out'}\nruns = 1\n"
+            "logistic_regression.lr = 1e6\nlogistic_regression.l2 = 1\nmlp.lr = 1e5\n",
+            encoding="utf-8",
+        )
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        for _ in range(5):
+            assert main(["compare", "--config", str(path)]) == 1
+            *progress, last = capfd.readouterr().err.splitlines()
+            assert all(line.startswith(("corpus: ", "[seed ")) for line in progress)
+            assert last.startswith("error: logistic_regression training diverged (")
+            assert multiprocessing.active_children() == []
 
     def test_dead_hidden_layer_exits_1(self, dataset, tmp_path, capsys):
         path = tmp_path / "dead.cfg"

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +18,10 @@ from rusent import (
     preprocess_corpus,
     split,
 )
-from rusent.preprocess import StopWordList
+from rusent.corpus import Corpus, Sentiment
+from rusent.eval import PlannedSplit
+from rusent.exceptions import DivergedError, MissingClassError
+from rusent.preprocess import StopWordList, TokenizedComment
 from rusent.seeding import derive_seed
 
 from conftest import REFERENCE_CONFUSIONS, build_corpus, three_class_corpus
@@ -359,3 +364,84 @@ class TestEvaluateSpecs:
             assert agg.per_run == own.per_run
             assert agg.seeds == own.seeds
             np.testing.assert_array_equal(agg.pooled_confusion, own.pooled_confusion)
+
+
+class TestCellWorkers:
+    """How many processes score the (split, spec) cells, and which error wins."""
+
+    SPECS = [ClassifierSpec("naive_bayes"), ClassifierSpec("knn", {"k": 3}),
+             ClassifierSpec("logistic_regression", {"epochs": 5})]
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The size of every pool the fork context is asked for; its stand-in
+        scores the cells in this process, so no test here starts a process."""
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, processes, initializer=None, initargs=()):
+                sizes.append(processes)
+
+            def imap(self, func, iterable):
+                return map(func, iterable)
+
+            def terminate(self):
+                pass
+
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InProcessPool)
+        return sizes
+
+    @staticmethod
+    def allow_cpus(monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+    @pytest.mark.parametrize("cpus, runs, n_specs, sizes", [
+        ({0}, 2, 3, []),  # one allowed CPU: nothing forks
+        (set(range(8)), 1, 3, [3]),  # more CPUs than cells: one worker per cell
+        ({0, 1}, 1, 1, []),  # a one-cell plan runs in this process
+        ({0, 1}, 2, 3, [2]),
+    ], ids=["one-cpu", "cpus-above-cells", "one-cell", "cells-above-cpus"])
+    def test_pool_size(self, monkeypatch, pool_sizes, cpus, runs, n_specs, sizes):
+        docs = preprocess_corpus(three_class_corpus(30, seed=1), default_stopwords())
+        plan = plan_splits(docs, "repeated", 4, runs=runs)
+        self.allow_cpus(monkeypatch, cpus)
+        scored = evaluate_specs(self.SPECS[:n_specs], plan)
+        assert pool_sizes == sizes
+        for spec, agg in zip(self.SPECS, scored):
+            (own,) = evaluate_specs([spec], plan)
+            assert (agg.per_run, agg.seeds) == (own.per_run, own.seeds)
+
+    def test_first_error_in_plan_order_wins(self, monkeypatch):
+        # Two forked workers: the logistic regression cell fails within
+        # milliseconds, the MLP cell before it only after its 400 epochs.
+        docs = preprocess_corpus(three_class_corpus(90, seed=8), default_stopwords())
+        plan = plan_splits(docs, "repeated", 0, runs=1)
+        specs = [ClassifierSpec("mlp", {"lr": 1e5, "epochs": 400}),
+                 ClassifierSpec("logistic_regression", {"lr": 1e6, "l2": 1})]
+        self.allow_cpus(monkeypatch, {0, 1})
+        with pytest.raises(DivergedError, match="^mlp training diverged"):
+            evaluate_specs(specs, plan)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    def test_cell_error_before_a_later_split_fails_its_features(self, monkeypatch, pool_sizes,
+                                                                 cpus):
+        # Split 0 trains naive Bayes without a negative comment; split 1 has
+        # only empty training docs, so no vocabulary. The serial loop raises
+        # split 0's error, though every split's features are built before
+        # any cell is scored.
+        def docs(*cells):
+            return Corpus(tuple(TokenizedComment(i, tokens, label)
+                                for i, (tokens, label) in enumerate(cells)))
+
+        pos, neu = Sentiment.POSITIVE, Sentiment.NEUTRAL
+        plan = [PlannedSplit(docs((("acha",), pos), (("theek",), neu)),
+                             docs((("acha",), pos),), 0, 0),
+                PlannedSplit(docs(((), pos), ((), neu)), docs((("acha",), pos),), 0, 1)]
+        specs = [ClassifierSpec("knn", {"k": 1}), ClassifierSpec("naive_bayes")]
+        self.allow_cpus(monkeypatch, cpus)
+        with pytest.raises(MissingClassError):
+            evaluate_specs(specs, plan)
+        assert pool_sizes == ([] if cpus == {0} else [2])
+        with pytest.raises(ValueError, match="every document is empty"):
+            evaluate_specs(specs, plan[1:])

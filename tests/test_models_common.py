@@ -355,12 +355,13 @@ class TestSoftmaxHead:
     def test_cli_start_up_skips_scipy_special(self):
         # importing scipy.special costs a CLI process about 0.13 s, and
         # scipy.sparse about 0.28 s; only the stages that build or read a
-        # feature matrix import scipy.sparse
+        # feature matrix import scipy.sparse, and only compare's scoring
+        # loads multiprocessing
         src = os.path.dirname(os.path.dirname(rusent.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = ("import rusent.cli, sys\n"
-                "for name in ('scipy.special', 'scipy.sparse'):\n"
+                "for name in ('scipy.special', 'scipy.sparse', 'multiprocessing'):\n"
                 "    if name in sys.modules: sys.exit(f'{name} is loaded')\n")
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert (run.returncode, run.stderr) == (0, "")
