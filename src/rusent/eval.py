@@ -2,6 +2,8 @@
 pipeline: a split plan (``plan_splits``) fixes the repeated-run or k-fold
 splits, and ``evaluate_specs`` scores classifiers on them."""
 
+import contextlib
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -205,11 +207,11 @@ class PlannedSplit:
     def train_seed(self, kind):
         return train_seed(self.seed, kind, self.fold)
 
-    def reported_seed(self, kind, trained_with=None):
-        """``trained_with``: the seed the kind's model trained with, None if it has none."""
+    def reported_seed(self, kind, spec_seed=None):
+        """``spec_seed``: the seed set in the kind's spec, which its model trains with, or None."""
         if self.fold is None:
             return self.seed
-        return self.train_seed(kind) if trained_with is None else trained_with
+        return self.train_seed(kind) if spec_seed is None else spec_seed
 
 
 def plan_splits(corpus, protocol, seed, *, runs=10, train_ratio=0.8, folds=10):
@@ -237,12 +239,9 @@ def fit_vocabulary(part, *, fit_on_all=False, max_features=3000):
 
 
 def _fit_predict(cell):
-    """Fit one (split, spec) cell, ``(spec, seed, X_train, y_train, X_test)``:
-    its test predictions and the seed its model trained with (None if none)."""
+    """The test predictions of one cell, ``(spec, seed, X_train, y_train, X_test)``."""
     spec, seed, X_train, y_train, X_test = cell
-    model = make_classifier(spec, seed=seed)
-    model.fit(X_train, y_train)
-    return model.predict(X_test), getattr(model, "seed", None)
+    return make_classifier(spec, seed=seed).fit(X_train, y_train).predict(X_test)
 
 
 def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=3000):
@@ -255,7 +254,9 @@ def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=3000):
     import multiprocessing  # here, so that importing the CLI does not load it
     import signal
 
-    parts, cells, failure = [], [], None  # the splits built; per split and spec, a cell
+    if not plan:
+        raise ValueError("the split plan is empty: there is no split to evaluate")
+    cells, failure = [], None  # per split built and spec, in plan order
     try:
         for part in plan:
             if not part.train:
@@ -263,27 +264,23 @@ def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=3000):
             vectorizer = fit_vocabulary(part, fit_on_all=fit_on_all, max_features=max_features)
             X_train, X_test = vectorizer.transform(part.train), vectorizer.transform(part.test)
             y_train = part.train.labels()
-            parts.append(part)
             cells += [(spec, part.train_seed(spec.kind), X_train, y_train, X_test)
                       for spec in specs]
     except ValueError as exc:  # a serial loop raises it after scoring the splits before
         failure = exc
-    forks = "fork" in multiprocessing.get_all_start_methods() and hasattr(os, "sched_getaffinity")
-    workers = min(len(cells), len(os.sched_getaffinity(0))) if forks else 1
+    affinity = getattr(os, "sched_getaffinity", None)  # every platform with it can fork
+    workers = min(len(cells), len(affinity(0))) if affinity else 1
     scored = [[] for _ in specs]  # per spec: (confusion matrix, reported seed) per split
-    pool = None
-    try:
-        if workers > 1:  # Ctrl-C stops this process, which then stops the workers
-            pool = multiprocessing.get_context("fork").Pool(
-                workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
+    # Ctrl-C stops this process, which then stops the workers; the block's exit terminates them
+    with (multiprocessing.get_context("fork").Pool(workers, signal.signal,
+                                                   (signal.SIGINT, signal.SIG_IGN))
+          if workers > 1 else contextlib.nullcontext()) as pool:
         results = (pool.imap if pool else map)(_fit_predict, cells)
-        for i, (predicted, trained_with) in enumerate(results):
-            part, spec = parts[i // len(specs)], specs[i % len(specs)]
-            scored[i % len(specs)].append((confusion_matrix(part.test.labels(), predicted),
-                                           part.reported_seed(spec.kind, trained_with)))
-    finally:
-        if pool is not None:
-            pool.terminate()
+        # zip stops after the cells of the last split whose features were built
+        for (part, (i, spec)), predicted in zip(itertools.product(plan, enumerate(specs)),
+                                                results):
+            scored[i].append((confusion_matrix(part.test.labels(), predicted),
+                              part.reported_seed(spec.kind, spec.hyperparams.get("seed"))))
     if failure is not None:
         raise failure
     return [_aggregate(*zip(*spec_cells)) for spec_cells in scored]

@@ -299,7 +299,7 @@ mlp.hidden_units = 8
         identical &= first == second and len(first) > 0
     # The same outputs whether the cells are scored in this process (one
     # allowed CPU) or in two forked workers. With mlp.seed set, every fold
-    # reports the seed that a worker says its model trained with.
+    # reports that seed, which the parent reads from the spec.
     outputs = ["metrics.json", "metrics.csv", "ranking.txt",
                *(f"confusion_{kind}.csv" for kind in CLASSIFIER_KINDS)]
     for extra in ("", "mlp.seed = 5\n"):

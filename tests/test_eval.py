@@ -365,6 +365,10 @@ class TestEvaluateSpecs:
             assert agg.seeds == own.seeds
             np.testing.assert_array_equal(agg.pooled_confusion, own.pooled_confusion)
 
+    def test_empty_plan_rejected(self):
+        with pytest.raises(ValueError, match="split plan is empty"):
+            evaluate_specs([ClassifierSpec("naive_bayes")], [])
+
 
 class TestCellWorkers:
     """How many processes score the (split, spec) cells, and which error wins."""
@@ -382,33 +386,42 @@ class TestCellWorkers:
             def __init__(self, processes, initializer=None, initargs=()):
                 sizes.append(processes)
 
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                pass
+
             def imap(self, func, iterable):
                 return map(func, iterable)
-
-            def terminate(self):
-                pass
 
         monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InProcessPool)
         return sizes
 
     @staticmethod
     def allow_cpus(monkeypatch, cpus):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        """``cpus`` the affinity mask, or None for a platform without one."""
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
 
     @pytest.mark.parametrize("cpus, runs, n_specs, sizes", [
         ({0}, 2, 3, []),  # one allowed CPU: nothing forks
         (set(range(8)), 1, 3, [3]),  # more CPUs than cells: one worker per cell
         ({0, 1}, 1, 1, []),  # a one-cell plan runs in this process
         ({0, 1}, 2, 3, [2]),
-    ], ids=["one-cpu", "cpus-above-cells", "one-cell", "cells-above-cpus"])
+        (None, 2, 3, []),  # no affinity mask: nothing forks
+    ], ids=["one-cpu", "cpus-above-cells", "one-cell", "cells-above-cpus", "no-affinity-mask"])
     def test_pool_size(self, monkeypatch, pool_sizes, cpus, runs, n_specs, sizes):
         docs = preprocess_corpus(three_class_corpus(30, seed=1), default_stopwords())
         plan = plan_splits(docs, "repeated", 4, runs=runs)
+        self.allow_cpus(monkeypatch, {0})
+        serial = [evaluate_specs([spec], plan) for spec in self.SPECS[:n_specs]]
         self.allow_cpus(monkeypatch, cpus)
         scored = evaluate_specs(self.SPECS[:n_specs], plan)
         assert pool_sizes == sizes
-        for spec, agg in zip(self.SPECS, scored):
-            (own,) = evaluate_specs([spec], plan)
+        for (own,), agg in zip(serial, scored):
             assert (agg.per_run, agg.seeds) == (own.per_run, own.seeds)
 
     def test_first_error_in_plan_order_wins(self, monkeypatch):
