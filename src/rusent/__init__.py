@@ -9,7 +9,6 @@ with a reproducible benchmark CLI.
 __version__ = "0.1.0"
 
 from .corpus import (
-    Corpus,
     LabeledComment,
     Sentiment,
     SplitResult,
@@ -42,7 +41,6 @@ from .models import (
     save_model,
 )
 from .preprocess import (
-    StopWordList,
     TokenizedComment,
     default_stopwords,
     load_stopwords,
@@ -54,7 +52,6 @@ from .preprocess import (
 )
 
 __all__ = [
-    "Corpus",
     "LabeledComment",
     "Sentiment",
     "SplitResult",
@@ -83,7 +80,6 @@ __all__ = [
     "load_model",
     "make_classifier",
     "save_model",
-    "StopWordList",
     "TokenizedComment",
     "default_stopwords",
     "load_stopwords",

@@ -73,6 +73,8 @@ def parse_config_file(path):
             lines = handle.readlines()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     values = {}

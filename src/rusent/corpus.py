@@ -45,30 +45,11 @@ class LabeledComment:
     row_id: int
 
 
-@dataclass(frozen=True)
-class Corpus:
-    """Immutable ordered collection of labeled comments."""
-
-    records: tuple
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __getitem__(self, i):
-        return self.records[i]
-
-    def labels(self):
-        return np.array([r.label for r in self.records], dtype=np.int64)
-
-
 class SplitResult(NamedTuple):
     """One (train, test) pair of a split or a fold."""
 
-    train: Corpus
-    test: Corpus
+    train: tuple
+    test: tuple
 
 
 def _parse_row(row):
@@ -84,7 +65,7 @@ def _parse_row(row):
 
 
 def load_csv(path, *, dedup=True, skip_bad_rows=False):
-    """Load a comment,sentiment[,ignored] CSV file into a Corpus.
+    """Load a comment,sentiment[,ignored] CSV file into a tuple of LabeledComment.
 
     Each data row needs at least two fields: the comment text and a
     sentiment label. Any further fields are discarded. Line 1 is a header,
@@ -116,14 +97,14 @@ def load_csv(path, *, dedup=True, skip_bad_rows=False):
         )
     if not records:
         raise EmptyCorpusError(f"no valid records in {path}")
-    return Corpus(tuple(records))
+    return tuple(records)
 
 
 def label_distribution(corpus):
     """Per-class record counts and fractions; counts sum to ``len(corpus)``."""
     if len(corpus) == 0:
         raise EmptyCorpusError("label_distribution of an empty corpus")
-    counts = np.bincount(corpus.labels(), minlength=len(Sentiment))
+    counts = np.bincount([r.label for r in corpus], minlength=len(Sentiment))
     n = len(corpus)
     return {
         s: {"count": int(counts[s]), "fraction": counts[s] / n} for s in Sentiment
@@ -145,8 +126,8 @@ def split(corpus, train_ratio, seed):
         raise EmptyCorpusError(f"corpus too small to split ({n} records)")
     order = np.random.default_rng(seed).permutation(n)
     cut = _train_size(train_ratio, n)
-    return SplitResult(Corpus(tuple(corpus[i] for i in order[:cut])),
-                       Corpus(tuple(corpus[i] for i in order[cut:])))
+    return SplitResult(tuple(corpus[i] for i in order[:cut]),
+                       tuple(corpus[i] for i in order[cut:]))
 
 
 def kfold(corpus, k, seed):
@@ -158,6 +139,5 @@ def kfold(corpus, k, seed):
         raise ValueError(f"folds must be in [2, {n}], got {k}")
     folds = np.array_split(np.random.default_rng(seed).permutation(n), k)
     trains = (np.concatenate(folds[:f] + folds[f + 1:]) for f in range(k))
-    return [SplitResult(Corpus(tuple(corpus[i] for i in train)),
-                        Corpus(tuple(corpus[i] for i in test)))
+    return [SplitResult(tuple(corpus[i] for i in train), tuple(corpus[i] for i in test))
             for train, test in zip(trains, folds)]

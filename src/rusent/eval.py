@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import N_CLASSES, check_labels
-from .corpus import LABEL_NAMES, Corpus, kfold, split
+from .corpus import LABEL_NAMES, kfold, split
 from .exceptions import EmptyCorpusError
 from .features import TfidfVectorizer
 from .models import make_classifier
@@ -119,9 +119,7 @@ def metrics(cm):
     col_sums = cm.sum(axis=0)
     diag = np.diag(cm)
     undefined = []
-    precision = np.zeros(N_CLASSES)
-    recall = np.zeros(N_CLASSES)
-    f1 = np.zeros(N_CLASSES)
+    precision, recall, f1 = np.zeros((3, N_CLASSES))
     for c, name in enumerate(LABEL_NAMES):
         if col_sums[c] == 0:
             undefined.append(f"precision:{name}")
@@ -170,10 +168,7 @@ def _aggregate(cms, seeds):
     keys = reports[0].scalar_metrics().keys()
     table = {k: np.array([r.scalar_metrics()[k] for r in reports]) for k in keys}
     mean = {k: float(v.mean()) for k, v in table.items()}
-    if len(reports) > 1:
-        std = {k: float(v.std(ddof=1)) for k, v in table.items()}
-    else:
-        std = {k: 0.0 for k in keys}
+    std = {k: float(v.std(ddof=1)) if len(reports) > 1 else 0.0 for k, v in table.items()}
     return RunAggregate(
         per_run=tuple(reports),
         mean=mean,
@@ -195,8 +190,8 @@ class PlannedSplit:
     """One train/test split of a run. A repeated-protocol run reports
     ``seed``; fold i reports the seed each kind's model trained with on it."""
 
-    train: Corpus
-    test: Corpus
+    train: tuple
+    test: tuple
     seed: int
     fold: int | None = None
 
@@ -228,20 +223,26 @@ def plan_splits(corpus, protocol, seed, *, runs=10, train_ratio=0.8, folds=10):
         raise ValueError(f"runs must be >= 1, got {runs}")
     seeds = range(seed, seed + runs)
     cuts = [split(corpus, train_ratio, derive_seed(s, "split")) for s in seeds]
+    if not cuts[0].train:  # every cut is the same size
+        raise EmptyCorpusError(f"train_ratio {train_ratio} leaves none of the "
+                               f"{len(corpus)} records to train on")
     return [PlannedSplit(cut.train, cut.test, s) for s, cut in zip(seeds, cuts)]
 
 
 def fit_vocabulary(part, *, fit_on_all=False, max_features=3000):
     """The tf-idf vectorizer of the planned split ``part``, fit on its train
     docs, or on train and test docs together when ``fit_on_all``."""
-    docs = part.train.records + part.test.records if fit_on_all else part.train.records
+    docs = part.train + part.test if fit_on_all else part.train
     return TfidfVectorizer(max_features=max_features).fit(docs)
 
 
 def _fit_predict(cell):
-    """The test predictions of one cell, ``(spec, seed, X_train, y_train, X_test)``."""
+    """The test predictions, or the error, of a cell ``(spec, seed, X_train, y_train, X_test)``."""
     spec, seed, X_train, y_train, X_test = cell
-    return make_classifier(spec, seed=seed).fit(X_train, y_train).predict(X_test)
+    try:
+        return make_classifier(spec, seed=seed).fit(X_train, y_train).predict(X_test)
+    except Exception as exc:  # the caller raises it, in plan order
+        return exc
 
 
 def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=3000):
@@ -263,7 +264,7 @@ def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=3000):
                 raise EmptyCorpusError("empty training partition")
             vectorizer = fit_vocabulary(part, fit_on_all=fit_on_all, max_features=max_features)
             X_train, X_test = vectorizer.transform(part.train), vectorizer.transform(part.test)
-            y_train = part.train.labels()
+            y_train = np.array([d.label for d in part.train], dtype=np.int64)
             cells += [(spec, part.train_seed(spec.kind), X_train, y_train, X_test)
                       for spec in specs]
     except ValueError as exc:  # a serial loop raises it after scoring the splits before
@@ -275,12 +276,17 @@ def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=3000):
     with (multiprocessing.get_context("fork").Pool(workers, signal.signal,
                                                    (signal.SIGINT, signal.SIG_IGN))
           if workers > 1 else contextlib.nullcontext()) as pool:
-        results = (pool.imap if pool else map)(_fit_predict, cells)
-        # zip stops after the cells of the last split whose features were built
-        for (part, (i, spec)), predicted in zip(itertools.product(plan, enumerate(specs)),
-                                                results):
-            scored[i].append((confusion_matrix(part.test.labels(), predicted),
-                              part.reported_seed(spec.kind, spec.hyperparams.get("seed"))))
+        # every cell, after an error too: a worker killed as it sends a result hangs the pool
+        results = list(pool.imap(_fit_predict, cells)) if pool else map(_fit_predict, cells)
+        if pool:
+            pool.close()
+            pool.join()
+    # zip stops after the cells of the last split whose features were built
+    for (part, (i, spec)), predicted in zip(itertools.product(plan, enumerate(specs)), results):
+        if isinstance(predicted, Exception):
+            raise predicted
+        scored[i].append((confusion_matrix([d.label for d in part.test], predicted),
+                          part.reported_seed(spec.kind, spec.hyperparams.get("seed"))))
     if failure is not None:
         raise failure
     return [_aggregate(*zip(*spec_cells)) for spec_cells in scored]

@@ -12,22 +12,6 @@ DEFAULT_STOPWORDS_RESOURCE = "stopwords_roman_urdu.txt"
 
 
 @dataclass(frozen=True)
-class StopWordList:
-    """Deduplicated set of lowercase stop words."""
-
-    words: frozenset
-
-    def __contains__(self, token):
-        return token in self.words
-
-    def __len__(self):
-        return len(self.words)
-
-    def __iter__(self):
-        return iter(sorted(self.words))
-
-
-@dataclass(frozen=True)
 class TokenizedComment:
     """One preprocessed record: surviving tokens in original order."""
 
@@ -58,11 +42,12 @@ def _parse_stopword_lines(lines, source):
     if bad:
         listing = "; ".join(f"line {ln}: {why}" for ln, why in bad)
         raise MalformedRowError(f"bad stop-word entries in {source} ({listing})", bad)
-    return StopWordList(frozenset(words))
+    return frozenset(words)
 
 
 def load_stopwords(path):
-    """Load a stop-word file: one word per line, '#' comments, blanks ignored."""
+    """The frozenset of lowercase words in a stop-word file: one word per
+    line, '#' comments, blanks ignored."""
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
             lines = handle.readlines()
@@ -74,7 +59,7 @@ def load_stopwords(path):
 
 
 def default_stopwords():
-    """The packaged Roman Urdu stop-word list."""
+    """The packaged Roman Urdu stop-word list, as a frozenset."""
     text = (
         resources.files("rusent.data")
         .joinpath(DEFAULT_STOPWORDS_RESOURCE)

@@ -3,8 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from rusent import Corpus, LabeledComment, Sentiment, TfidfVectorizer
-from rusent.preprocess import StopWordList
+from rusent import LabeledComment, Sentiment, TfidfVectorizer
 
 # Fixed reference confusion matrices (rows = true negative/neutral/positive,
 # columns = predicted). They pin the metric engine: the expected accuracy,
@@ -20,12 +19,16 @@ REFERENCE_CONFUSIONS = {
 
 
 def build_corpus(pairs):
-    """Corpus from (text, label_name) pairs with sequential row ids."""
-    records = tuple(
+    """Records from (text, label_name) pairs with sequential row ids."""
+    return tuple(
         LabeledComment(text, Sentiment.parse(label), i)
         for i, (text, label) in enumerate(pairs)
     )
-    return Corpus(records)
+
+
+def label_codes(records):
+    """The int64 class codes of ``records``, in order."""
+    return np.array([r.label for r in records], dtype=np.int64)
 
 
 def write_rows(path, rows, header=("comment", "sentiment", "nan")):
@@ -69,6 +72,20 @@ def three_class_corpus(n_docs, seed, shared=2):
         rng.shuffle(words)
         pairs.append((" ".join(words), label))
     return build_corpus(pairs)
+
+
+def as_dicts(X):
+    X = X.tocsr()
+    return [
+        {
+            int(c): float(v)
+            for c, v in zip(
+                X.indices[X.indptr[i] : X.indptr[i + 1]],
+                X.data[X.indptr[i] : X.indptr[i + 1]],
+            )
+        }
+        for i in range(X.shape[0])
+    ]
 
 
 def random_tfidf_instance(seed, n_docs=6, vocab_size=5, doc_len=4):
@@ -116,4 +133,4 @@ def toy_docs():
 
 @pytest.fixture
 def stopwords_small():
-    return StopWordList(frozenset({"ye", "hai"}))
+    return frozenset({"ye", "hai"})

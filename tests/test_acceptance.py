@@ -28,18 +28,19 @@ from rusent.cli import main
 from rusent.models.logistic import softmax_objective
 from rusent.models.mlp import init_params, mlp_objective
 from rusent.models.svm import hinge_objective
-from rusent.preprocess import StopWordList
 
 from conftest import (
     REFERENCE_CONFUSIONS,
+    as_dicts,
     build_corpus,
     central_diff,
+    label_codes,
     random_tfidf_instance,
     relative_error,
     three_class_corpus,
     two_class_corpus,
 )
-from test_knn import as_dicts, knn_oracle, random_unit_matrix
+from test_knn import knn_oracle, random_unit_matrix
 from test_naive_bayes import brute_force_posteriors
 
 DATASET_ENV = "RUSENT_DATASET"
@@ -220,7 +221,7 @@ def test_criterion_5_tfidf_properties():
 def test_criterion_6_separability():
     ok = True
     corpus = two_class_corpus(200, seed=42)
-    empty_sw = StopWordList(frozenset())
+    empty_sw = frozenset()
     for seed in range(10):
         result = split(corpus, 0.8, seed)
         train_docs = preprocess_corpus(result.train, empty_sw)
@@ -228,8 +229,8 @@ def test_criterion_6_separability():
         vec = TfidfVectorizer().fit(train_docs)
         X_train = vec.transform(train_docs)
         X_test = vec.transform(test_docs)
-        y_train = result.train.labels()
-        y_test = result.test.labels()
+        y_train = label_codes(result.train)
+        y_test = label_codes(result.test)
         # C weights the mean hinge against (1/2)||w||^2; it must be large
         # enough that the objective's optimum actually separates unit-norm
         # rows (at C=1 the regularizer wins and the optimum underfits)

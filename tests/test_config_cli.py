@@ -14,7 +14,7 @@ from rusent.config import SCHEMA, RunConfig, apply_cli_values, parse_config_file
 from rusent.exceptions import ConfigError
 from rusent.preprocess import default_stopwords
 
-from conftest import three_class_corpus
+from conftest import build_corpus, three_class_corpus
 
 
 def write_dataset(path, corpus):
@@ -435,6 +435,31 @@ class TestCliExitCodes:
         assert capsys.readouterr().err == (
             f"config error: {path}: 'utf-8' codec can't decode byte 0xe9 in position 14: "
             "invalid continuation byte\n")
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [("missing.cfg", "config file not found: {}"),
+         ("cfgdir", "cannot read config file {}: Is a directory")],
+        ids=["missing", "directory"],
+    )
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, name, message):
+        (tmp_path / "cfgdir").mkdir()
+        path = tmp_path / name
+        assert main(["compare", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message.format(path)}\n"
+
+    def test_train_ratio_leaving_no_training_record_exits_1(self, tmp_path, capsys):
+        corpus = build_corpus([("acha", "positive"), ("bura", "negative"), ("theek", "neutral")])
+        config = tmp_path / "run.cfg"
+        config.write_text(f"dataset = {write_dataset(tmp_path / 'data.csv', corpus)}\n"
+                          f"out = {tmp_path / 'out'}\ntrain_ratio = 0.2\n", encoding="utf-8")
+        for command in (["ingest"], ["preprocess"]):
+            assert main(command + ["--config", str(config)]) == 0
+        capsys.readouterr()
+        for command in (["fit-features"], ["compare"]):
+            assert main(command + ["--config", str(config)]) == 1
+            assert capsys.readouterr().err.splitlines()[-1] == (
+                "error: train_ratio 0.2 leaves none of the 3 records to train on")
 
     def test_stopwords_not_utf8_names_the_file(self, dataset, tmp_path, capsys):
         path = tmp_path / "stopwords.txt"

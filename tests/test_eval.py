@@ -18,10 +18,10 @@ from rusent import (
     preprocess_corpus,
     split,
 )
-from rusent.corpus import Corpus, Sentiment
+from rusent.corpus import Sentiment
 from rusent.eval import PlannedSplit
 from rusent.exceptions import DivergedError, MissingClassError
-from rusent.preprocess import StopWordList, TokenizedComment
+from rusent.preprocess import TokenizedComment
 from rusent.seeding import derive_seed
 
 from conftest import REFERENCE_CONFUSIONS, build_corpus, three_class_corpus
@@ -219,7 +219,7 @@ class TestEvaluateOnce:
     def test_constant_label_corpus_perfect(self):
         corpus = build_corpus([(f"acha tha {i}", "positive") for i in range(20)])
         spec = ClassifierSpec("naive_bayes", {"allow_missing_class": True})
-        cm, report = evaluate_once(spec, corpus, StopWordList(frozenset()), seed=0)
+        cm, report = evaluate_once(spec, corpus, frozenset(), seed=0)
         assert report.accuracy == 1.0
         assert cm.sum() == 4  # 20% of 20
 
@@ -229,7 +229,7 @@ class TestEvaluateOnce:
         corpus = two_class_corpus(60, seed=2)
         spec = ClassifierSpec("linear_svm", {"C": 100.0})
         for seed in (0, 1):
-            cm, report = evaluate_once(spec, corpus, StopWordList(frozenset()), seed=seed)
+            cm, report = evaluate_once(spec, corpus, frozenset(), seed=seed)
             assert report.accuracy == 1.0
 
     def test_deterministic(self):
@@ -260,7 +260,7 @@ class TestEvaluateRepeated:
     def test_constant_label_corpus(self):
         corpus = build_corpus([(f"acha {i}", "positive") for i in range(30)])
         spec = ClassifierSpec("naive_bayes", {"allow_missing_class": True})
-        agg = evaluate_one(spec, corpus, StopWordList(frozenset()), "repeated", 0, runs=10)
+        agg = evaluate_one(spec, corpus, frozenset(), "repeated", 0, runs=10)
         assert agg.mean["accuracy"] == 1.0
         assert agg.std["accuracy"] == 0.0
 
@@ -298,7 +298,7 @@ class TestCrossValidate:
     def test_constant_label_every_fold_perfect(self):
         corpus = build_corpus([(f"acha {i}", "positive") for i in range(24)])
         spec = ClassifierSpec("naive_bayes", {"allow_missing_class": True})
-        agg = evaluate_one(spec, corpus, StopWordList(frozenset()), "kfold", 0, folds=4)
+        agg = evaluate_one(spec, corpus, frozenset(), "kfold", 0, folds=4)
         assert all(r.accuracy == 1.0 for r in agg.per_run)
 
     def test_k_out_of_range(self):
@@ -395,6 +395,12 @@ class TestCellWorkers:
             def imap(self, func, iterable):
                 return map(func, iterable)
 
+            def close(self):
+                pass
+
+            def join(self):
+                pass
+
         monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InProcessPool)
         return sizes
 
@@ -436,6 +442,25 @@ class TestCellWorkers:
             evaluate_specs(specs, plan)
         assert multiprocessing.active_children() == []
 
+    def test_a_cell_error_kills_no_worker(self, monkeypatch):
+        # The logistic regression cell fails within milliseconds, the MLP cell
+        # after it runs 400 epochs. A worker killed as it sends a result keeps
+        # the pool's result-queue lock, and the pool's shutdown then waits on
+        # it forever, so every worker must finish its cells and exit unkilled.
+        killed = []
+        terminate = multiprocessing.process.BaseProcess.terminate
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "terminate",
+                            lambda process: killed.append(process) or terminate(process))
+        docs = preprocess_corpus(three_class_corpus(90, seed=8), default_stopwords())
+        plan = plan_splits(docs, "repeated", 0, runs=1)
+        specs = [ClassifierSpec("logistic_regression", {"lr": 1e6, "l2": 1}),
+                 ClassifierSpec("mlp", {"epochs": 400})]
+        self.allow_cpus(monkeypatch, {0, 1})
+        with pytest.raises(DivergedError, match="^logistic_regression training diverged"):
+            evaluate_specs(specs, plan)
+        assert killed == []
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
     def test_cell_error_before_a_later_split_fails_its_features(self, monkeypatch, pool_sizes,
                                                                  cpus):
@@ -444,8 +469,8 @@ class TestCellWorkers:
         # split 0's error, though every split's features are built before
         # any cell is scored.
         def docs(*cells):
-            return Corpus(tuple(TokenizedComment(i, tokens, label)
-                                for i, (tokens, label) in enumerate(cells)))
+            return tuple(TokenizedComment(i, tokens, label)
+                         for i, (tokens, label) in enumerate(cells))
 
         pos, neu = Sentiment.POSITIVE, Sentiment.NEUTRAL
         plan = [PlannedSplit(docs((("acha",), pos), (("theek",), neu)),

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from rusent import KNeighborsClassifier
 
-from conftest import random_tfidf_instance
+from conftest import as_dicts, random_tfidf_instance
 
 
 def knn_oracle(train_rows, y, query_row, k):
@@ -32,20 +32,6 @@ def knn_oracle(train_rows, y, query_row, k):
     if len(tied) == 1:
         return tied[0], fractions
     return int(y[order[0]]), fractions
-
-
-def as_dicts(X):
-    X = X.tocsr()
-    return [
-        {
-            int(c): float(v)
-            for c, v in zip(
-                X.indices[X.indptr[i] : X.indptr[i + 1]],
-                X.data[X.indptr[i] : X.indptr[i + 1]],
-            )
-        }
-        for i in range(X.shape[0])
-    ]
 
 
 class TestValidation:

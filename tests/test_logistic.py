@@ -4,9 +4,9 @@ import pytest
 from rusent import LogisticRegression, TfidfVectorizer, preprocess_corpus
 from rusent.exceptions import DivergedError, NotFittedError
 from rusent.models.logistic import softmax_objective
-from rusent.preprocess import StopWordList
 
-from conftest import central_diff, random_tfidf_instance, relative_error, two_class_corpus
+from conftest import (central_diff, label_codes, random_tfidf_instance, relative_error,
+                      two_class_corpus)
 
 
 class TestValidation:
@@ -74,10 +74,10 @@ class TestTraining:
 
     def test_separable_two_class_converges(self):
         corpus = two_class_corpus(40, seed=0)
-        docs = preprocess_corpus(corpus, StopWordList(frozenset()))
+        docs = preprocess_corpus(corpus, frozenset())
         vec = TfidfVectorizer().fit(docs)
         X = vec.transform(docs)
-        y = corpus.labels()
+        y = label_codes(corpus)
         model = LogisticRegression(lr=0.5, epochs=200).fit(X, y)
         assert np.mean(model.predict(X) == y) == 1.0
 

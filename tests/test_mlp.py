@@ -9,7 +9,8 @@ from rusent.exceptions import DivergedError, NotFittedError
 from rusent.models.mlp import batch_gradients, compact, init_params, mlp_objective
 from rusent.preprocess import default_stopwords
 
-from conftest import central_diff, random_tfidf_instance, relative_error, three_class_corpus
+from conftest import (central_diff, label_codes, random_tfidf_instance, relative_error,
+                      three_class_corpus)
 
 
 class TestValidation:
@@ -28,7 +29,7 @@ class TestValidation:
         # constant class, with a finite loss of thousands of nats
         corpus = three_class_corpus(90, seed=8)
         docs = preprocess_corpus(corpus, default_stopwords())
-        X, y = TfidfVectorizer().fit_transform(docs), corpus.labels()
+        X, y = TfidfVectorizer().fit_transform(docs), label_codes(corpus)
         model = MLPClassifier(lr=1e5, epochs=5, hidden_units=32)
         with pytest.raises(DivergedError, match="every hidden unit is inactive"):
             model.fit(X, y)

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from rusent import MultinomialNaiveBayes, TfidfVectorizer
 from rusent.exceptions import MissingClassError
 
-from conftest import random_tfidf_instance
+from conftest import as_dicts, random_tfidf_instance
 
 
 def brute_force_posteriors(rows, y, alpha, query, V, n_classes=3):
@@ -31,20 +31,6 @@ def brute_force_posteriors(rows, y, alpha, query, V, n_classes=3):
         joints.append(joint)
     z = sum(joints)
     return [j / z for j in joints]
-
-
-def as_dicts(X):
-    X = X.tocsr()
-    return [
-        {
-            int(c): float(v)
-            for c, v in zip(
-                X.indices[X.indptr[i] : X.indptr[i + 1]],
-                X.data[X.indptr[i] : X.indptr[i + 1]],
-            )
-        }
-        for i in range(X.shape[0])
-    ]
 
 
 class TestFit:

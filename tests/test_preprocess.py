@@ -11,7 +11,6 @@ from rusent import (
     tokenize,
 )
 from rusent.exceptions import EmptyCorpusError, MalformedRowError
-from rusent.preprocess import StopWordList
 
 from conftest import build_corpus
 
@@ -21,18 +20,18 @@ class TestLoadStopwords:
         path = tmp_path / "sw.txt"
         path.write_text("hai\nka\nki\n# comment\n\nho\n", encoding="utf-8")
         sw = load_stopwords(path)
-        assert sw.words == {"hai", "ka", "ki", "ho"}
-        assert len(sw) == 4
+        assert sw == frozenset({"hai", "ka", "ki", "ho"})
+        assert isinstance(sw, frozenset)
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         path = tmp_path / "sw.txt"
         path.write_text("\ufeffhai\nka\n", encoding="utf-8")
-        assert load_stopwords(path).words == {"hai", "ka"}
+        assert load_stopwords(path) == {"hai", "ka"}
 
     def test_lowercases_entries(self, tmp_path):
         path = tmp_path / "sw.txt"
         path.write_text("HAI\nhai\n", encoding="utf-8")
-        assert load_stopwords(path).words == {"hai"}
+        assert load_stopwords(path) == {"hai"}
 
     def test_whitespace_entry_rejected(self, tmp_path):
         path = tmp_path / "sw.txt"
@@ -104,7 +103,7 @@ class TestRemoveStopwords:
         assert remove_stopwords(["ye", "hai"], stopwords_small) == []
 
     def test_empty_stopword_list_is_identity(self):
-        empty = StopWordList(frozenset())
+        empty = frozenset()
         tokens = ["ye", "drama"]
         assert remove_stopwords(tokens, empty) == tokens
 

@@ -4,9 +4,9 @@ import pytest
 from rusent import LinearSVM, TfidfVectorizer, preprocess_corpus
 from rusent.exceptions import DivergedError
 from rusent.models.svm import hinge_objective
-from rusent.preprocess import StopWordList
 
-from conftest import central_diff, random_tfidf_instance, relative_error, two_class_corpus
+from conftest import (central_diff, label_codes, random_tfidf_instance, relative_error,
+                      two_class_corpus)
 
 
 def signed(y, c):
@@ -70,10 +70,10 @@ class TestGradient:
 class TestTraining:
     def test_separable_two_class_all_margins_correct_sign(self):
         corpus = two_class_corpus(40, seed=1)
-        docs = preprocess_corpus(corpus, StopWordList(frozenset()))
+        docs = preprocess_corpus(corpus, frozenset())
         vec = TfidfVectorizer().fit(docs)
         X = vec.transform(docs)
-        y = corpus.labels()
+        y = label_codes(corpus)
         # large C so the regularized optimum separates; see the class docstring
         model = LinearSVM(C=100.0, epochs=300, seed=0).fit(X, y)
         assert np.mean(model.predict(X) == y) == 1.0
