@@ -6,86 +6,34 @@ one-hidden-layer MLP) behind a scikit-learn-style fit/predict surface,
 with a reproducible benchmark CLI.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .corpus import (
-    LabeledComment,
-    Sentiment,
-    SplitResult,
-    kfold,
-    label_distribution,
-    load_csv,
-    split,
-)
-from .eval import (
-    MetricsReport,
-    RunAggregate,
-    accuracy,
-    confusion_matrix,
-    evaluate_once,
-    evaluate_specs,
-    metrics,
-    plan_splits,
-)
-from .features import TfidfVectorizer, load_tfidf, save_tfidf
-from .models import (
-    CLASSIFIER_KINDS,
-    ClassifierSpec,
-    KNeighborsClassifier,
-    LinearSVM,
-    LogisticRegression,
-    MLPClassifier,
-    MultinomialNaiveBayes,
-    load_model,
-    make_classifier,
-    save_model,
-)
-from .preprocess import (
-    TokenizedComment,
-    default_stopwords,
-    load_stopwords,
-    lowercase,
-    preprocess_corpus,
-    preprocess_text,
-    remove_stopwords,
-    tokenize,
-)
+# Public name -> the submodule it is read from on first use, so that importing
+# the package, or a stage that touches no array, does not load numpy.
+_SOURCES = {
+    **dict.fromkeys(("LabeledComment", "Sentiment", "SplitResult", "kfold",
+                     "label_distribution", "load_csv", "split"), "corpus"),
+    **dict.fromkeys(("MetricsReport", "RunAggregate", "accuracy", "confusion_matrix",
+                     "evaluate_once", "evaluate_specs", "metrics", "plan_splits"), "eval"),
+    **dict.fromkeys(("TfidfVectorizer", "load_tfidf", "save_tfidf"), "features"),
+    **dict.fromkeys(("CLASSIFIER_KINDS", "ClassifierSpec", "load_model", "make_classifier",
+                     "save_model"), "models"),
+    "KNeighborsClassifier": "models.knn",
+    "LinearSVM": "models.svm",
+    "LogisticRegression": "models.logistic",
+    "MLPClassifier": "models.mlp",
+    "MultinomialNaiveBayes": "models.naive_bayes",
+    **dict.fromkeys(("TokenizedComment", "default_stopwords", "load_stopwords", "lowercase",
+                     "preprocess_corpus", "preprocess_text", "remove_stopwords", "tokenize"),
+                    "preprocess"),
+}
 
-__all__ = [
-    "LabeledComment",
-    "Sentiment",
-    "SplitResult",
-    "kfold",
-    "label_distribution",
-    "load_csv",
-    "split",
-    "MetricsReport",
-    "RunAggregate",
-    "accuracy",
-    "confusion_matrix",
-    "evaluate_once",
-    "evaluate_specs",
-    "metrics",
-    "plan_splits",
-    "TfidfVectorizer",
-    "load_tfidf",
-    "save_tfidf",
-    "CLASSIFIER_KINDS",
-    "ClassifierSpec",
-    "KNeighborsClassifier",
-    "LinearSVM",
-    "LogisticRegression",
-    "MLPClassifier",
-    "MultinomialNaiveBayes",
-    "load_model",
-    "make_classifier",
-    "save_model",
-    "TokenizedComment",
-    "default_stopwords",
-    "load_stopwords",
-    "lowercase",
-    "preprocess_corpus",
-    "preprocess_text",
-    "remove_stopwords",
-    "tokenize",
-]
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_SOURCES[name]}", __name__), name)

@@ -14,8 +14,6 @@ import json
 import os
 from contextlib import contextmanager, suppress
 
-import numpy as np
-
 from .exceptions import ArtifactError, MalformedRowError, NotFittedError
 
 FLOATS, INTS, CSR, TERMS = "floats", "ints", "csr", "terms"
@@ -91,6 +89,8 @@ def fields(obj, keys, where=""):
 
 
 def encode_value(codec, value):
+    import numpy as np  # here, so that reading and writing stage CSV files never loads it
+
     if codec == CSR:
         return {"data": value.data.tolist(), "indices": value.indices.tolist(),
                 "indptr": value.indptr.tolist(), "shape": list(value.shape)}
@@ -100,6 +100,8 @@ def encode_value(codec, value):
 
 
 def _decode(codec, raw):
+    import numpy as np
+
     if codec == CSR:
         import scipy.sparse as sp  # here, so that a stage reading no matrix never loads it
         data, indices, indptr, shape = fields(raw, ("data", "indices", "indptr", "shape"))

@@ -15,12 +15,12 @@ from . import __version__
 from .artifacts import csv_rows, replacing, write_csv, write_json
 from .config import PROTOCOLS, SCHEMA, RunConfig, apply_cli_values, parse_config_file
 from .corpus import LABEL_NAMES, Sentiment, label_distribution, load_csv
-from .eval import (confusion_matrix, evaluate_specs, fit_vocabulary, metrics, plan_splits,
-                   train_seed)
 from .exceptions import ConfigError, MalformedRowError, RusentError
-from .features import load_tfidf, save_tfidf, write_word_frequencies
 from .models import CLASSIFIER_KINDS, ClassifierSpec, load_model, make_classifier, save_model
 from .preprocess import TokenizedComment, default_stopwords, load_stopwords, preprocess_corpus
+
+# eval and features load numpy: the commands that build arrays import them in
+# their own body, so that ingest and preprocess start without it.
 
 CORPUS_FILE = "corpus.csv"
 DISTRIBUTION_FILE = "label_distribution.json"
@@ -43,6 +43,13 @@ FLAGS = {
     "skip_bad_rows": "skip malformed dataset rows instead of aborting",
     "strip_punct": "strip leading/trailing punctuation from tokens",
 }
+
+
+def _numpy_round6(x):
+    """``x`` rounded to 6 decimals as numpy rounds a float64, rint(x * 1e6) / 1e6;
+    label_distribution.json has always been rounded so. ``round(x, 6)`` differs
+    on 512 of the fractions c / n with n <= 3000, 1 / 640 among them."""
+    return round(x * 1e6) / 1e6
 
 
 def _round6(obj):
@@ -112,9 +119,10 @@ def cmd_ingest(config, args):
     os.makedirs(config.out, exist_ok=True)
     out_path = os.path.join(config.out, CORPUS_FILE)
     write_csv(out_path, ["comment", "sentiment"], ([r.text, r.label.label] for r in corpus))
-    payload = {s.label: d for s, d in label_distribution(corpus).items()}
-    write_json(os.path.join(config.out, DISTRIBUTION_FILE), _round6(payload))
-    print(json.dumps(_round6(payload), sort_keys=True))
+    payload = {s.label: {"count": d["count"], "fraction": _numpy_round6(d["fraction"])}
+               for s, d in label_distribution(corpus).items()}
+    write_json(os.path.join(config.out, DISTRIBUTION_FILE), payload)
+    print(json.dumps(payload, sort_keys=True))
     _info(f"ingested {len(corpus)} records -> {out_path}")
     return 0
 
@@ -136,6 +144,9 @@ def cmd_preprocess(config, args):
 
 def cmd_fit_features(config, args):
     """Cut the staged split, as evaluate_once(seed=config.seed) does, for train and predict."""
+    from .eval import fit_vocabulary, plan_splits
+    from .features import save_tfidf, write_word_frequencies
+
     rows = enumerate(_artifact_rows(_stage_input(config, PREPROCESSED_FILE, "preprocess"),
                                     {1: Sentiment.parse}))
     docs = [TokenizedComment(i, tuple(text_final.split()), label)
@@ -156,6 +167,9 @@ def cmd_fit_features(config, args):
 
 
 def cmd_train(config, args):
+    from .eval import train_seed
+    from .features import load_tfidf
+
     docs = _split_side(config, TRAIN_FILE)
     X = load_tfidf(_stage_input(config, TFIDF_FILE, "fit-features")).transform(docs)
     spec = ClassifierSpec(args.classifier, config.classifier_overrides(args.classifier))
@@ -168,6 +182,8 @@ def cmd_train(config, args):
 
 
 def cmd_predict(config, args):
+    from .features import load_tfidf
+
     model_path = _stage_input(config, f"model_{args.classifier}.json", "train")
     docs = _split_side(config, TEST_FILE)
     X = load_tfidf(_stage_input(config, TFIDF_FILE, "fit-features")).transform(docs)
@@ -181,6 +197,8 @@ def cmd_predict(config, args):
 
 
 def cmd_evaluate(config, args):
+    from .eval import confusion_matrix, metrics
+
     pred_path = _stage_input(config, f"predictions_{args.classifier}.csv", "predict")
     rows = list(_artifact_rows(pred_path, {1: Sentiment.parse, 2: Sentiment.parse}))
     cm = confusion_matrix([truth for _, truth, _ in rows], [pred for _, _, pred in rows])
@@ -246,6 +264,8 @@ def _write_compare_outputs(config, results, protocol_payload):
 
 
 def cmd_compare(config, args):
+    from .eval import evaluate_specs, plan_splits
+
     corpus = _load_dataset(config)
     stopwords = _load_stopword_list(config)
     _info(f"corpus: {len(corpus)} records, {_distribution_line(corpus)}")

@@ -6,8 +6,6 @@ from enum import IntEnum
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from .artifacts import csv_rows
 from .exceptions import EmptyCorpusError, MalformedRowError
 
@@ -104,11 +102,11 @@ def label_distribution(corpus):
     """Per-class record counts and fractions; counts sum to ``len(corpus)``."""
     if len(corpus) == 0:
         raise EmptyCorpusError("label_distribution of an empty corpus")
-    counts = np.bincount([r.label for r in corpus], minlength=len(Sentiment))
+    counts = [0] * len(Sentiment)
+    for r in corpus:
+        counts[r.label] += 1
     n = len(corpus)
-    return {
-        s: {"count": int(counts[s]), "fraction": counts[s] / n} for s in Sentiment
-    }
+    return {s: {"count": counts[s], "fraction": counts[s] / n} for s in Sentiment}
 
 
 def _train_size(train_ratio, n):
@@ -124,6 +122,8 @@ def split(corpus, train_ratio, seed):
     n = len(corpus)
     if n < 2:
         raise EmptyCorpusError(f"corpus too small to split ({n} records)")
+    import numpy as np  # here, so that a stage that splits nothing never loads it
+
     order = np.random.default_rng(seed).permutation(n)
     cut = _train_size(train_ratio, n)
     return SplitResult(tuple(corpus[i] for i in order[:cut]),
@@ -137,6 +137,8 @@ def kfold(corpus, k, seed):
     n = len(corpus)
     if not 2 <= k <= n:
         raise ValueError(f"folds must be in [2, {n}], got {k}")
+    import numpy as np
+
     folds = np.array_split(np.random.default_rng(seed).permutation(n), k)
     trains = (np.concatenate(folds[:f] + folds[f + 1:]) for f in range(k))
     return [SplitResult(tuple(corpus[i] for i in train), tuple(corpus[i] for i in test))

@@ -2,7 +2,6 @@
 pipeline: a split plan (``plan_splits``) fixes the repeated-run or k-fold
 splits, and ``evaluate_specs`` scores classifiers on them."""
 
-import contextlib
 import itertools
 import os
 from dataclasses import dataclass
@@ -11,7 +10,7 @@ import numpy as np
 
 from .base import N_CLASSES, check_labels
 from .corpus import LABEL_NAMES, kfold, split
-from .exceptions import EmptyCorpusError
+from .exceptions import EmptyCorpusError, WorkerDiedError
 from .features import TfidfVectorizer
 from .models import make_classifier
 from .preprocess import preprocess_corpus
@@ -237,12 +236,9 @@ def fit_vocabulary(part, *, fit_on_all=False, max_features=3000):
 
 
 def _fit_predict(cell):
-    """The test predictions, or the error, of a cell ``(spec, seed, X_train, y_train, X_test)``."""
+    """The test predictions of a cell ``(spec, seed, X_train, y_train, X_test)``."""
     spec, seed, X_train, y_train, X_test = cell
-    try:
-        return make_classifier(spec, seed=seed).fit(X_train, y_train).predict(X_test)
-    except Exception as exc:  # the caller raises it, in plan order
-        return exc
+    return make_classifier(spec, seed=seed).fit(X_train, y_train).predict(X_test)
 
 
 def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=3000):
@@ -251,9 +247,12 @@ def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=3000):
     tf-idf matrices (train-only vocabulary unless ``fit_on_all``) are built
     once, here; its cells, one per spec, are fit in forked workers, one per
     cell and allowed CPU, or here if that is one. They merge in plan order:
-    the results, and the first error raised, are those of a serial loop."""
-    import multiprocessing  # here, so that importing the CLI does not load it
+    the results, and the first error raised, are those of a serial loop. A
+    worker that dies, killed by a signal say, fails the run with
+    WorkerDiedError."""
+    import multiprocessing  # here, so that only scoring cells loads these
     import signal
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     if not plan:
         raise ValueError("the split plan is empty: there is no split to evaluate")
@@ -272,19 +271,22 @@ def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=3000):
     affinity = getattr(os, "sched_getaffinity", None)  # every platform with it can fork
     workers = min(len(cells), len(affinity(0))) if affinity else 1
     scored = [[] for _ in specs]  # per spec: (confusion matrix, reported seed) per split
-    # Ctrl-C stops this process, which then stops the workers; the block's exit terminates them
-    with (multiprocessing.get_context("fork").Pool(workers, signal.signal,
-                                                   (signal.SIGINT, signal.SIG_IGN))
-          if workers > 1 else contextlib.nullcontext()) as pool:
-        # every cell, after an error too: a worker killed as it sends a result hangs the pool
-        results = list(pool.imap(_fit_predict, cells)) if pool else map(_fit_predict, cells)
-        if pool:
-            pool.close()
-            pool.join()
+    if workers > 1:
+        # Ctrl-C stops this process, not the workers: on any error here, the
+        # cells not yet started are cancelled and the running ones finish
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=signal.signal,
+                                   initargs=(signal.SIGINT, signal.SIG_IGN))
+        try:
+            results = list(pool.map(_fit_predict, cells))
+        except BrokenExecutor as exc:  # the executor has stopped the other workers
+            raise WorkerDiedError(f"a worker process scoring the cells died ({exc})") from None
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        results = map(_fit_predict, cells)
     # zip stops after the cells of the last split whose features were built
     for (part, (i, spec)), predicted in zip(itertools.product(plan, enumerate(specs)), results):
-        if isinstance(predicted, Exception):
-            raise predicted
         scored[i].append((confusion_matrix([d.label for d in part.test], predicted),
                           part.reported_seed(spec.kind, spec.hyperparams.get("seed"))))
     if failure is not None:

@@ -39,3 +39,7 @@ class DivergedError(RusentError, ValueError):
 class ArtifactError(RusentError, ValueError):
     """A saved model or tf-idf artifact is malformed; the message names the
     file and the offending key."""
+
+
+class WorkerDiedError(RusentError):
+    """A worker process died, killed by a signal say, before it returned its result."""

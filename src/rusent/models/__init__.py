@@ -1,36 +1,32 @@
 """The five classifier kinds behind one fit/predict surface, plus
-saving and loading them as JSON model files."""
+saving and loading them as JSON model files. A kind's estimator module,
+and numpy with it, is imported when its class is first asked for."""
 
+import importlib
 from dataclasses import dataclass, field
 
 from ..artifacts import from_payload, read_json, to_payload, write_json
-from .knn import KNeighborsClassifier
-from .logistic import LogisticRegression
-from .mlp import MLPClassifier
-from .naive_bayes import MultinomialNaiveBayes
-from .svm import LinearSVM
 
-_REGISTRY = {
-    cls.kind: cls
-    for cls in (
-        MultinomialNaiveBayes,
-        LogisticRegression,
-        LinearSVM,
-        KNeighborsClassifier,
-        MLPClassifier,
-    )
+# kind -> the module and the name of its estimator class, whose ``kind`` it is
+_CLASSES = {
+    "knn": ("knn", "KNeighborsClassifier"),
+    "linear_svm": ("svm", "LinearSVM"),
+    "logistic_regression": ("logistic", "LogisticRegression"),
+    "mlp": ("mlp", "MLPClassifier"),
+    "naive_bayes": ("naive_bayes", "MultinomialNaiveBayes"),
 }
 
-CLASSIFIER_KINDS = tuple(sorted(_REGISTRY))
+CLASSIFIER_KINDS = tuple(sorted(_CLASSES))
 
 
 def classifier_class(kind):
     try:
-        return _REGISTRY[kind]
+        module, name = _CLASSES[kind]
     except KeyError:
         raise ValueError(
             f"unknown classifier kind {kind!r}; expected one of {CLASSIFIER_KINDS}"
         ) from None
+    return getattr(importlib.import_module(f".{module}", __name__), name)
 
 
 @dataclass(frozen=True)
@@ -61,4 +57,5 @@ def save_model(model, path):
 
 
 def load_model(path):
-    return read_json(path, lambda payload: from_payload(payload, _REGISTRY))
+    classes = {kind: classifier_class(kind) for kind in CLASSIFIER_KINDS}
+    return read_json(path, lambda payload: from_payload(payload, classes))

@@ -14,7 +14,7 @@ from rusent.config import SCHEMA, RunConfig, apply_cli_values, parse_config_file
 from rusent.exceptions import ConfigError
 from rusent.preprocess import default_stopwords
 
-from conftest import build_corpus, three_class_corpus
+from conftest import build_corpus, three_class_corpus, write_rows
 
 
 def write_dataset(path, corpus):
@@ -548,6 +548,30 @@ class TestCliExitCodes:
         assert main(["predict", "--classifier", "knn"] + common) == 1
         err = capsys.readouterr().err
         assert err == f"error: {out / artifact}: kind: expected one of {expected}\n"
+
+
+class TestLabelDistributionFile:
+    """label_distribution.json rounds each fraction as numpy rounds a float64."""
+
+    def test_fractions_round_as_numpy_does(self):
+        # with n <= 5000, round(c / n, 6) differs from numpy only where n is a multiple of 640
+        sizes = [*range(1, 401), 640, 1280, 1920, 2560, 3200]
+        wrong = [(c, n) for n in sizes for c in range(n + 1)
+                 if cli._numpy_round6(c / n) != round(np.float64(c / n), 6)]
+        assert wrong == []
+
+    def test_one_in_640(self, tmp_path, capsys):
+        # round(1 / 640, 6) is 0.001563
+        rows = [(f"comment {i}", "positive") for i in range(639)] + [("bura", "negative")]
+        dataset = write_rows(tmp_path / "data.csv", rows, header=("comment", "sentiment"))
+        assert main(["ingest", "--dataset", str(dataset), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out == (
+            '{"negative": {"count": 1, "fraction": 0.001562}, "neutral": {"count": 0, '
+            '"fraction": 0.0}, "positive": {"count": 639, "fraction": 0.998438}}\n')
+        assert (tmp_path / "out" / "label_distribution.json").read_text() == (
+            '{\n  "negative": {\n    "count": 1,\n    "fraction": 0.001562\n  },\n'
+            '  "neutral": {\n    "count": 0,\n    "fraction": 0.0\n  },\n'
+            '  "positive": {\n    "count": 639,\n    "fraction": 0.998438\n  }\n}\n')
 
 
 class TestStagedPipeline:

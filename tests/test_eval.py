@@ -1,5 +1,9 @@
+import concurrent.futures
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -18,13 +22,14 @@ from rusent import (
     preprocess_corpus,
     split,
 )
+from rusent import eval as evaluation
 from rusent.corpus import Sentiment
-from rusent.eval import PlannedSplit
+from rusent.eval import PlannedSplit, _fit_predict
 from rusent.exceptions import DivergedError, MissingClassError
 from rusent.preprocess import TokenizedComment
 from rusent.seeding import derive_seed
 
-from conftest import REFERENCE_CONFUSIONS, build_corpus, three_class_corpus
+from conftest import REFERENCE_CONFUSIONS, build_corpus, three_class_corpus, write_rows
 
 
 def exact_report(cells):
@@ -370,6 +375,25 @@ class TestEvaluateSpecs:
             evaluate_specs([ClassifierSpec("naive_bayes")], [])
 
 
+def fit_predict_or_die(cell):
+    """``eval._fit_predict``, except that the process scoring a linear SVM cell kills itself."""
+    if cell[0].kind == "linear_svm":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _fit_predict(cell)
+
+
+CELL_LOG = None  # the file that fit_predict_signalling notes each cell it starts in
+
+
+def fit_predict_signalling(cell):
+    """``eval._fit_predict``, after noting the cell in CELL_LOG and sending
+    SIGUSR1 to the process that scores the cells."""
+    with open(CELL_LOG, "a", encoding="utf-8") as log:
+        log.write(f"{cell[1]}\n")
+    os.kill(os.getppid(), signal.SIGUSR1)
+    return _fit_predict(cell)
+
+
 class TestCellWorkers:
     """How many processes score the (split, spec) cells, and which error wins."""
 
@@ -378,30 +402,21 @@ class TestCellWorkers:
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
-        """The size of every pool the fork context is asked for; its stand-in
-        scores the cells in this process, so no test here starts a process."""
+        """The size of every process pool asked for; its stand-in scores the
+        cells in this process, so no test here starts a process."""
         sizes = []
 
         class InProcessPool:
-            def __init__(self, processes, initializer=None, initargs=()):
-                sizes.append(processes)
+            def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
+                sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                pass
-
-            def imap(self, func, iterable):
+            def map(self, func, iterable):
                 return map(func, iterable)
 
-            def close(self):
+            def shutdown(self, wait=True, cancel_futures=False):
                 pass
 
-            def join(self):
-                pass
-
-        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         return sizes
 
     @staticmethod
@@ -459,6 +474,56 @@ class TestCellWorkers:
         with pytest.raises(DivergedError, match="^logistic_regression training diverged"):
             evaluate_specs(specs, plan)
         assert killed == []
+        assert multiprocessing.active_children() == []
+
+    def test_a_killed_worker_fails_compare(self, tmp_path):
+        # The worker that takes the linear SVM cell kills itself. A pool that
+        # replaced it would wait forever for that cell's result; the run must
+        # instead exit 1 with a named error, with no metrics written.
+        rows = [(r.text, r.label.label) for r in three_class_corpus(90, seed=8)]
+        dataset = write_rows(tmp_path / "data.csv", rows)
+        code = ("import os, sys\n"
+                "from rusent import cli, eval as evaluation\n"
+                "from test_eval import fit_predict_or_die\n"
+                "evaluation._fit_predict = fit_predict_or_die\n"  # the forked workers inherit it
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        src = os.path.dirname(os.path.dirname(evaluation.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-c", code, "compare", "--dataset", str(dataset),
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=30)
+        assert run.returncode == 1, run.stderr
+        assert run.stderr.splitlines()[-1].startswith(
+            "error: a worker process scoring the cells died (A process in the process pool ")
+        assert not (tmp_path / "out" / "metrics.json").exists()
+
+    def test_an_error_here_cancels_the_cells_not_started(self, monkeypatch, tmp_path):
+        # Ctrl-C, say: this process raises as soon as a worker starts a cell.
+        # The running cells finish; the rest of the twelve are never started.
+        class Interrupt(Exception):
+            pass
+
+        def interrupt_once(signum, frame):
+            if not interrupted:
+                interrupted.append(signum)
+                raise Interrupt
+
+        interrupted = []
+        monkeypatch.setattr(sys.modules[__name__], "CELL_LOG", str(tmp_path / "cells"))
+        monkeypatch.setattr(evaluation, "_fit_predict", fit_predict_signalling)
+        self.allow_cpus(monkeypatch, {0, 1})
+        docs = preprocess_corpus(three_class_corpus(90, seed=8), default_stopwords())
+        plan = plan_splits(docs, "repeated", 0, runs=12)
+        handler = signal.signal(signal.SIGUSR1, interrupt_once)
+        try:
+            with pytest.raises(Interrupt):
+                evaluate_specs([ClassifierSpec("mlp", {"epochs": 100})], plan)
+        finally:
+            signal.signal(signal.SIGUSR1, handler)
+        assert len((tmp_path / "cells").read_text().split()) < len(plan)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])

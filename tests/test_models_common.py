@@ -26,7 +26,7 @@ from rusent.base import softmax, softmax_cross_entropy
 from rusent.exceptions import NotFittedError
 from rusent.models import classifier_class
 
-from conftest import random_tfidf_instance
+from conftest import random_tfidf_instance, write_rows
 
 FAST_PARAMS = {
     "naive_bayes": {"allow_missing_class": True},
@@ -53,6 +53,10 @@ class TestRegistry:
             "knn",
             "mlp",
         }
+
+    def test_each_kind_names_its_class(self):
+        # the kinds are listed without importing the estimator modules
+        assert [classifier_class(kind).kind for kind in CLASSIFIER_KINDS] == list(CLASSIFIER_KINDS)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown classifier kind"):
@@ -352,19 +356,39 @@ class TestSoftmaxHead:
         want_loss = np.mean(special.logsumexp(logits, axis=1) - logits[rows, y])
         assert loss == pytest.approx(want_loss, rel=1e-15, abs=0)
 
-    def test_cli_start_up_skips_scipy_special(self):
-        # importing scipy.special costs a CLI process about 0.13 s, and
-        # scipy.sparse about 0.28 s; only the stages that build or read a
-        # feature matrix import scipy.sparse, and only compare's scoring
-        # loads multiprocessing
+    @staticmethod
+    def run_python(code, *args):
         src = os.path.dirname(os.path.dirname(rusent.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                              text=True)
+
+    def test_cli_start_up_skips_scipy_special(self):
+        # importing scipy.special costs a CLI process about 0.13 s, scipy.sparse
+        # about 0.28 s and numpy about 0.13 s; only the stages that build or
+        # read a feature matrix import scipy.sparse, only the stages that build
+        # an array import numpy, and only compare's scoring loads multiprocessing
         code = ("import rusent.cli, sys\n"
-                "for name in ('scipy.special', 'scipy.sparse', 'multiprocessing'):\n"
+                "for name in ('numpy', 'scipy.special', 'scipy.sparse', 'multiprocessing'):\n"
                 "    if name in sys.modules: sys.exit(f'{name} is loaded')\n")
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        run = self.run_python(code)
         assert (run.returncode, run.stderr) == (0, "")
+
+    def test_ingest_and_preprocess_run_without_numpy(self, tmp_path):
+        rows = [(f"comment {i} acha", ("negative", "neutral", "positive")[i % 3])
+                for i in range(30)]
+        dataset = write_rows(tmp_path / "data.csv", rows, header=("comment", "sentiment"))
+        code = ("import sys\n"
+                "from rusent.cli import main\n"
+                "loaded = []\n"
+                "for stage in ('ingest', 'preprocess', 'fit-features'):\n"
+                "    if main([stage, '--dataset', sys.argv[1], '--out', sys.argv[2]]) != 0:\n"
+                "        sys.exit(f'{stage} failed')\n"
+                "    loaded.append('numpy' in sys.modules)\n"
+                "sys.exit(loaded != [False, False, True] and f'numpy loaded after each: {loaded}')\n")
+        run = self.run_python(code, str(dataset), str(tmp_path / "out"))
+        assert run.returncode == 0, run.stderr
 
 
 class TestSklearnInterop:
