@@ -8,6 +8,8 @@ with a reproducible benchmark CLI.
 
 import importlib
 
+from .models import _CLASSES
+
 __version__ = "0.1.0"
 
 # Public name -> the submodule it is read from on first use, so that importing
@@ -20,11 +22,7 @@ _SOURCES = {
     **dict.fromkeys(("TfidfVectorizer", "load_tfidf", "save_tfidf"), "features"),
     **dict.fromkeys(("CLASSIFIER_KINDS", "ClassifierSpec", "load_model", "make_classifier",
                      "save_model"), "models"),
-    "KNeighborsClassifier": "models.knn",
-    "LinearSVM": "models.svm",
-    "LogisticRegression": "models.logistic",
-    "MLPClassifier": "models.mlp",
-    "MultinomialNaiveBayes": "models.naive_bayes",
+    **{name: f"models.{module}" for module, name in _CLASSES.values()},
     **dict.fromkeys(("TokenizedComment", "default_stopwords", "load_stopwords", "lowercase",
                      "preprocess_corpus", "preprocess_text", "remove_stopwords", "tokenize"),
                     "preprocess"),

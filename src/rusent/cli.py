@@ -230,7 +230,7 @@ def _write_compare_outputs(config, results, protocol_payload):
         "protocol": protocol_payload,
         "classifiers": {
             kind: {
-                "runs": agg.runs,
+                "runs": len(agg.per_run),
                 "seeds": list(agg.seeds),
                 "mean": agg.mean,
                 "std": agg.std,
@@ -354,6 +354,9 @@ def main(argv=None):
         return 2
     except (RusentError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:  # compare's workers ignore it: their running cells finish first
+        print("error: interrupted", file=sys.stderr)
         return 1
 
 

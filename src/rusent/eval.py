@@ -2,6 +2,7 @@
 pipeline: a split plan (``plan_splits``) fixes the repeated-run or k-fold
 splits, and ``evaluate_specs`` scores classifiers on them."""
 
+import hashlib
 import itertools
 import os
 from dataclasses import dataclass
@@ -14,7 +15,6 @@ from .exceptions import EmptyCorpusError, WorkerDiedError
 from .features import TfidfVectorizer
 from .models import make_classifier
 from .preprocess import preprocess_corpus
-from .seeding import derive_seed
 
 
 def confusion_matrix(y_true, y_pred):
@@ -48,8 +48,7 @@ def _check_matrix(cm):
 
 
 def accuracy(cm):
-    cm = _check_matrix(cm)
-    return float(np.trace(cm) / cm.sum())
+    return metrics(cm).accuracy
 
 
 @dataclass(frozen=True)
@@ -157,25 +156,29 @@ class RunAggregate:
     per_run: tuple
     mean: dict
     std: dict
-    runs: int
     seeds: tuple
     pooled_confusion: np.ndarray
 
 
 def _aggregate(cms, seeds):
     reports = [metrics(cm) for cm in cms]
-    keys = reports[0].scalar_metrics().keys()
-    table = {k: np.array([r.scalar_metrics()[k] for r in reports]) for k in keys}
+    rows = [r.scalar_metrics() for r in reports]
+    table = {k: np.array([row[k] for row in rows]) for k in rows[0]}
     mean = {k: float(v.mean()) for k, v in table.items()}
     std = {k: float(v.std(ddof=1)) if len(reports) > 1 else 0.0 for k, v in table.items()}
     return RunAggregate(
         per_run=tuple(reports),
         mean=mean,
         std=std,
-        runs=len(reports),
         seeds=tuple(seeds),
         pooled_confusion=np.sum(cms, axis=0),
     )
+
+
+def derive_seed(base_seed, label):
+    """Hash ``label`` into ``base_seed`` and return an unsigned 64-bit seed."""
+    digest = hashlib.sha256(f"{base_seed}:{label}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 def train_seed(seed, kind, fold=None):
@@ -186,8 +189,7 @@ def train_seed(seed, kind, fold=None):
 
 @dataclass(frozen=True)
 class PlannedSplit:
-    """One train/test split of a run. A repeated-protocol run reports
-    ``seed``; fold i reports the seed each kind's model trained with on it."""
+    """One split of a plan: repeated-protocol run ``seed``, or fold ``fold`` at base ``seed``."""
 
     train: tuple
     test: tuple
@@ -200,12 +202,6 @@ class PlannedSplit:
 
     def train_seed(self, kind):
         return train_seed(self.seed, kind, self.fold)
-
-    def reported_seed(self, kind, spec_seed=None):
-        """``spec_seed``: the seed set in the kind's spec, which its model trains with, or None."""
-        if self.fold is None:
-            return self.seed
-        return self.train_seed(kind) if spec_seed is None else spec_seed
 
 
 def plan_splits(corpus, protocol, seed, *, runs=10, train_ratio=0.8, folds=10):
@@ -236,9 +232,9 @@ def fit_vocabulary(part, *, fit_on_all=False, max_features=3000):
 
 
 def _fit_predict(cell):
-    """The test predictions of a cell ``(spec, seed, X_train, y_train, X_test)``."""
-    spec, seed, X_train, y_train, X_test = cell
-    return make_classifier(spec, seed=seed).fit(X_train, y_train).predict(X_test)
+    """The test predictions of a cell ``(model, X_train, y_train, X_test)``, its model unfitted."""
+    model, X_train, y_train, X_test = cell
+    return model.fit(X_train, y_train).predict(X_test)
 
 
 def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=3000):
@@ -264,8 +260,9 @@ def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=3000):
             vectorizer = fit_vocabulary(part, fit_on_all=fit_on_all, max_features=max_features)
             X_train, X_test = vectorizer.transform(part.train), vectorizer.transform(part.test)
             y_train = np.array([d.label for d in part.train], dtype=np.int64)
-            cells += [(spec, part.train_seed(spec.kind), X_train, y_train, X_test)
-                      for spec in specs]
+            for spec in specs:  # one at a time: a spec refused here scores the cells before it
+                model = make_classifier(spec, seed=part.train_seed(spec.kind))
+                cells.append((model, X_train, y_train, X_test))
     except ValueError as exc:  # a serial loop raises it after scoring the splits before
         failure = exc
     affinity = getattr(os, "sched_getaffinity", None)  # every platform with it can fork
@@ -285,10 +282,12 @@ def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=3000):
             pool.shutdown(cancel_futures=True)
     else:
         results = map(_fit_predict, cells)
-    # zip stops after the cells of the last split whose features were built
-    for (part, (i, spec)), predicted in zip(itertools.product(plan, enumerate(specs)), results):
-        scored[i].append((confusion_matrix([d.label for d in part.test], predicted),
-                          part.reported_seed(spec.kind, spec.hyperparams.get("seed"))))
+    # zip stops after the last cell built; a fold reports its model's seed, if its kind has one
+    for (part, i), (model, *_), predicted in zip(
+            itertools.product(plan, range(len(specs))), cells, results):
+        seed = part.seed if part.fold is None else getattr(
+            model, "seed", part.train_seed(model.kind))
+        scored[i].append((confusion_matrix([d.label for d in part.test], predicted), seed))
     if failure is not None:
         raise failure
     return [_aggregate(*zip(*spec_cells)) for spec_cells in scored]

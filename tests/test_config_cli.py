@@ -10,7 +10,7 @@ import pytest
 from rusent import CLASSIFIER_KINDS, ClassifierSpec, evaluate_once, load_csv
 from rusent import cli
 from rusent.cli import FLAGS, main
-from rusent.config import SCHEMA, RunConfig, apply_cli_values, parse_config_file
+from rusent.config import SCHEMA, RunConfig, apply_cli_values, parse_config_file, validate
 from rusent.exceptions import ConfigError
 from rusent.preprocess import default_stopwords
 
@@ -65,6 +65,18 @@ class TestConfigParsing:
         path.write_text("max_featurs = 3000\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="max_featurs"):
             parse_config_file(path)
+
+    def test_key_of_an_unknown_classifier_kind_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("svm.C = 1\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            parse_config_file(path)
+        assert str(info.value) == (f"unknown config key 'svm.C' "
+                                   f"(classifier kinds: {CLASSIFIER_KINDS})")
+
+    def test_override_of_an_unknown_classifier_kind_rejected(self):
+        with pytest.raises(ConfigError, match="^unknown classifier kind 'svm' in overrides$"):
+            validate(RunConfig(overrides={"svm": {}}))
 
     def test_has_header_is_unknown_key(self, tmp_path, capsys):
         # the header is recognised from the dataset's first line instead
@@ -210,6 +222,21 @@ CORRUPT_TFIDF_TERMS = {
 }
 
 
+# case -> (artifact, corruption, the error after the file name)
+CORRUPT_VALUES = {
+    "hyperparams-not-an-object": ("model_knn.json", lambda doc: doc.update(hyperparams=[]),
+                                  "hyperparams: expected a JSON object"),
+    "tfidf-term-not-a-string": ("tfidf.json",
+                                lambda doc: doc["parameters"]["terms"].__setitem__(0, 7),
+                                "parameters.terms: expected a list of strings"),
+    "tfidf-fractional-df": ("tfidf.json", lambda doc: doc["parameters"]["df"].__setitem__(0, 0.5),
+                            "parameters.df: expected integers"),
+    "string-coef": ("model_logistic_regression.json",
+                    lambda doc: doc["parameters"]["coef"][1].__setitem__(0, "1.0"),
+                    "parameters.coef: expected numbers"),
+}
+
+
 def merge_cases(*tables):
     """One case table from the dicts ``tables``. An id in two of them raises at
     import, instead of the later case silently replacing the earlier one."""
@@ -254,6 +281,7 @@ CORRUPT_ARTIFACTS = merge_cases(
     },
     {case: ("model_naive_bayes.json", corrupt) for case, (corrupt, _) in CORRUPT_NB_MODELS.items()},
     {case: ("tfidf.json", corrupt) for case, (corrupt, _) in CORRUPT_TFIDF_TERMS.items()},
+    {case: (artifact, corrupt) for case, (artifact, corrupt, _) in CORRUPT_VALUES.items()},
 )
 
 
@@ -529,6 +557,8 @@ class TestCliExitCodes:
         named = {**CORRUPT_NB_MODELS, **CORRUPT_TFIDF_TERMS}
         if case in named:
             assert err.startswith(f"error: {path}: {named[case][1]}")
+        if case in CORRUPT_VALUES:
+            assert err == f"error: {path}: {CORRUPT_VALUES[case][2]}\n"
 
     @pytest.mark.parametrize(
         "artifact, source, expected",

@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -24,10 +25,9 @@ from rusent import (
 )
 from rusent import eval as evaluation
 from rusent.corpus import Sentiment
-from rusent.eval import PlannedSplit, _fit_predict
-from rusent.exceptions import DivergedError, MissingClassError
+from rusent.eval import PlannedSplit, _fit_predict, derive_seed
+from rusent.exceptions import DivergedError, EmptyCorpusError, MissingClassError
 from rusent.preprocess import TokenizedComment
-from rusent.seeding import derive_seed
 
 from conftest import REFERENCE_CONFUSIONS, build_corpus, three_class_corpus, write_rows
 
@@ -140,6 +140,15 @@ class TestAccuracy:
         cm[0][0] = cell
         for score in (accuracy, metrics):
             with pytest.raises(ValueError, match="^confusion matrix cells must be whole numbers$"):
+                score(cm)
+
+    @pytest.mark.parametrize("cm, message", [
+        (np.ones((2, 2)), "confusion matrix must be 3x3"),
+        ([[2, 0, 0], [0, -1, 0], [0, 0, 1]], "confusion matrix cells must be non-negative"),
+    ], ids=["2x2", "negative-cell"])
+    def test_matrix_that_is_not_a_count_table_rejected(self, cm, message):
+        for score in (accuracy, metrics):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 score(cm)
 
 
@@ -257,7 +266,7 @@ class TestEvaluateRepeated:
         corpus = three_class_corpus(45, seed=1)
         spec = ClassifierSpec("naive_bayes")
         agg = evaluate_one(spec, corpus, default_stopwords(), "repeated", 7, runs=1)
-        assert agg.runs == 1
+        assert len(agg.per_run) == 1
         assert agg.seeds == (7,)
         assert agg.mean["accuracy"] == agg.per_run[0].accuracy
         assert all(v == 0.0 for v in agg.std.values())
@@ -289,7 +298,7 @@ class TestCrossValidate:
         corpus = three_class_corpus(50, seed=4)
         spec = ClassifierSpec("naive_bayes")
         agg = evaluate_one(spec, corpus, default_stopwords(), "kfold", 1, folds=5)
-        assert agg.runs == 5
+        assert len(agg.per_run) == 5
         assert agg.pooled_confusion.sum() == 50
 
     def test_ten_fold_train_fraction(self):
@@ -298,7 +307,7 @@ class TestCrossValidate:
         agg = evaluate_one(spec, corpus, default_stopwords(), "kfold", 0, folds=10)
         # each fold trains on 90% of the records (54 of 60)
         assert agg.pooled_confusion.sum() == 60
-        assert agg.runs == 10
+        assert len(agg.per_run) == 10
 
     def test_constant_label_every_fold_perfect(self):
         corpus = build_corpus([(f"acha {i}", "positive") for i in range(24)])
@@ -319,11 +328,10 @@ class TestSplitPlan:
         (run,) = plan_splits(corpus, "repeated", 4, runs=1, train_ratio=0.7)
         assert run.train == split(corpus, 0.7, derive_seed(4, "split")).train
         assert run.train_seed("knn") == derive_seed(4, "train:knn")
-        assert run.reported_seed("knn") == 4
         folds = plan_splits(corpus, "kfold", 4, folds=3)
         assert [(f.train, f.test) for f in folds] == kfold(corpus, 3, derive_seed(4, "kfold"))
         fold_seed = derive_seed(4, "fold2:train:mlp")
-        assert folds[2].train_seed("mlp") == folds[2].reported_seed("mlp") == fold_seed
+        assert folds[2].train_seed("mlp") == fold_seed
 
     @pytest.mark.parametrize("protocol", ["repeated", "kfold"])
     def test_reported_seed_is_the_one_each_model_trained_with(self, protocol):
@@ -374,6 +382,11 @@ class TestEvaluateSpecs:
         with pytest.raises(ValueError, match="split plan is empty"):
             evaluate_specs([ClassifierSpec("naive_bayes")], [])
 
+    def test_split_with_no_training_docs_rejected(self):
+        docs = preprocess_corpus(three_class_corpus(9, seed=0), default_stopwords())
+        with pytest.raises(EmptyCorpusError, match="^empty training partition$"):
+            evaluate_specs([ClassifierSpec("naive_bayes")], [PlannedSplit((), docs, 0)])
+
 
 def fit_predict_or_die(cell):
     """``eval._fit_predict``, except that the process scoring a linear SVM cell kills itself."""
@@ -389,8 +402,17 @@ def fit_predict_signalling(cell):
     """``eval._fit_predict``, after noting the cell in CELL_LOG and sending
     SIGUSR1 to the process that scores the cells."""
     with open(CELL_LOG, "a", encoding="utf-8") as log:
-        log.write(f"{cell[1]}\n")
+        log.write(f"{cell[0].seed}\n")
     os.kill(os.getppid(), signal.SIGUSR1)
+    return _fit_predict(cell)
+
+
+def fit_predict_slowly(cell):
+    """``eval._fit_predict``, after noting the id of the process that scores
+    the cell in CELL_LOG and sleeping for half a second."""
+    with open(CELL_LOG, "a", encoding="utf-8") as log:
+        log.write(f"{os.getpid()}\n")
+    time.sleep(0.5)
     return _fit_predict(cell)
 
 
@@ -500,6 +522,47 @@ class TestCellWorkers:
             "error: a worker process scoring the cells died (A process in the process pool ")
         assert not (tmp_path / "out" / "metrics.json").exists()
 
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    def test_ctrl_c_ends_compare_with_a_named_error(self, tmp_path, cpus):
+        # SIGINT goes to the whole process group, as a terminal's Ctrl-C does,
+        # once every process that scores cells has started one: the workers
+        # ignore it and finish their cells, and the run exits 1, writing no
+        # metrics and leaving no process behind.
+        rows = [(r.text, r.label.label) for r in three_class_corpus(90, seed=8)]
+        dataset = write_rows(tmp_path / "data.csv", rows)
+        log = tmp_path / "cells"
+        code = ("import os, sys\n"
+                "import test_eval\n"
+                "from rusent import cli, eval as evaluation\n"
+                f"test_eval.CELL_LOG = {str(log)!r}\n"
+                "evaluation._fit_predict = test_eval.fit_predict_slowly\n"
+                f"os.sched_getaffinity = lambda pid: {cpus!r}\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        src = os.path.dirname(os.path.dirname(evaluation.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")])))
+        run = subprocess.Popen(
+            [sys.executable, "-c", code, "compare", "--dataset", str(dataset),
+             "--out", str(tmp_path / "out")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True)
+        try:
+            deadline = time.monotonic() + 30
+            while len(set(log.read_text().split()) if log.exists() else ()) < len(cpus):
+                assert run.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+            os.killpg(run.pid, signal.SIGINT)
+            _, stderr = run.communicate(timeout=30)
+        finally:
+            run.kill()
+        assert run.returncode == 1, stderr
+        assert stderr.splitlines()[-1] == "error: interrupted"
+        assert "Traceback" not in stderr
+        assert not (tmp_path / "out" / "metrics.json").exists()
+        for pid in set(log.read_text().split()):
+            with pytest.raises(ProcessLookupError):
+                os.kill(int(pid), 0)
+
     def test_an_error_here_cancels_the_cells_not_started(self, monkeypatch, tmp_path):
         # Ctrl-C, say: this process raises as soon as a worker starts a cell.
         # The running cells finish; the rest of the twelve are never started.
@@ -548,3 +611,21 @@ class TestCellWorkers:
         assert pool_sizes == ([] if cpus == {0} else [2])
         with pytest.raises(ValueError, match="every document is empty"):
             evaluate_specs(specs, plan[1:])
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    def test_cell_error_before_a_refused_spec_wins(self, monkeypatch, pool_sizes, cpus):
+        # Each split's models are built here, before any cell is scored. The
+        # naive Bayes model trains without a negative comment; the last KNN
+        # spec is refused as its model is built. The serial loop raises the
+        # naive Bayes error first.
+        pos, neu = Sentiment.POSITIVE, Sentiment.NEUTRAL
+        train = (TokenizedComment(0, ("acha",), pos), TokenizedComment(1, ("theek",), neu))
+        plan = [PlannedSplit(train, train[:1], 0)]
+        specs = [ClassifierSpec("naive_bayes"), ClassifierSpec("knn", {"k": 1}),
+                 ClassifierSpec("knn", {"k": 0})]
+        self.allow_cpus(monkeypatch, cpus)
+        with pytest.raises(MissingClassError):
+            evaluate_specs(specs, plan)
+        assert pool_sizes == ([] if cpus == {0} else [2])
+        with pytest.raises(ValueError, match="^k must be an integer >= 1, got 0$"):
+            evaluate_specs(specs[1:], plan)

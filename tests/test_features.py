@@ -249,3 +249,11 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         assert lines[0] == "term,count"
         assert lines[1:] == ["acha,3", "bura,3", "drama,2"]
+
+    def test_word_frequencies_of_a_loaded_vectorizer_refused(self, toy_docs, tmp_path):
+        # a tfidf.json keeps document frequencies, not the corpus counts the dump lists
+        save_tfidf(TfidfVectorizer().fit(toy_docs), tmp_path / "tfidf.json")
+        with pytest.raises(ValueError, match="^word frequencies unavailable on a deserialized "
+                                             "model$"):
+            write_word_frequencies(load_tfidf(tmp_path / "tfidf.json"), tmp_path / "freq.csv")
+        assert not (tmp_path / "freq.csv").exists()

@@ -70,6 +70,11 @@ class TestRegistry:
         model = make_classifier(ClassifierSpec("mlp", {"seed": 7}), seed=2)
         assert model.seed == 7
 
+    def test_repr_lists_every_hyperparameter_in_signature_order(self):
+        model = make_classifier(ClassifierSpec("mlp", {"seed": 7, "lr": 0.5}))
+        assert repr(model) == ("MLPClassifier(hidden_units=100, lr=0.5, epochs=50, "
+                               "batch_size=32, seed=7)")
+
     @pytest.mark.parametrize("kind", [*CLASSIFIER_KINDS, "tfidf"])
     def test_constraints_cover_every_hyperparameter(self, kind):
         # get_params and __repr__ take their names, in this order, from constraints
@@ -128,6 +133,19 @@ class TestUniformSurface:
         model = make_classifier(ClassifierSpec(kind, FAST_PARAMS[kind]), seed=0)
         with pytest.raises(ValueError, match=r"labels must be class codes in \[0, 3\)"):
             model.fit(X, labels)
+        with pytest.raises(NotFittedError):
+            model.predict(X)
+
+    @pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
+    @pytest.mark.parametrize("rows, n_labels, message", [
+        (18, 17, "label count 17 does not match row count 18"),
+        (0, 0, "cannot fit on an empty feature matrix"),
+    ], ids=["label-count", "no-rows"])
+    def test_training_set_of_the_wrong_size_rejected(self, kind, rows, n_labels, message):
+        X, _ = random_tfidf_instance(17, n_docs=18, vocab_size=7, doc_len=5)
+        model = make_classifier(ClassifierSpec(kind, FAST_PARAMS[kind]), seed=0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            model.fit(X[:rows], ([0, 1, 2] * 6)[:n_labels])
         with pytest.raises(NotFittedError):
             model.predict(X)
 
