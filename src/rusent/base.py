@@ -6,6 +6,7 @@ carrying a trailing underscore) so they compose with pipeline tooling that
 relies on those conventions, without this package depending on scikit-learn.
 """
 
+import contextlib
 import numbers
 
 import numpy as np
@@ -140,6 +141,8 @@ class ClassifierBase(BaseEstimator):
     refused with ``DivergedError`` on a numpy overflow, invalid or divide
     error, and when ``_fit`` returns the loss at its starting parameters
     and ``final_loss_`` is above ``loss_limit`` times it.
+    A kind whose fit has ``pieces`` > 1 independent parts fits part i by ``fit_piece(X,
+    y, i)`` and finishes by ``fit(X, y, pieces)`` (its ``_fit_piece``, ``_assemble``).
     ``decision_scores`` returns one row of three per-class scores per input
     row (class-code order); ``predict`` takes the argmax, breaking exact
     ties toward the lowest class code.
@@ -151,24 +154,35 @@ class ClassifierBase(BaseEstimator):
 
     fitted = ()
     loss_limit = 1.0
+    pieces = 1
 
     def _check_fitted(self):
         """Derive what the kind computes from its ``fitted`` state, and raise
         ValueError naming ``parameters.<key>`` if that state breaks a rule
         its axes cannot state. ``fit`` and the model loader both call it."""
 
-    def fit(self, X, y):
+    @contextlib.contextmanager
+    def _training(self, X, y):
+        """The checked CSR matrix and class codes; a numpy error in the block is DivergedError."""
         self.check_params(self.get_params())
         X = check_feature_matrix(X)
         y = check_labels(y, X.shape[0])
         if X.shape[0] == 0:
             raise ValueError("cannot fit on an empty feature matrix")
-        self.n_features_ = None  # a refused fit leaves the model unfitted
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                start = self._fit(X, y)
+                yield X, y
         except FloatingPointError as exc:
             raise DivergedError(f"{self.kind} training diverged ({exc})") from None
+
+    def fit_piece(self, X, y, piece):
+        with self._training(X, y) as (X, y):
+            return self._fit_piece(X, y, piece)
+
+    def fit(self, X, y, pieces=None):
+        with self._training(X, y) as (X, y):
+            self.n_features_ = None  # a refused fit leaves the model unfitted
+            start = self._fit(X, y) if pieces is None else self._assemble(pieces)
         if start is not None and not self.final_loss_ <= self.loss_limit * start:  # NaN fails
             raise DivergedError(f"{self.kind} training diverged (final loss "
                                 f"{self.final_loss_}, starting loss {start})")

@@ -9,6 +9,7 @@ configured base seed, so reruns with the same config are byte-identical.
 import argparse
 import json
 import os
+import signal
 import sys
 
 from . import __version__
@@ -360,5 +361,8 @@ def main(argv=None):
         return 1
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run():
+    """The ``rusent`` command: ``main``, then an exit that a Ctrl-C cannot end with -2."""
+    status = main()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    sys.exit(status)

@@ -232,9 +232,28 @@ def fit_vocabulary(part, *, fit_on_all=False, max_features=3000):
 
 
 def _fit_predict(cell):
-    """The test predictions of a cell ``(model, X_train, y_train, X_test)``, its model unfitted."""
-    model, X_train, y_train, X_test = cell
+    """The test predictions of a cell ``(model, X_train, y_train, X_test)``, its model
+    unfitted; or, of a cell with a piece number appended, that piece of its fit."""
+    model, X_train, y_train, X_test, *piece = cell
+    if piece:
+        return model.fit_piece(X_train, y_train, *piece)
     return model.fit(X_train, y_train).predict(X_test)
+
+
+def _abandon(processes):
+    """Kill and reap ``processes``, then end this process as interrupted."""
+    for process in processes:
+        process.kill()
+        process.join()  # reaped: no scoring process outlives this one
+    os.write(2, b"error: interrupted\n")  # as cli reports the first Ctrl-C
+    os._exit(1)  # no wait on the executor: a worker killed while it sends can block it
+
+
+def _merged(cells, pieces, done):
+    """Each cell's predictions from ``done``: its task's, or its fit finished from its pieces'."""
+    for (model, X_train, y_train, X_test), n in zip(cells, pieces):
+        parts = [next(done) for _ in range(n)]
+        yield parts[0] if n == 1 else model.fit(X_train, y_train, parts).predict(X_test)
 
 
 def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=3000):
@@ -242,8 +261,9 @@ def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=3000):
     of preprocessed documents; returns one RunAggregate per spec. Each split's
     tf-idf matrices (train-only vocabulary unless ``fit_on_all``) are built
     once, here; its cells, one per spec, are fit in forked workers, one per
-    cell and allowed CPU, or here if that is one. They merge in plan order:
-    the results, and the first error raised, are those of a serial loop. A
+    cell and allowed CPU, or here if that is one; with fewer splits than CPUs,
+    a cell whose fit has independent pieces is a task per piece. Merged in plan
+    order, the results and the first error raised are those of a serial loop. A
     worker that dies, killed by a signal say, fails the run with
     WorkerDiedError."""
     import multiprocessing  # here, so that only scoring cells loads these
@@ -266,18 +286,29 @@ def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=3000):
     except ValueError as exc:  # a serial loop raises it after scoring the splits before
         failure = exc
     affinity = getattr(os, "sched_getaffinity", None)  # every platform with it can fork
-    workers = min(len(cells), len(affinity(0))) if affinity else 1
+    cpus = len(affinity(0)) if affinity else 1
+    pieces = [model.pieces if len(plan) < cpus else 1 for model, *_ in cells]
+    tasks = [cell + (i,) if n > 1 else cell for cell, n in zip(cells, pieces) for i in range(n)]
+    workers = min(len(tasks), cpus)
     scored = [[] for _ in specs]  # per spec: (confusion matrix, reported seed) per split
     if workers > 1:
         # Ctrl-C stops this process, not the workers: on any error here, the
-        # cells not yet started are cancelled and the running ones finish
+        # tasks not yet started are cancelled and the running ones finish
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                    initializer=signal.signal,
                                    initargs=(signal.SIGINT, signal.SIG_IGN))
         try:
-            results = list(pool.map(_fit_predict, cells))
+            results = list(_merged(cells, pieces, pool.map(_fit_predict, tasks)))
         except BrokenExecutor as exc:  # the executor has stopped the other workers
             raise WorkerDiedError(f"a worker process scoring the cells died ({exc})") from None
+        except KeyboardInterrupt:  # a second one kills the running tasks and ends the process
+            processes = list(pool._processes.values())  # what 3.14's terminate_workers() kills
+            handler = signal.signal(signal.SIGINT, lambda *_: _abandon(processes))
+            try:
+                pool.shutdown(cancel_futures=True)
+            finally:
+                signal.signal(signal.SIGINT, handler)
+            raise
         finally:
             pool.shutdown(cancel_futures=True)
     else:

@@ -27,6 +27,12 @@ def hinge_objective(w, b, X, y_signed, C):
     return value, grad_w, grad_b
 
 
+def _pairs(X):
+    """Each row of the CSR matrix ``X`` as a list of (column, value) pairs."""
+    indptr, indices, data = X.indptr.tolist(), X.indices.tolist(), X.data.tolist()
+    return [list(zip(indices[a:b], data[a:b])) for a, b in zip(indptr, indptr[1:])]
+
+
 def _sgd_binary(rows, y_signed, V, lr, epochs, C, rng):
     """Per-sample subgradient descent on one one-vs-rest problem.
 
@@ -75,6 +81,7 @@ class LinearSVM(ClassifierBase):
     """
 
     kind = "linear_svm"
+    pieces = N_CLASSES  # one one-vs-rest problem each
     constraints = {"lr": (lambda v: 0 < v < 1, "in (0, 1)"), "epochs": COUNT,
                    "C": NON_NEGATIVE, "seed": COUNT}
     fitted = LINEAR_FITTED
@@ -86,28 +93,23 @@ class LinearSVM(ClassifierBase):
         self.C = C
         self.seed = seed
 
+    def _fit_piece(self, X, y, c, rows=None):
+        """Weights, intercept and objective of class ``c`` against the rest (rows: _pairs(X))."""
+        y_signed = np.where(y == c, 1.0, -1.0)
+        rng = np.random.default_rng([self.seed, c])
+        rows = _pairs(X) if rows is None else rows
+        w, b = _sgd_binary(rows, y_signed, X.shape[1], self.lr, self.epochs, self.C, rng)
+        return w, b, hinge_objective(w, b, X, y_signed, self.C)[0]
+
     def _fit(self, X, y):
-        n, V = X.shape
-        indices = X.indices.tolist()
-        data = X.data.tolist()
-        rows = [
-            list(zip(indices[X.indptr[i] : X.indptr[i + 1]],
-                     data[X.indptr[i] : X.indptr[i + 1]]))
-            for i in range(n)
-        ]
-        W = np.zeros((N_CLASSES, V))
-        intercepts = np.zeros(N_CLASSES)
-        objectives = []
-        for c in range(N_CLASSES):
-            y_signed = np.where(y == c, 1.0, -1.0)
-            rng = np.random.default_rng([self.seed, c])
-            w, b = _sgd_binary(rows, y_signed, V, self.lr, self.epochs, self.C, rng)
-            W[c] = w
-            intercepts[c] = b
-            objectives.append(hinge_objective(w, b, X, y_signed, self.C)[0])
-        self.coef_ = W
-        self.intercept_ = intercepts
-        self.objective_per_class_ = objectives
+        rows = _pairs(X)
+        return self._assemble([self._fit_piece(X, y, c, rows) for c in range(N_CLASSES)])
+
+    def _assemble(self, pieces):
+        weights, intercepts, objectives = zip(*pieces)
+        self.coef_ = np.array(weights)
+        self.intercept_ = np.array(intercepts)
+        self.objective_per_class_ = list(objectives)
         self.final_loss_ = float(np.mean(objectives))
         # the objective at zero weights (every hinge is 1), averaged as final_loss_ is
         return float(np.mean([self.C] * N_CLASSES))

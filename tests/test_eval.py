@@ -1,7 +1,9 @@
 import concurrent.futures
+import contextlib
 import multiprocessing
 import os
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -246,6 +248,18 @@ class TestEvaluateOnce:
             cm, report = evaluate_once(spec, corpus, frozenset(), seed=seed)
             assert report.accuracy == 1.0
 
+    def test_svm_scores_alike_on_one_cpu_and_on_two(self, monkeypatch):
+        # On two CPUs the one split's SVM fit is three tasks, one per
+        # one-vs-rest problem, in forked workers; on one, a cell here.
+        corpus = three_class_corpus(90, seed=5)
+        spec = ClassifierSpec("linear_svm", {"epochs": 40})
+        scored = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            scored.append(evaluate_once(spec, corpus, default_stopwords(), seed=3))
+        np.testing.assert_array_equal(scored[0][0], scored[1][0])
+        assert scored[0][1] == scored[1][1]
+
     def test_deterministic(self):
         corpus = three_class_corpus(60, seed=3)
         spec = ClassifierSpec("mlp", {"hidden_units": 4, "epochs": 5})
@@ -396,6 +410,7 @@ def fit_predict_or_die(cell):
 
 
 CELL_LOG = None  # the file that fit_predict_signalling notes each cell it starts in
+CELL_SECONDS = 0.5  # how long fit_predict_slowly sleeps
 
 
 def fit_predict_signalling(cell):
@@ -409,11 +424,23 @@ def fit_predict_signalling(cell):
 
 def fit_predict_slowly(cell):
     """``eval._fit_predict``, after noting the id of the process that scores
-    the cell in CELL_LOG and sleeping for half a second."""
+    the cell in CELL_LOG and sleeping for CELL_SECONDS."""
     with open(CELL_LOG, "a", encoding="utf-8") as log:
         log.write(f"{os.getpid()}\n")
-    time.sleep(0.5)
+    time.sleep(CELL_SECONDS)
     return _fit_predict(cell)
+
+
+def fit_predict_half_sent(cell):
+    """``fit_predict_slowly`` in a forked worker that, before it sleeps, sends
+    the header of a 1 MiB result and no body, as a worker killed between the
+    two writes of a large result leaves its pipe: the executor then waits on
+    the rest for good."""
+    frame = sys._getframe()
+    while "result_queue" not in frame.f_locals:  # concurrent.futures' _process_worker
+        frame = frame.f_back
+    frame.f_locals["result_queue"]._writer._send(struct.pack("!i", 1 << 20))
+    return fit_predict_slowly(cell)
 
 
 class TestCellWorkers:
@@ -449,21 +476,32 @@ class TestCellWorkers:
         else:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
 
-    @pytest.mark.parametrize("cpus, runs, n_specs, sizes", [
-        ({0}, 2, 3, []),  # one allowed CPU: nothing forks
-        (set(range(8)), 1, 3, [3]),  # more CPUs than cells: one worker per cell
-        ({0, 1}, 1, 1, []),  # a one-cell plan runs in this process
-        ({0, 1}, 2, 3, [2]),
-        (None, 2, 3, []),  # no affinity mask: nothing forks
-    ], ids=["one-cpu", "cpus-above-cells", "one-cell", "cells-above-cpus", "no-affinity-mask"])
-    def test_pool_size(self, monkeypatch, pool_sizes, cpus, runs, n_specs, sizes):
+    SVM = [ClassifierSpec("linear_svm", {"epochs": 5})]
+
+    @pytest.mark.parametrize("cpus, runs, specs, sizes, tasks", [
+        ({0}, 2, SPECS, [], 6),  # one allowed CPU: nothing forks
+        (set(range(8)), 1, SPECS, [3], 3),  # more CPUs than cells: one worker per cell
+        ({0, 1}, 1, SPECS[:1], [], 1),  # a one-cell plan runs in this process
+        ({0, 1}, 2, SPECS, [2], 6),
+        (None, 2, SPECS, [], 6),  # no affinity mask: nothing forks
+        # fewer splits than CPUs: a task per one-vs-rest problem of the SVM
+        ({0, 1}, 1, SVM, [2], 3),
+        (set(range(8)), 1, SPECS + SVM, [6], 6),
+        ({0, 1}, 2, SVM, [2], 2),  # as many splits as CPUs: whole cells
+        ({0}, 1, SVM, [], 1),
+    ], ids=["one-cpu", "cpus-above-cells", "one-cell", "cells-above-cpus", "no-affinity-mask",
+            "svm-pieces", "svm-pieces-among-cells", "svm-splits-as-cpus", "svm-one-cpu"])
+    def test_pool_size(self, monkeypatch, pool_sizes, cpus, runs, specs, sizes, tasks):
         docs = preprocess_corpus(three_class_corpus(30, seed=1), default_stopwords())
         plan = plan_splits(docs, "repeated", 4, runs=runs)
         self.allow_cpus(monkeypatch, {0})
-        serial = [evaluate_specs([spec], plan) for spec in self.SPECS[:n_specs]]
+        serial = [evaluate_specs([spec], plan) for spec in specs]
         self.allow_cpus(monkeypatch, cpus)
-        scored = evaluate_specs(self.SPECS[:n_specs], plan)
-        assert pool_sizes == sizes
+        started = []
+        monkeypatch.setattr(evaluation, "_fit_predict",
+                            lambda task: started.append(task) or _fit_predict(task))
+        scored = evaluate_specs(specs, plan)
+        assert (pool_sizes, len(started)) == (sizes, tasks)
         for (own,), agg in zip(serial, scored):
             assert (agg.per_run, agg.seeds) == (own.per_run, own.seeds)
 
@@ -477,6 +515,24 @@ class TestCellWorkers:
         self.allow_cpus(monkeypatch, {0, 1})
         with pytest.raises(DivergedError, match="^mlp training diverged"):
             evaluate_specs(specs, plan)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("hyperparams, message", [
+        ({"C": 1e308, "lr": 0.9}, r"\(overflow "),  # in a piece, in a worker
+        ({"C": 1e4, "lr": 0.99, "epochs": 1}, r"\(final loss "),  # as the fit is finished here
+    ], ids=["overflow", "loss-limit"])
+    def test_a_diverged_piece_raises_the_serial_error(self, monkeypatch, hyperparams, message):
+        docs = preprocess_corpus(three_class_corpus(90, seed=8), default_stopwords())
+        plan = plan_splits(docs, "repeated", 0, runs=1)
+        specs = [ClassifierSpec("naive_bayes"), ClassifierSpec("linear_svm", hyperparams)]
+        errors = []
+        for cpus in ({0}, {0, 1}):  # a cell here, then three pieces in two forked workers
+            self.allow_cpus(monkeypatch, cpus)
+            with pytest.raises(DivergedError, match=message) as caught:
+                evaluate_specs(specs, plan)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("linear_svm training diverged")
         assert multiprocessing.active_children() == []
 
     def test_a_cell_error_kills_no_worker(self, monkeypatch):
@@ -522,12 +578,16 @@ class TestCellWorkers:
             "error: a worker process scoring the cells died (A process in the process pool ")
         assert not (tmp_path / "out" / "metrics.json").exists()
 
-    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
-    def test_ctrl_c_ends_compare_with_a_named_error(self, tmp_path, cpus):
-        # SIGINT goes to the whole process group, as a terminal's Ctrl-C does,
-        # once every process that scores cells has started one: the workers
-        # ignore it and finish their cells, and the run exits 1, writing no
-        # metrics and leaving no process behind.
+    @staticmethod
+    def interrupt_compare(tmp_path, cpus, interrupts, cell_seconds, cell="fit_predict_slowly",
+                          started=None):
+        """Run ``compare`` on ``cpus`` and send SIGINT to its process group,
+        as a terminal's Ctrl-C does, ``interrupts`` times 0.1 s apart, once
+        ``started`` processes (by default every one that scores cells) have
+        started a cell; each cell, scored by ``test_eval.<cell>``, takes
+        ``cell_seconds``. The run must exit 1 with the named error, writing
+        no metrics and leaving no process behind. Returns the seconds from
+        the last SIGINT to the exit."""
         rows = [(r.text, r.label.label) for r in three_class_corpus(90, seed=8)]
         dataset = write_rows(tmp_path / "data.csv", rows)
         log = tmp_path / "cells"
@@ -535,9 +595,10 @@ class TestCellWorkers:
                 "import test_eval\n"
                 "from rusent import cli, eval as evaluation\n"
                 f"test_eval.CELL_LOG = {str(log)!r}\n"
-                "evaluation._fit_predict = test_eval.fit_predict_slowly\n"
+                f"test_eval.CELL_SECONDS = {cell_seconds!r}\n"
+                f"evaluation._fit_predict = test_eval.{cell}\n"
                 f"os.sched_getaffinity = lambda pid: {cpus!r}\n"
-                "sys.exit(cli.main(sys.argv[1:]))\n")
+                "cli.run()\n")  # the ``rusent`` command, argv and all
         src = os.path.dirname(os.path.dirname(evaluation.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")])))
@@ -547,21 +608,47 @@ class TestCellWorkers:
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             start_new_session=True)
         try:
-            deadline = time.monotonic() + 30
-            while len(set(log.read_text().split()) if log.exists() else ()) < len(cpus):
+            deadline, started = time.monotonic() + 30, started or len(cpus)
+            while len(set(log.read_text().split()) if log.exists() else ()) < started:
                 assert run.poll() is None and time.monotonic() < deadline
                 time.sleep(0.02)
-            os.killpg(run.pid, signal.SIGINT)
+            for i in range(interrupts):
+                time.sleep(0.1 if i else 0)
+                os.killpg(run.pid, signal.SIGINT)
+            sent = time.monotonic()
             _, stderr = run.communicate(timeout=30)
-        finally:
-            run.kill()
-        assert run.returncode == 1, stderr
-        assert stderr.splitlines()[-1] == "error: interrupted"
-        assert "Traceback" not in stderr
-        assert not (tmp_path / "out" / "metrics.json").exists()
-        for pid in set(log.read_text().split()):
-            with pytest.raises(ProcessLookupError):
-                os.kill(int(pid), 0)
+            seconds = time.monotonic() - sent
+            assert run.returncode == 1, stderr
+            assert stderr.splitlines()[-1] == "error: interrupted"
+            assert "Traceback" not in stderr
+            assert not (tmp_path / "out" / "metrics.json").exists()
+            for pid in set(log.read_text().split()):
+                with pytest.raises(ProcessLookupError):
+                    os.kill(int(pid), 0)
+        except BaseException:  # checked first; then a failed run leaves no worker behind
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(run.pid, signal.SIGKILL)
+            run.wait()
+            raise
+        return seconds
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    def test_ctrl_c_ends_compare_with_a_named_error(self, tmp_path, cpus):
+        # The workers ignore SIGINT and finish their cells first.
+        self.interrupt_compare(tmp_path, cpus, 1, 0.5)
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    def test_a_second_ctrl_c_ends_compare_at_once(self, tmp_path, cpus):
+        # On two CPUs the second SIGINT lands while this process waits for the
+        # running cells, a minute long: the workers are killed and the process
+        # ends. On one, it lands while the process exits.
+        assert self.interrupt_compare(tmp_path, cpus, 2, 60) < 5
+
+    def test_a_second_ctrl_c_ends_compare_with_a_result_half_sent(self, tmp_path):
+        # The executor waits on a result that will never be whole, and sends
+        # no further cell to a worker: the second SIGINT must end the process
+        # without waiting on it.
+        assert self.interrupt_compare(tmp_path, {0, 1}, 2, 60, "fit_predict_half_sent", 1) < 5
 
     def test_an_error_here_cancels_the_cells_not_started(self, monkeypatch, tmp_path):
         # Ctrl-C, say: this process raises as soon as a worker starts a cell.

@@ -14,6 +14,7 @@ import rusent
 from rusent import (
     CLASSIFIER_KINDS,
     ClassifierSpec,
+    LinearSVM,
     TfidfVectorizer,
     load_model,
     load_tfidf,
@@ -407,6 +408,38 @@ class TestSoftmaxHead:
                 "sys.exit(loaded != [False, False, True] and f'numpy loaded after each: {loaded}')\n")
         run = self.run_python(code, str(dataset), str(tmp_path / "out"))
         assert run.returncode == 0, run.stderr
+
+
+class TestFitPieces:
+    """A fit of independent pieces, each computed alone, then finished."""
+
+    @staticmethod
+    def svm():
+        return LinearSVM(epochs=30, seed=7)
+
+    def test_pieced_svm_fit_is_the_in_process_fit(self):
+        X, y = random_tfidf_instance(4, n_docs=60, vocab_size=20, doc_len=6)
+        whole = self.svm().fit(X, y)
+        pieces = [self.svm().fit_piece(X, y, c) for c in range(LinearSVM.pieces)]
+        pieced = self.svm().fit(X, y, pieces)
+        assert np.array_equal(pieced.coef_, whole.coef_)
+        assert np.array_equal(pieced.intercept_, whole.intercept_)
+        assert pieced.objective_per_class_ == whole.objective_per_class_
+        assert pieced.final_loss_ == whole.final_loss_
+        assert to_payload(pieced) == to_payload(whole)
+
+    @pytest.mark.parametrize("model, change, message", [
+        (LinearSVM(lr=1.0), lambda X, y: (X, y), "^lr must be in"),
+        (LinearSVM(), lambda X, y: (sp.csr_matrix([[np.nan]] * X.shape[0]), y), "non-finite"),
+        (LinearSVM(), lambda X, y: (X, y + 3), "^labels must be class codes"),
+        (LinearSVM(), lambda X, y: (X[:0], y[:0]), "^cannot fit on an empty"),
+        (LinearSVM(C=1e308, lr=0.9), lambda X, y: (X, y), "^linear_svm training diverged"),
+    ], ids=["hyperparameter", "non-finite", "label", "no-rows", "overflow"])
+    def test_a_piece_is_checked_as_a_fit_is(self, model, change, message):
+        X, y = change(*random_tfidf_instance(0))
+        for fit in (model.fit, lambda X, y: model.fit_piece(X, y, 0)):
+            with pytest.raises(ValueError, match=message):
+                fit(X, y)
 
 
 class TestSklearnInterop:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rusent import LinearSVM, TfidfVectorizer, preprocess_corpus
 from rusent.exceptions import DivergedError
-from rusent.models.svm import hinge_objective
+from rusent.models.svm import _pairs, hinge_objective
 
 from conftest import (central_diff, label_codes, random_tfidf_instance, relative_error,
                       two_class_corpus)
@@ -68,6 +69,10 @@ class TestGradient:
 
 
 class TestTraining:
+    def test_row_pairs_hold_each_rows_entries_in_column_order(self):
+        X = sp.csr_matrix(np.array([[0.0, 1.5, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, 3.0]]))
+        assert _pairs(X) == [[(1, 1.5)], [], [(0, 2.0), (2, 3.0)]]
+
     def test_separable_two_class_all_margins_correct_sign(self):
         corpus = two_class_corpus(40, seed=1)
         docs = preprocess_corpus(corpus, frozenset())
