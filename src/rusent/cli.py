@@ -225,7 +225,6 @@ def _ranking(results):
 
 
 def _write_compare_outputs(config, results, protocol_payload):
-    os.makedirs(config.out, exist_ok=True)
     ranking = _ranking(results)
     payload = {
         "protocol": protocol_payload,
@@ -269,6 +268,7 @@ def cmd_compare(config, args):
 
     corpus = _load_dataset(config)
     stopwords = _load_stopword_list(config)
+    os.makedirs(config.out, exist_ok=True)  # an --out that cannot be a directory fails here
     _info(f"corpus: {len(corpus)} records, {_distribution_line(corpus)}")
     docs = preprocess_corpus(corpus, stopwords, config.strip_punct)
     plan = plan_splits(docs, config.protocol, config.seed, runs=config.runs,
@@ -356,13 +356,23 @@ def main(argv=None):
     except (RusentError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except KeyboardInterrupt:  # compare's workers ignore it: their running cells finish first
-        print("error: interrupted", file=sys.stderr)
-        return 1
+
+
+def _interrupted(signum, frame):
+    """Ctrl-C under the ``rusent`` command: kill and reap compare's forked
+    scoring workers, which ignore it, and end the run with exit code 1."""
+    # no import here: a pool can have forked only once multiprocessing is loaded whole
+    for worker in getattr(sys.modules.get("multiprocessing"), "active_children", list)():
+        worker.kill()
+        worker.join()
+    os.write(2, b"error: interrupted\n")
+    os._exit(1)  # no wait on a pool: a worker killed while it sends a result can block it
 
 
 def run():
     """The ``rusent`` command: ``main``, then an exit that a Ctrl-C cannot end with -2."""
+    if signal.getsignal(signal.SIGINT) is not signal.SIG_IGN:  # an inherited ignore stays
+        signal.signal(signal.SIGINT, _interrupted)  # the first Ctrl-C ends the run
     status = main()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     sys.exit(status)

@@ -240,15 +240,6 @@ def _fit_predict(cell):
     return model.fit(X_train, y_train).predict(X_test)
 
 
-def _abandon(processes):
-    """Kill and reap ``processes``, then end this process as interrupted."""
-    for process in processes:
-        process.kill()
-        process.join()  # reaped: no scoring process outlives this one
-    os.write(2, b"error: interrupted\n")  # as cli reports the first Ctrl-C
-    os._exit(1)  # no wait on the executor: a worker killed while it sends can block it
-
-
 def _merged(cells, pieces, done):
     """Each cell's predictions from ``done``: its task's, or its fit finished from its pieces'."""
     for (model, X_train, y_train, X_test), n in zip(cells, pieces):
@@ -292,8 +283,8 @@ def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=3000):
     workers = min(len(tasks), cpus)
     scored = [[] for _ in specs]  # per spec: (confusion matrix, reported seed) per split
     if workers > 1:
-        # Ctrl-C stops this process, not the workers: on any error here, the
-        # tasks not yet started are cancelled and the running ones finish
+        # The workers ignore SIGINT. On any error here, a KeyboardInterrupt
+        # too, the tasks not yet started are cancelled and the running ones finish
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                    initializer=signal.signal,
                                    initargs=(signal.SIGINT, signal.SIG_IGN))
@@ -301,14 +292,6 @@ def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=3000):
             results = list(_merged(cells, pieces, pool.map(_fit_predict, tasks)))
         except BrokenExecutor as exc:  # the executor has stopped the other workers
             raise WorkerDiedError(f"a worker process scoring the cells died ({exc})") from None
-        except KeyboardInterrupt:  # a second one kills the running tasks and ends the process
-            processes = list(pool._processes.values())  # what 3.14's terminate_workers() kills
-            handler = signal.signal(signal.SIGINT, lambda *_: _abandon(processes))
-            try:
-                pool.shutdown(cancel_futures=True)
-            finally:
-                signal.signal(signal.SIGINT, handler)
-            raise
         finally:
             pool.shutdown(cancel_futures=True)
     else:

@@ -2,6 +2,7 @@ import csv
 import json
 import multiprocessing
 import os
+import signal
 from dataclasses import fields
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from rusent import CLASSIFIER_KINDS, ClassifierSpec, evaluate_once, load_csv
 from rusent import cli
+from rusent import eval as evaluation
 from rusent.cli import FLAGS, main
 from rusent.config import SCHEMA, RunConfig, apply_cli_values, parse_config_file, validate
 from rusent.exceptions import ConfigError
@@ -362,6 +364,21 @@ class TestCliExitCodes:
             assert all(line.startswith(("corpus: ", "[seed ")) for line in progress)
             assert last.startswith("error: logistic_regression training diverged (")
             assert multiprocessing.active_children() == []
+
+    def test_compare_out_that_is_a_file_exits_1_before_any_cell(
+        self, fast_config, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "taken"
+        out.write_text("a file\n", encoding="utf-8")
+        started = []
+        fit_predict = evaluation._fit_predict
+        monkeypatch.setattr(evaluation, "_fit_predict",
+                            lambda cell: started.append(cell) or fit_predict(cell))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert main(["compare", "--config", str(fast_config), "--out", str(out)]) == 1
+        assert str(out) in capsys.readouterr().err.splitlines()[-1]
+        assert started == []
+        assert out.read_text(encoding="utf-8") == "a file\n"
 
     def test_dead_hidden_layer_exits_1(self, dataset, tmp_path, capsys):
         path = tmp_path / "dead.cfg"
@@ -752,6 +769,19 @@ class TestCompare:
         # rerun with identical config: byte-identical report
         assert main(["compare", "--config", str(fast_config)]) == 0
         assert (out / "metrics.json").read_bytes() == first
+
+    def test_main_leaves_the_sigint_handler_as_it_found_it(self, fast_config, monkeypatch):
+        # Only the ``rusent`` command, cli.run, owns Ctrl-C; an in-process caller keeps its own.
+        def handler(signum, frame):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        previous = signal.signal(signal.SIGINT, handler)
+        try:
+            assert main(["compare", "--config", str(fast_config)]) == 0
+            assert signal.getsignal(signal.SIGINT) is handler
+        finally:
+            signal.signal(signal.SIGINT, previous)
 
     def test_kfold_protocol(self, dataset, tmp_path):
         out = tmp_path / "out"

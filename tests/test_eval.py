@@ -27,7 +27,7 @@ from rusent import (
 )
 from rusent import eval as evaluation
 from rusent.corpus import Sentiment
-from rusent.eval import PlannedSplit, _fit_predict, derive_seed
+from rusent.eval import PlannedSplit, _fit_predict, derive_seed, fit_vocabulary
 from rusent.exceptions import DivergedError, EmptyCorpusError, MissingClassError
 from rusent.preprocess import TokenizedComment
 
@@ -410,7 +410,7 @@ def fit_predict_or_die(cell):
 
 
 CELL_LOG = None  # the file that fit_predict_signalling notes each cell it starts in
-CELL_SECONDS = 0.5  # how long fit_predict_slowly sleeps
+CELL_SECONDS = 0.5  # how long fit_predict_slowly and fit_vocabulary_slowly sleep
 
 
 def fit_predict_signalling(cell):
@@ -429,6 +429,32 @@ def fit_predict_slowly(cell):
         log.write(f"{os.getpid()}\n")
     time.sleep(CELL_SECONDS)
     return _fit_predict(cell)
+
+
+def fit_vocabulary_slowly(part, **options):
+    """``eval.fit_vocabulary``, after noting the id of the process that
+    builds the features in CELL_LOG and sleeping for CELL_SECONDS."""
+    with open(CELL_LOG, "a", encoding="utf-8") as log:
+        log.write(f"{os.getpid()}\n")
+    time.sleep(CELL_SECONDS)
+    return fit_vocabulary(part, **options)
+
+
+def child_env():
+    """This environment, with the package and this test module importable."""
+    src = os.path.dirname(os.path.dirname(evaluation.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")])))
+
+
+def run_python(code):
+    """The finished ``python -c code``, in ``child_env()``, its output captured."""
+    return subprocess.run([sys.executable, "-c", code], env=child_env(),
+                          capture_output=True, text=True, timeout=30)
+
+
+class StopScoring(Exception):
+    """An error raised in the process that scores the cells, as from a signal handler."""
 
 
 def fit_predict_half_sent(cell):
@@ -566,9 +592,7 @@ class TestCellWorkers:
                 "evaluation._fit_predict = fit_predict_or_die\n"  # the forked workers inherit it
                 "os.sched_getaffinity = lambda pid: {0, 1}\n"
                 "sys.exit(cli.main(sys.argv[1:]))\n")
-        src = os.path.dirname(os.path.dirname(evaluation.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")])))
+        env = child_env()
         run = subprocess.run(
             [sys.executable, "-c", code, "compare", "--dataset", str(dataset),
              "--out", str(tmp_path / "out")],
@@ -580,28 +604,28 @@ class TestCellWorkers:
 
     @staticmethod
     def interrupt_compare(tmp_path, cpus, interrupts, cell_seconds, cell="fit_predict_slowly",
-                          started=None):
-        """Run ``compare`` on ``cpus`` and send SIGINT to its process group,
-        as a terminal's Ctrl-C does, ``interrupts`` times 0.1 s apart, once
-        ``started`` processes (by default every one that scores cells) have
-        started a cell; each cell, scored by ``test_eval.<cell>``, takes
-        ``cell_seconds``. The run must exit 1 with the named error, writing
-        no metrics and leaving no process behind. Returns the seconds from
-        the last SIGINT to the exit."""
+                          started=None, replaces="_fit_predict"):
+        """Run ``compare`` on ``cpus`` with ``eval.<replaces>`` replaced by
+        ``test_eval.<cell>``, which takes ``cell_seconds`` a call, and send
+        SIGINT to its process group, as a terminal's Ctrl-C does,
+        ``interrupts`` times 0.1 s apart, once ``started`` processes (by
+        default every one that scores cells) have noted a call. The run must
+        exit 1 with the named error, writing no metrics and leaving no
+        process behind. Returns the seconds from the last SIGINT to the exit."""
         rows = [(r.text, r.label.label) for r in three_class_corpus(90, seed=8)]
         dataset = write_rows(tmp_path / "data.csv", rows)
         log = tmp_path / "cells"
-        code = ("import os, sys\n"
+        code = ("import os, signal, sys\n"
                 "import test_eval\n"
+                # as a command typed at a terminal starts, whatever this process inherited
+                "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
                 "from rusent import cli, eval as evaluation\n"
                 f"test_eval.CELL_LOG = {str(log)!r}\n"
                 f"test_eval.CELL_SECONDS = {cell_seconds!r}\n"
-                f"evaluation._fit_predict = test_eval.{cell}\n"
+                f"evaluation.{replaces} = test_eval.{cell}\n"
                 f"os.sched_getaffinity = lambda pid: {cpus!r}\n"
                 "cli.run()\n")  # the ``rusent`` command, argv and all
-        src = os.path.dirname(os.path.dirname(evaluation.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")])))
+        env = child_env()
         run = subprocess.Popen(
             [sys.executable, "-c", code, "compare", "--dataset", str(dataset),
              "--out", str(tmp_path / "out")],
@@ -634,32 +658,72 @@ class TestCellWorkers:
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
     def test_ctrl_c_ends_compare_with_a_named_error(self, tmp_path, cpus):
-        # The workers ignore SIGINT and finish their cells first.
-        self.interrupt_compare(tmp_path, cpus, 1, 0.5)
+        # The workers ignore SIGINT; the command kills them in their
+        # minute-long cells and ends the run at once.
+        assert self.interrupt_compare(tmp_path, cpus, 1, 60) < 5
+
+    def test_ctrl_c_ends_compare_with_a_result_half_sent(self, tmp_path):
+        # The executor waits on a result that will never be whole, and sends
+        # no further cell to a worker: the SIGINT must end the process
+        # without waiting on it.
+        assert self.interrupt_compare(tmp_path, {0, 1}, 1, 60, "fit_predict_half_sent", 1) < 5
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    def test_ctrl_c_ends_compare_while_it_builds_the_features(self, tmp_path, cpus):
+        # Before any worker is started: the process sleeps in fit_vocabulary.
+        assert self.interrupt_compare(tmp_path, cpus, 1, 60, "fit_vocabulary_slowly", 1,
+                                      replaces="fit_vocabulary") < 5
+
+    def test_ctrl_c_while_multiprocessing_is_imported_ends_the_run(self):
+        # The module is in sys.modules before it has active_children; no pool has forked yet.
+        code = ("import sys, types\n"
+                "from rusent import cli\n"
+                "sys.modules['multiprocessing'] = types.ModuleType('multiprocessing')\n"
+                "cli._interrupted(2, None)\n")
+        run = run_python(code)
+        assert (run.returncode, run.stderr) == (1, "error: interrupted\n")
+
+    def test_ctrl_c_after_main_returns_keeps_its_status(self):
+        # As when it lands while the interpreter exits, compare's outputs written.
+        code = ("import atexit, os, signal, time\n"
+                "from rusent import cli\n"
+                "cli.main = lambda: 0\n"
+                "atexit.register(lambda: os.kill(os.getpid(), signal.SIGINT) or time.sleep(0.1))\n"
+                "cli.run()\n")
+        run = run_python(code)
+        assert (run.returncode, run.stderr) == (0, "")
+
+    def test_a_command_started_ignoring_ctrl_c_keeps_ignoring_it(self):
+        # As a background job of a shell script starts, or one under nohup.
+        code = ("import os, signal, time\n"
+                "from rusent import cli\n"
+                "signal.signal(signal.SIGINT, signal.SIG_IGN)\n"
+                "cli.main = lambda: os.kill(os.getpid(), signal.SIGINT) or time.sleep(0.1) or 0\n"
+                "cli.run()\n")
+        run = run_python(code)
+        assert (run.returncode, run.stderr) == (0, "")
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
     def test_a_second_ctrl_c_ends_compare_at_once(self, tmp_path, cpus):
-        # On two CPUs the second SIGINT lands while this process waits for the
-        # running cells, a minute long: the workers are killed and the process
-        # ends. On one, it lands while the process exits.
+        # The first SIGINT ends the run, cells a minute long and all; the
+        # second lands on a process that is exiting or has exited.
         assert self.interrupt_compare(tmp_path, cpus, 2, 60) < 5
 
     def test_a_second_ctrl_c_ends_compare_with_a_result_half_sent(self, tmp_path):
-        # The executor waits on a result that will never be whole, and sends
-        # no further cell to a worker: the second SIGINT must end the process
-        # without waiting on it.
+        # The executor waits on a result that will never be whole; the first
+        # SIGINT ends the process without waiting on it, and the second finds
+        # it exiting or gone.
         assert self.interrupt_compare(tmp_path, {0, 1}, 2, 60, "fit_predict_half_sent", 1) < 5
 
-    def test_an_error_here_cancels_the_cells_not_started(self, monkeypatch, tmp_path):
-        # Ctrl-C, say: this process raises as soon as a worker starts a cell.
-        # The running cells finish; the rest of the twelve are never started.
-        class Interrupt(Exception):
-            pass
-
+    @pytest.mark.parametrize("error", [StopScoring, KeyboardInterrupt])
+    def test_an_error_here_cancels_the_cells_not_started(self, monkeypatch, tmp_path, error):
+        # A Ctrl-C in a caller that runs evaluate_specs in-process, say: this
+        # process raises as soon as a worker starts a cell. The running cells
+        # finish; the rest of the twelve are never started.
         def interrupt_once(signum, frame):
             if not interrupted:
                 interrupted.append(signum)
-                raise Interrupt
+                raise error
 
         interrupted = []
         monkeypatch.setattr(sys.modules[__name__], "CELL_LOG", str(tmp_path / "cells"))
@@ -669,7 +733,7 @@ class TestCellWorkers:
         plan = plan_splits(docs, "repeated", 0, runs=12)
         handler = signal.signal(signal.SIGUSR1, interrupt_once)
         try:
-            with pytest.raises(Interrupt):
+            with pytest.raises(error):
                 evaluate_specs([ClassifierSpec("mlp", {"epochs": 100})], plan)
         finally:
             signal.signal(signal.SIGUSR1, handler)
