@@ -22,7 +22,7 @@ _SOURCES = {
     **dict.fromkeys(("TfidfVectorizer", "load_tfidf", "save_tfidf"), "features"),
     **dict.fromkeys(("CLASSIFIER_KINDS", "ClassifierSpec", "load_model", "make_classifier",
                      "save_model"), "models"),
-    **{name: f"models.{module}" for module, name in _CLASSES.values()},
+    **{name: f"models.{module}" for module, name, _ in _CLASSES.values()},
     **dict.fromkeys(("TokenizedComment", "default_stopwords", "load_stopwords", "lowercase",
                      "preprocess_corpus", "preprocess_text", "remove_stopwords", "tokenize"),
                     "preprocess"),

@@ -176,7 +176,7 @@ def from_payload(payload, classes):
     if not isinstance(kind, str) or kind not in classes:
         raise ArtifactError(f"kind: expected one of {sorted(classes)}, got {kind!r}")
     cls = classes[kind]
-    fields(hyperparams, cls.constraints, "hyperparams.")
+    fields(hyperparams, cls.hyperparameters, "hyperparams.")
     cls.check_params(hyperparams)
     obj = cls(**hyperparams)
     obj.n_features_ = decode_value("dimension", INTS, dimension, (), {})

@@ -7,53 +7,35 @@ relies on those conventions, without this package depending on scikit-learn.
 """
 
 import contextlib
-import numbers
 
 import numpy as np
 
 from .artifacts import FLOATS, check_is_fitted
 from .exceptions import DivergedError
+from .models import check_hyperparams, kind_entry
 
 N_CLASSES = 3
 
 
-# Hyperparameter rules for ``BaseEstimator.constraints``: (test, rule text).
-# A test that raises TypeError (None > 0, say) fails.
-POSITIVE = (lambda v: 0 < v < np.inf, "finite and > 0")
-NON_NEGATIVE = (lambda v: 0 <= v < np.inf, "finite and >= 0")
-COUNT = (lambda v: isinstance(v, numbers.Integral) and v >= 0, "an integer >= 0")
-AT_LEAST_ONE = (lambda v: isinstance(v, numbers.Integral) and v >= 1, "an integer >= 1")
-FLAG = (lambda v: isinstance(v, bool), "true or false")
-
-
 class BaseEstimator:
-    """Minimal scikit-learn-compatible parameter handling. ``constraints``
-    holds a (test, rule text) pair for every constructor parameter, in
-    signature order."""
+    """Minimal scikit-learn-compatible parameter handling. ``hyperparameters``
+    maps each keyword of the constructor to its (default, rule), in ``get_params`` order."""
 
-    constraints = {}
+    hyperparameters = {}
+
+    def __init__(self, **params):
+        for name, (default, _) in self.hyperparameters.items():
+            setattr(self, name, params.pop(name, default))
+        for name in params:
+            raise TypeError(f"{type(self).__name__}() got an unexpected keyword argument {name!r}")
 
     @classmethod
     def check_params(cls, params):
-        """Raise ValueError for the first entry of the name -> value mapping
-        ``params`` that is not a parameter or breaks its rule. The message
-        starts with the name."""
-        for name, value in params.items():
-            if name not in cls.constraints:
-                raise ValueError(
-                    f"{name} is an unknown hyperparameter for {cls.__name__} "
-                    f"(accepted: {sorted(cls.constraints)})"
-                )
-            test, rule = cls.constraints[name]
-            try:  # a bool passes the flag rule only, never a numeric one
-                ok = isinstance(value, bool) == (test is FLAG[0]) and test(value)
-            except TypeError:
-                ok = False
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {value!r}")
+        """``models.check_hyperparams`` with this class's hyperparameters."""
+        check_hyperparams(params, cls.hyperparameters, cls.__name__)
 
     def get_params(self, deep=True):
-        return {name: getattr(self, name) for name in self.constraints}
+        return {name: getattr(self, name) for name in self.hyperparameters}
 
     def set_params(self, **params):
         self.check_params(params)
@@ -147,14 +129,18 @@ class ClassifierBase(BaseEstimator):
     row (class-code order); ``predict`` takes the argmax, breaking exact
     ties toward the lowest class code.
 
-    Each kind declares ``constraints`` and ``fitted``, the (JSON key,
-    attribute, codec, axes) rows that ``artifacts.to_payload`` saves and
-    ``artifacts.from_payload`` loads.
+    Each kind declares ``fitted``, the (JSON key, attribute, codec, axes) rows
+    that ``artifacts.to_payload`` saves and ``artifacts.from_payload`` loads; its
+    ``hyperparameters`` are the ones ``models`` lists for its ``kind``.
     """
 
     fitted = ()
     loss_limit = 1.0
     pieces = 1
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.hyperparameters = kind_entry(cls.kind)[2]
 
     def _check_fitted(self):
         """Derive what the kind computes from its ``fitted`` state, and raise

@@ -8,7 +8,7 @@ e.g. ``mlp.hidden_units = 64``. Unknown keys are rejected.
 from dataclasses import dataclass, field, fields, replace
 
 from .exceptions import ConfigError
-from .models import CLASSIFIER_KINDS, classifier_class
+from .models import CLASSIFIER_KINDS, check_hyperparams, kind_entry
 
 PROTOCOLS = ("repeated", "kfold")
 
@@ -38,7 +38,7 @@ class RunConfig:
 SCHEMA = {f.name: f.type if isinstance(f.type, type) else str
           for f in fields(RunConfig) if f.name != "overrides"}
 
-# Value rules of the top-level keys, in the form of ``BaseEstimator.constraints``.
+# Value rules of the top-level keys: (test, rule text), as the hyperparameter rules are.
 _RULES = {
     "protocol": (lambda v: v in PROTOCOLS, f"one of {PROTOCOLS}"),
     "train_ratio": (lambda v: 0 < v < 1, "in (0, 1)"),
@@ -101,7 +101,7 @@ def parse_config_file(path):
                     f"(classifier kinds: {CLASSIFIER_KINDS})"
                 )
             # takes its default's type; validate() rejects an unknown name
-            default = classifier_class(kind)().get_params().get(param, "")
+            default, _ = kind_entry(kind)[2].get(param, ("", None))
             overrides.setdefault(kind, {})[param] = _convert(key, raw, type(default))
         elif key in SCHEMA:
             values[key] = _convert(key, raw, SCHEMA[key])
@@ -118,8 +118,9 @@ def validate(config):
     for kind, params in config.overrides.items():
         if kind not in CLASSIFIER_KINDS:
             raise ConfigError(f"unknown classifier kind {kind!r} in overrides")
+        _, name, table = kind_entry(kind)
         try:
-            classifier_class(kind).check_params(params)
+            check_hyperparams(params, table, name)
         except ValueError as exc:  # the message starts with the parameter name
             raise ConfigError(f"{kind}.{exc}") from None
     return config

@@ -13,9 +13,8 @@ from itertools import repeat
 import numpy as np
 
 from .artifacts import INTS, TERMS, from_payload, read_json, to_payload, write_csv, write_json
-from .base import AT_LEAST_ONE, BaseEstimator, check_is_fitted
-
-DEFAULT_MAX_FEATURES = 3000
+from .base import BaseEstimator, check_is_fitted
+from .models import AT_LEAST_ONE
 
 
 def _doc_tokens(doc):
@@ -35,16 +34,13 @@ class TfidfVectorizer(BaseEstimator):
     """
 
     kind = "tfidf"
-    constraints = {"max_features": AT_LEAST_ONE}
+    hyperparameters = {"max_features": (3000, AT_LEAST_ONE)}
     fitted = (
         ("terms", "terms_", TERMS, ("dimension",)),
         ("df", "document_frequency_", INTS, ("dimension",)),
         ("N", "n_documents_", INTS, ()),
     )
     feature_counts_ = None
-
-    def __init__(self, max_features=DEFAULT_MAX_FEATURES):
-        self.max_features = max_features
 
     def fit(self, docs, y=None):
         self.check_params(self.get_params())

@@ -3,30 +3,69 @@ saving and loading them as JSON model files. A kind's estimator module,
 and numpy with it, is imported when its class is first asked for."""
 
 import importlib
+import math
+import numbers
 from dataclasses import dataclass, field
 
 from ..artifacts import from_payload, read_json, to_payload, write_json
 
-# kind -> the module and the name of its estimator class, whose ``kind`` it is
+# Hyperparameter rules: (test, rule text). A test that raises TypeError (None > 0, say) fails.
+POSITIVE = (lambda v: 0 < v < math.inf, "finite and > 0")
+NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "finite and >= 0")
+COUNT = (lambda v: isinstance(v, numbers.Integral) and v >= 0, "an integer >= 0")
+AT_LEAST_ONE = (lambda v: isinstance(v, numbers.Integral) and v >= 1, "an integer >= 1")
+FLAG = (lambda v: isinstance(v, bool), "true or false")
+
+# kind -> the module and the name of its estimator class, whose ``kind`` it is, and
+# its hyperparameters, name -> (default, rule), in the order get_params lists them
 _CLASSES = {
-    "knn": ("knn", "KNeighborsClassifier"),
-    "linear_svm": ("svm", "LinearSVM"),
-    "logistic_regression": ("logistic", "LogisticRegression"),
-    "mlp": ("mlp", "MLPClassifier"),
-    "naive_bayes": ("naive_bayes", "MultinomialNaiveBayes"),
+    "knn": ("knn", "KNeighborsClassifier", {"k": (5, AT_LEAST_ONE)}),
+    "linear_svm": ("svm", "LinearSVM", {
+        "lr": (0.1, (lambda v: 0 < v < 1, "in (0, 1)")), "epochs": (300, COUNT),
+        "C": (1.0, NON_NEGATIVE), "seed": (0, COUNT)}),
+    "logistic_regression": ("logistic", "LogisticRegression", {
+        "lr": (0.5, POSITIVE), "epochs": (300, COUNT), "l2": (1e-4, NON_NEGATIVE)}),
+    "mlp": ("mlp", "MLPClassifier", {
+        "hidden_units": (100, AT_LEAST_ONE), "lr": (0.05, POSITIVE), "epochs": (50, COUNT),
+        "batch_size": (32, AT_LEAST_ONE), "seed": (0, COUNT)}),
+    "naive_bayes": ("naive_bayes", "MultinomialNaiveBayes", {
+        "alpha": (1.0, POSITIVE), "allow_missing_class": (False, FLAG)}),
 }
 
 CLASSIFIER_KINDS = tuple(sorted(_CLASSES))
 
 
-def classifier_class(kind):
+def kind_entry(kind):
+    """The module, estimator class name and hyperparameter table of ``kind``."""
     try:
-        module, name = _CLASSES[kind]
+        return _CLASSES[kind]
     except KeyError:
         raise ValueError(
             f"unknown classifier kind {kind!r}; expected one of {CLASSIFIER_KINDS}"
         ) from None
+
+
+def classifier_class(kind):
+    module, name, _ = kind_entry(kind)
     return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def check_hyperparams(params, table, owner):
+    """Raise ValueError for the first entry of the name -> value mapping ``params``
+    that is not in the name -> (default, rule) ``table`` or breaks its rule. The
+    message starts with the name; an unknown name's cites the class name ``owner``."""
+    for name, value in params.items():
+        if name not in table:
+            raise ValueError(
+                f"{name} is an unknown hyperparameter for {owner} (accepted: {sorted(table)})"
+            )
+        test, rule = table[name][1]
+        try:  # a bool passes the flag rule only, never a numeric one
+            ok = isinstance(value, bool) == (test is FLAG[0]) and test(value)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -37,7 +76,7 @@ class ClassifierSpec:
     hyperparams: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        classifier_class(self.kind)  # validates the kind eagerly
+        kind_entry(self.kind)  # validates the kind eagerly
 
 
 def make_classifier(spec, seed=None):
@@ -47,7 +86,7 @@ def make_classifier(spec, seed=None):
     cls = classifier_class(spec.kind)
     cls.check_params(spec.hyperparams)
     params = dict(spec.hyperparams)
-    if "seed" in cls.constraints and seed is not None:
+    if "seed" in cls.hyperparameters and seed is not None:
         params.setdefault("seed", seed)
     return cls(**params)
 

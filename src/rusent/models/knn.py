@@ -3,7 +3,7 @@
 import numpy as np
 
 from ..artifacts import CSR, INTS
-from ..base import AT_LEAST_ONE, N_CLASSES, ClassifierBase, check_labels
+from ..base import N_CLASSES, ClassifierBase, check_labels
 
 _CHUNK = 512
 
@@ -19,11 +19,7 @@ class KNeighborsClassifier(ClassifierBase):
     """
 
     kind = "knn"
-    constraints = {"k": AT_LEAST_ONE}
     fitted = (("matrix", "X_", CSR, ("rows", "dimension")), ("labels", "y_", INTS, ("rows",)))
-
-    def __init__(self, k=5):
-        self.k = k
 
     def _fit(self, X, y):
         self.X_, self.y_ = X.copy(), y  # X may share the caller's arrays

@@ -3,8 +3,7 @@ gradient descent."""
 
 import numpy as np
 
-from ..base import (COUNT, LINEAR_FITTED, N_CLASSES, NON_NEGATIVE, POSITIVE, ClassifierBase,
-                    softmax, softmax_cross_entropy)
+from ..base import LINEAR_FITTED, N_CLASSES, ClassifierBase, softmax, softmax_cross_entropy
 
 
 def softmax_objective(W, b, X, y, l2):
@@ -28,14 +27,8 @@ class LogisticRegression(ClassifierBase):
     """
 
     kind = "logistic_regression"
-    constraints = {"lr": POSITIVE, "epochs": COUNT, "l2": NON_NEGATIVE}
     fitted = LINEAR_FITTED
     loss_curve_ = None  # not saved: a loaded model reads None
-
-    def __init__(self, lr=0.5, epochs=300, l2=1e-4):
-        self.lr = lr
-        self.epochs = epochs
-        self.l2 = l2
 
     def _fit(self, X, y):
         W = np.zeros((N_CLASSES, X.shape[1]))

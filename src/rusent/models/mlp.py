@@ -4,8 +4,7 @@ mean cross-entropy loss, mini-batch stochastic gradient descent."""
 import numpy as np
 
 from ..artifacts import FLOATS
-from ..base import (AT_LEAST_ONE, COUNT, N_CLASSES, POSITIVE, ClassifierBase, softmax,
-                    softmax_cross_entropy)
+from ..base import N_CLASSES, ClassifierBase, softmax, softmax_cross_entropy
 from ..exceptions import DivergedError
 
 
@@ -70,8 +69,6 @@ class MLPClassifier(ClassifierBase):
     """Feedforward network with one ReLU hidden layer and softmax output."""
 
     kind = "mlp"
-    constraints = {"hidden_units": AT_LEAST_ONE, "lr": POSITIVE, "epochs": COUNT,
-                   "batch_size": AT_LEAST_ONE, "seed": COUNT}
     fitted = (
         ("hidden_coef", "hidden_coef_", FLOATS, ("hidden_units", "dimension")),
         ("hidden_intercept", "hidden_intercept_", FLOATS, ("hidden_units",)),
@@ -83,13 +80,6 @@ class MLPClassifier(ClassifierBase):
     # Mini-batch steps can end a working fit a little above its starting loss
     # (1.161 from 1.101 nats on a benchmark fold); one at twice it has diverged.
     loss_limit = 2.0
-
-    def __init__(self, hidden_units=100, lr=0.05, epochs=50, batch_size=32, seed=0):
-        self.hidden_units = hidden_units
-        self.lr = lr
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.seed = seed
 
     def _fit(self, X, y):
         n, V = X.shape

@@ -3,7 +3,7 @@
 import numpy as np
 
 from ..artifacts import FLOATS, INTS
-from ..base import FLAG, N_CLASSES, POSITIVE, ClassifierBase, softmax
+from ..base import N_CLASSES, ClassifierBase, softmax
 from ..exceptions import MissingClassError
 
 
@@ -18,15 +18,10 @@ class MultinomialNaiveBayes(ClassifierBase):
     """
 
     kind = "naive_bayes"
-    constraints = {"alpha": POSITIVE, "allow_missing_class": FLAG}
     fitted = (
         ("class_count", "class_count_", INTS, (N_CLASSES,)),
         ("feature_weight_sum", "feature_weight_sum_", FLOATS, (N_CLASSES, "dimension")),
     )
-
-    def __init__(self, alpha=1.0, allow_missing_class=False):
-        self.alpha = alpha
-        self.allow_missing_class = allow_missing_class
 
     def _fit(self, X, y):
         counts = np.bincount(y, minlength=N_CLASSES)

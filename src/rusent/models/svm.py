@@ -3,7 +3,7 @@ seeded, shuffled per-sample subgradient descent."""
 
 import numpy as np
 
-from ..base import COUNT, LINEAR_FITTED, N_CLASSES, NON_NEGATIVE, ClassifierBase
+from ..base import LINEAR_FITTED, N_CLASSES, ClassifierBase
 
 # Refold the lazily scaled weight vector before the scale underflows.
 _SCALE_FLOOR = 1e-100
@@ -82,16 +82,8 @@ class LinearSVM(ClassifierBase):
 
     kind = "linear_svm"
     pieces = N_CLASSES  # one one-vs-rest problem each
-    constraints = {"lr": (lambda v: 0 < v < 1, "in (0, 1)"), "epochs": COUNT,
-                   "C": NON_NEGATIVE, "seed": COUNT}
     fitted = LINEAR_FITTED
     objective_per_class_ = None  # not saved: a loaded model reads None
-
-    def __init__(self, lr=0.1, epochs=300, C=1.0, seed=0):
-        self.lr = lr
-        self.epochs = epochs
-        self.C = C
-        self.seed = seed
 
     def _fit_piece(self, X, y, c, rows=None):
         """Weights, intercept and objective of class ``c`` against the rest (rows: _pairs(X))."""

@@ -99,6 +99,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="knn.neighbors"):
             parse_config_file(path)
 
+    def test_an_override_takes_the_type_of_its_default(self, dataset, tmp_path):
+        # not the type its text reads as: mlp.lr = 1 is the float 1.0
+        path = tmp_path / "typed.cfg"
+        out = tmp_path / "out"
+        path.write_text(f"dataset = {dataset}\nout = {out}\nmlp.lr = 1\nmlp.epochs = 5\n"
+                        "mlp.hidden_units = 4\nnaive_bayes.allow_missing_class = TRUE\n",
+                        encoding="utf-8")
+        overrides = parse_config_file(path).overrides
+        assert overrides["naive_bayes"]["allow_missing_class"] is True
+        assert [(type(v), v) for v in overrides["mlp"].values()] == [(float, 1.0), (int, 5),
+                                                                     (int, 4)]
+        for stage in ("ingest", "preprocess", "fit-features"):
+            assert main([stage, "--config", str(path)]) == 0
+        assert main(["train", "--classifier", "mlp", "--config", str(path)]) == 0
+        assert '"lr": 1.0,' in (out / "model_mlp.json").read_text()
+
+    def test_an_integer_override_refuses_a_number_with_a_point(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("knn.k = 3.0\n", encoding="utf-8")
+        assert main(["compare", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == ("config error: config key 'knn.k' expects an "
+                                           "integer, got '3.0'\n")
+
     def test_type_errors_name_the_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("runs = many\n", encoding="utf-8")

@@ -715,19 +715,30 @@ class TestCellWorkers:
         # it exiting or gone.
         assert self.interrupt_compare(tmp_path, {0, 1}, 2, 60, "fit_predict_half_sent", 1) < 5
 
-    @pytest.mark.parametrize("error", [StopScoring, KeyboardInterrupt])
-    def test_an_error_here_cancels_the_cells_not_started(self, monkeypatch, tmp_path, error):
+    @pytest.mark.parametrize("error, merged", [(StopScoring, False), (KeyboardInterrupt, False),
+                                               (KeyboardInterrupt, True)],
+                             ids=["StopScoring", "KeyboardInterrupt", "before-the-results"])
+    def test_an_error_here_cancels_the_cells_not_started(self, monkeypatch, tmp_path, error,
+                                                         merged):
         # A Ctrl-C in a caller that runs evaluate_specs in-process, say: this
-        # process raises as soon as a worker starts a cell. The running cells
-        # finish; the rest of the twelve are never started.
+        # process raises as soon as a worker starts a cell or, when ``merged``,
+        # before it reads a result, where only the pool's shutdown cancels the
+        # cells not started. The running cells finish; the rest of the twelve
+        # are never started.
         def interrupt_once(signum, frame):
             if not interrupted:
                 interrupted.append(signum)
                 raise error
 
+        def merged_raises(*args):
+            raise error
+
         interrupted = []
         monkeypatch.setattr(sys.modules[__name__], "CELL_LOG", str(tmp_path / "cells"))
         monkeypatch.setattr(evaluation, "_fit_predict", fit_predict_signalling)
+        if merged:
+            interrupted.append(None)  # the first SIGUSR1 raises nothing
+            monkeypatch.setattr(evaluation, "_merged", merged_raises)
         self.allow_cpus(monkeypatch, {0, 1})
         docs = preprocess_corpus(three_class_corpus(90, seed=8), default_stopwords())
         plan = plan_splits(docs, "repeated", 0, runs=12)

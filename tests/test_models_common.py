@@ -1,4 +1,3 @@
-import inspect
 import json
 import os
 import subprocess
@@ -77,13 +76,21 @@ class TestRegistry:
                                "batch_size=32, seed=7)")
 
     @pytest.mark.parametrize("kind", [*CLASSIFIER_KINDS, "tfidf"])
-    def test_constraints_cover_every_hyperparameter(self, kind):
-        # get_params and __repr__ take their names, in this order, from constraints
+    def test_constructor_stores_keywords_verbatim_and_takes_no_other(self, kind):
         cls = TfidfVectorizer if kind == "tfidf" else classifier_class(kind)
-        names = [name for name in inspect.signature(cls.__init__).parameters if name != "self"]
-        assert list(cls.constraints) == names
-        assert list(cls().get_params()) == names
-        cls.check_params(cls().get_params())
+        given = FAST_PARAMS.get(kind, {"max_features": 50})
+        model = cls(**given)
+        assert all(model.get_params()[name] is value for name, value in given.items())
+        # what sklearn.base.clone checks: the params rebuild the model, value for value
+        params = model.get_params()
+        rebuilt = type(model)(**params)
+        assert rebuilt.get_params() == params
+        assert all(rebuilt.get_params()[name] is value for name, value in params.items())
+        cls.check_params(cls().get_params())  # every default passes its own rule
+        with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+            cls(**params, bogus=1)
+        with pytest.raises(TypeError, match="positional argument"):
+            cls(*params.values())
 
 
 class TestUniformSurface:
@@ -395,18 +402,30 @@ class TestSoftmaxHead:
         assert (run.returncode, run.stderr) == (0, "")
 
     def test_ingest_and_preprocess_run_without_numpy(self, tmp_path):
+        # whatever hyperparameters the config overrides: their types and rules
+        # are read from the table in rusent.models, not from an estimator
         rows = [(f"comment {i} acha", ("negative", "neutral", "positive")[i % 3])
                 for i in range(30)]
         dataset = write_rows(tmp_path / "data.csv", rows, header=("comment", "sentiment"))
+        config = tmp_path / "overrides.cfg"
+        config.write_text("knn.k = 3\nlinear_svm.epochs = 30\nlogistic_regression.l2 = 0\n"
+                          "mlp.lr = 1\nnaive_bayes.allow_missing_class = true\n",
+                          encoding="utf-8")
         code = ("import sys\n"
+                "from rusent.config import parse_config_file\n"
+                "parse_config_file(sys.argv[3])\n"
+                "early = [name for name in sys.modules\n"
+                "         if name == 'numpy' or name.startswith('rusent.models.')]\n"
+                "if early: sys.exit(f'parse_config_file loaded {early}')\n"
                 "from rusent.cli import main\n"
                 "loaded = []\n"
                 "for stage in ('ingest', 'preprocess', 'fit-features'):\n"
-                "    if main([stage, '--dataset', sys.argv[1], '--out', sys.argv[2]]) != 0:\n"
+                "    if main([stage, '--config', sys.argv[3], '--dataset', sys.argv[1],\n"
+                "             '--out', sys.argv[2]]) != 0:\n"
                 "        sys.exit(f'{stage} failed')\n"
                 "    loaded.append('numpy' in sys.modules)\n"
                 "sys.exit(loaded != [False, False, True] and f'numpy loaded after each: {loaded}')\n")
-        run = self.run_python(code, str(dataset), str(tmp_path / "out"))
+        run = self.run_python(code, str(dataset), str(tmp_path / "out"), str(config))
         assert run.returncode == 0, run.stderr
 
 
