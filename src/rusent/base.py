@@ -87,24 +87,24 @@ def softmax(logits):
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def softmax_cross_entropy(logits, y):
-    """Mean cross-entropy of softmax(``logits``) against the class codes
-    ``y``, and its per-row gradient in the logits, softmax - onehot (not yet
-    divided by the row count). The log-sum-exp is scipy.special.logsumexp's
-    to the bit: the row's m maxima leave the sum s of exp(x - max), and it is
-    log1p(s / m) + log(m) + max."""
-    rows = np.arange(logits.shape[0])
+def cross_entropy_rows(logits, y):
+    """Each row's cross-entropy of softmax(``logits``) against its class code in
+    ``y``. The log-sum-exp is scipy.special.logsumexp's to the bit: the row's m
+    maxima leave the sum s of exp(x - max), and it is log1p(s / m) + log(m) + max."""
     top = logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits - top)
     at_top = logits == top
     m = at_top.sum(axis=1)
-    s = np.where(at_top, 0.0, exp).sum(axis=1) / m
+    s = np.where(at_top, 0.0, np.exp(logits - top)).sum(axis=1) / m
     with np.errstate(divide="ignore"):  # a row with a NaN has no max (m = 0): NaN loss
         log_sum = np.log1p(s) + np.log(m) + top[:, 0]
-    loss = float(np.mean(log_sum - logits[rows, y]))
-    delta = exp / exp.sum(axis=1, keepdims=True)
-    delta[rows, y] -= 1.0
-    return loss, delta
+    return log_sum - logits[np.arange(logits.shape[0]), y]
+
+
+def softmax_cross_entropy(logits, y):
+    """The mean of ``cross_entropy_rows`` and each row's gradient, softmax - onehot."""
+    delta = softmax(logits)
+    delta[np.arange(logits.shape[0]), y] -= 1.0
+    return float(np.mean(cross_entropy_rows(logits, y))), delta
 
 
 # The ``fitted`` rows of both linear kinds, logistic regression and linear SVM.

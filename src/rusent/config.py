@@ -8,7 +8,7 @@ e.g. ``mlp.hidden_units = 64``. Unknown keys are rejected.
 from dataclasses import dataclass, field, fields, replace
 
 from .exceptions import ConfigError
-from .models import CLASSIFIER_KINDS, check_hyperparams, kind_entry
+from .models import CLASSIFIER_KINDS, MAX_FEATURES, check_hyperparams, kind_entry
 
 PROTOCOLS = ("repeated", "kfold")
 
@@ -20,7 +20,7 @@ class RunConfig:
     dedup: bool = True
     skip_bad_rows: bool = False
     strip_punct: bool = False
-    max_features: int = 3000
+    max_features: int = MAX_FEATURES
     protocol: str = "repeated"
     train_ratio: float = 0.8
     runs: int = 10

@@ -12,8 +12,8 @@ import numpy as np
 from .base import N_CLASSES, check_labels
 from .corpus import LABEL_NAMES, kfold, split
 from .exceptions import EmptyCorpusError, WorkerDiedError
-from .features import TfidfVectorizer
-from .models import make_classifier
+from .features import TermCounts, TfidfVectorizer
+from .models import MAX_FEATURES, make_classifier
 from .preprocess import preprocess_corpus
 
 
@@ -224,11 +224,11 @@ def plan_splits(corpus, protocol, seed, *, runs=10, train_ratio=0.8, folds=10):
     return [PlannedSplit(cut.train, cut.test, s) for s, cut in zip(seeds, cuts)]
 
 
-def fit_vocabulary(part, *, fit_on_all=False, max_features=3000):
-    """The tf-idf vectorizer of the planned split ``part``, fit on its train
-    docs, or on train and test docs together when ``fit_on_all``."""
+def fit_vocabulary(part, *, fit_on_all=False, max_features=MAX_FEATURES, counted=TermCounts):
+    """The tf-idf vectorizer of the planned split ``part``, fit on the ``counted``
+    train docs, or on train and test docs together when ``fit_on_all``."""
     docs = part.train + part.test if fit_on_all else part.train
-    return TfidfVectorizer(max_features=max_features).fit(docs)
+    return TfidfVectorizer(max_features=max_features).fit(counted(docs))
 
 
 def _fit_predict(cell):
@@ -247,16 +247,16 @@ def _merged(cells, pieces, done):
         yield parts[0] if n == 1 else model.fit(X_train, y_train, parts).predict(X_test)
 
 
-def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=3000):
+def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=MAX_FEATURES):
     """Fit and score every classifier spec on every split of ``plan``, a plan
     of preprocessed documents; returns one RunAggregate per spec. Each split's
     tf-idf matrices (train-only vocabulary unless ``fit_on_all``) are built
-    once, here; its cells, one per spec, are fit in forked workers, one per
-    cell and allowed CPU, or here if that is one; with fewer splits than CPUs,
-    a cell whose fit has independent pieces is a task per piece. Merged in plan
-    order, the results and the first error raised are those of a serial loop. A
-    worker that dies, killed by a signal say, fails the run with
-    WorkerDiedError."""
+    here from one count of the plan's terms; its cells, one per spec, are fit
+    in forked workers, one per cell and allowed CPU, or here if that is one;
+    with fewer splits than CPUs, a cell whose fit has independent pieces is a
+    task per piece. Merged in plan order, the results and the first error
+    raised are those of a serial loop. A worker that dies, killed by a signal
+    say, fails the run with WorkerDiedError."""
     import multiprocessing  # here, so that only scoring cells loads these
     import signal
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -264,12 +264,19 @@ def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=3000):
     if not plan:
         raise ValueError("the split plan is empty: there is no split to evaluate")
     cells, failure = [], None  # per split built and spec, in plan order
+    docs = {id(d): d for part in plan for side in (part.train, part.test) for d in side}
+    counts, row = TermCounts(docs.values()), dict(zip(docs, range(len(docs))))
+
+    def counted(side):  # the rows of the plan's counts that hold ``side``
+        return counts.take(np.fromiter(map(row.__getitem__, map(id, side)), np.int64))
+
     try:
         for part in plan:
             if not part.train:
                 raise EmptyCorpusError("empty training partition")
-            vectorizer = fit_vocabulary(part, fit_on_all=fit_on_all, max_features=max_features)
-            X_train, X_test = vectorizer.transform(part.train), vectorizer.transform(part.test)
+            vectorizer = fit_vocabulary(part, fit_on_all=fit_on_all, max_features=max_features,
+                                        counted=counted)
+            X_train, X_test = map(vectorizer.transform, map(counted, (part.train, part.test)))
             y_train = np.array([d.label for d in part.train], dtype=np.int64)
             for spec in specs:  # one at a time: a spec refused here scores the cells before it
                 model = make_classifier(spec, seed=part.train_seed(spec.kind))
@@ -308,7 +315,7 @@ def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=3000):
 
 
 def evaluate_once(spec, corpus, stopwords, *, train_ratio=0.8, fit_on_all=False,
-                  max_features=3000, strip_punct=False, seed=0):
+                  max_features=MAX_FEATURES, strip_punct=False, seed=0):
     """Run the full pipeline once on the one split of a repeated-protocol
     plan at ``seed``: preprocess, vectorize (train-only vocabulary unless
     ``fit_on_all``), train, score the held-out part."""

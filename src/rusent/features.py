@@ -7,20 +7,43 @@ distinct terms exceeds ``max_features``, the terms with the highest total
 corpus frequency are kept, ties broken lexicographically ascending.
 """
 
-from collections import Counter
-from itertools import repeat
+import copy
+from itertools import chain, repeat
 
 import numpy as np
 
 from .artifacts import INTS, TERMS, from_payload, read_json, to_payload, write_csv, write_json
 from .base import BaseEstimator, check_is_fitted
-from .models import AT_LEAST_ONE
+from .models import AT_LEAST_ONE, MAX_FEATURES
 
 
-def _doc_tokens(doc):
-    if isinstance(doc, str):
-        raise TypeError("documents must be token sequences, not raw strings")
-    return getattr(doc, "tokens", doc)
+class TermCounts:
+    """How often each of the sorted ``terms`` (by default every token) occurs in
+    each of ``docs``, which ``fit`` and ``transform`` take in their place: a
+    term's id is its rank, and row i of the CSR arrays ``indptr``, ``ids`` and
+    ``counts`` holds document i's term ids, ascending, and their counts."""
+
+    def __init__(self, docs, terms=None):
+        tokens = [getattr(doc, "tokens", doc) for doc in docs]
+        if any(isinstance(sequence, str) for sequence in tokens):
+            raise TypeError("documents must be token sequences, not raw strings")
+        self.terms = sorted(set().union(*tokens)) if terms is None else terms
+        index = dict(zip(self.terms, range(len(self.terms))))
+        lengths = list(map(len, tokens))
+        ids = np.fromiter(map(index.get, chain.from_iterable(tokens), repeat(-1)), np.int64)
+        known, width = ids >= 0, max(len(self.terms), 1)
+        rows = np.repeat(np.arange(len(tokens)), lengths)[known] * width
+        cells, self.counts = np.unique(rows + ids[known], return_counts=True)
+        rows, self.ids = np.divmod(cells, width)
+        self.indptr = np.searchsorted(rows, np.arange(len(tokens) + 1))
+
+    def take(self, rows):
+        """The counts of the documents at ``rows``, in that order."""
+        part, lengths = copy.copy(self), np.diff(self.indptr)[rows]
+        part.indptr = np.concatenate(([0], np.cumsum(lengths)))
+        at = np.repeat(self.indptr[rows] - part.indptr[:-1], lengths) + np.arange(part.indptr[-1])
+        part.ids, part.counts = self.ids[at], self.counts[at]
+        return part
 
 
 class TfidfVectorizer(BaseEstimator):
@@ -34,7 +57,7 @@ class TfidfVectorizer(BaseEstimator):
     """
 
     kind = "tfidf"
-    hyperparameters = {"max_features": (3000, AT_LEAST_ONE)}
+    hyperparameters = {"max_features": (MAX_FEATURES, AT_LEAST_ONE)}
     fitted = (
         ("terms", "terms_", TERMS, ("dimension",)),
         ("df", "document_frequency_", INTS, ("dimension",)),
@@ -44,22 +67,20 @@ class TfidfVectorizer(BaseEstimator):
 
     def fit(self, docs, y=None):
         self.check_params(self.get_params())
-        docs = list(docs)
-        if not docs:
+        counts = docs if isinstance(docs, TermCounts) else TermCounts(docs)
+        if counts.indptr.size == 1:
             raise ValueError("cannot fit on an empty document sequence")
-        df = Counter()
-        totals = Counter()
-        for doc in docs:
-            tokens = _doc_tokens(doc)
-            totals.update(tokens)
-            df.update(set(tokens))
-        if not totals:
+        df = np.bincount(counts.ids, minlength=len(counts.terms))
+        totals = np.bincount(counts.ids, counts.counts, df.size).astype(np.int64)  # exact sums
+        seen = np.flatnonzero(df)
+        if not seen.size:
             raise ValueError("no terms: every document is empty")
-        retained = sorted(totals, key=lambda t: (-totals[t], t))[: self.max_features]
-        self.terms_ = sorted(retained)
-        self.document_frequency_ = np.array([df[t] for t in self.terms_], dtype=np.int64)
-        self.feature_counts_ = np.array([totals[t] for t in self.terms_], dtype=np.int64)
-        self.n_documents_ = len(docs)
+        # ids follow the sorted terms: (-total, id) is the (-total, term) order
+        kept = np.sort(seen[np.lexsort((seen, -totals[seen]))][: self.max_features])
+        self.terms_ = [counts.terms[i] for i in kept.tolist()]
+        self.document_frequency_ = df[kept]
+        self.feature_counts_ = totals[kept]
+        self.n_documents_ = counts.indptr.size - 1
         self._check_fitted()
         self.n_features_ = len(self.terms_)
         return self
@@ -82,36 +103,29 @@ class TfidfVectorizer(BaseEstimator):
         tokens are ignored and fully out-of-vocabulary docs come out all-zero."""
         import scipy.sparse as sp  # here, so that a stage reading no matrix never loads it
         check_is_fitted(self)
-        ids, lengths = [], []  # column id per token (-1 out of vocabulary), tokens per doc
-        for doc in docs:
-            before = len(ids)
-            ids.extend(map(self.vocabulary_.get, _doc_tokens(doc), repeat(-1)))
-            lengths.append(len(ids) - before)
-        ids = np.array(ids, dtype=np.int64)
-        known = ids >= 0
-        rows = np.repeat(np.arange(len(lengths)), lengths)[known]
-        width = self.n_features_
-        cells, counts = np.unique(rows * width + ids[known], return_counts=True)
-        rows, cols = np.divmod(cells, width)
-        data = counts * self.idf_[cols]
-        nnz = np.bincount(rows, minlength=len(lengths))
-        indptr = np.concatenate(([0], np.cumsum(nnz)))
+        counts = docs if isinstance(docs, TermCounts) else TermCounts(docs, self.terms_)
+        column = np.fromiter(map(self.vocabulary_.get, counts.terms, repeat(-1)), np.int64,
+                             len(counts.terms))[counts.ids]  # -1 out of vocabulary
+        known = column >= 0
+        # the column ids of a row ascend, as its term ids and the sorted terms do
+        cols, data = column[known], counts.counts[known] * self.idf_[column[known]]
+        indptr = np.concatenate(([0], np.cumsum(known)))[counts.indptr]
+        nnz = np.diff(indptr)
         # Each row's norm is np.sum over a contiguous run of its nnz values, as numpy
         # sums a 1-D row (pairwise from 8 values on), so rows are summed in blocks of
         # equal nnz. A nonempty row has a norm >= 1: every count and idf is >= 1.
-        norms = np.zeros(len(lengths))
+        norms = np.zeros(nnz.size)
         for length in np.unique(nnz[nnz > 0]):
             same = np.flatnonzero(nnz == length)
             block = data[indptr[same, None] + np.arange(length)]
             norms[same] = np.sqrt(np.sum(block * block, axis=1))
         return sp.csr_matrix(
             (data / np.repeat(norms, nnz), cols.astype(np.int32), indptr),
-            shape=(len(lengths), width),
+            shape=(nnz.size, self.n_features_),
         )
 
     def fit_transform(self, docs, y=None):
-        docs = list(docs)
-        return self.fit(docs).transform(docs)
+        return self.fit(counts := TermCounts(docs)).transform(counts)
 
 
 def save_tfidf(model, path):

@@ -15,6 +15,7 @@ NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "finite and >= 0")
 COUNT = (lambda v: isinstance(v, numbers.Integral) and v >= 0, "an integer >= 0")
 AT_LEAST_ONE = (lambda v: isinstance(v, numbers.Integral) and v >= 1, "an integer >= 1")
 FLAG = (lambda v: isinstance(v, bool), "true or false")
+MAX_FEATURES = 3000  # the default cap on the tf-idf vocabulary, which has no kind
 
 # kind -> the module and the name of its estimator class, whose ``kind`` it is, and
 # its hyperparameters, name -> (default, rule), in the order get_params lists them

@@ -4,7 +4,7 @@ mean cross-entropy loss, mini-batch stochastic gradient descent."""
 import numpy as np
 
 from ..artifacts import FLOATS
-from ..base import N_CLASSES, ClassifierBase, softmax, softmax_cross_entropy
+from ..base import N_CLASSES, ClassifierBase, cross_entropy_rows, softmax
 from ..exceptions import DivergedError
 
 
@@ -17,12 +17,31 @@ def compact(data, indices, indptr, start, stop):
     return data[lo:hi], inverse.astype(indptr.dtype), indptr[start : stop + 1] - lo, cols
 
 
+def epoch_batches(X, order, size):
+    """``compact`` of each run of ``size`` rows of the CSR matrix ``X``, taken in
+    the order ``order``, from one np.unique over the keys batch * width + column."""
+    nnz, width = np.diff(X.indptr)[order], X.shape[1]
+    indptr = np.zeros_like(X.indptr)
+    np.cumsum(nnz, out=indptr[1:])
+    at = np.repeat(X.indptr[order] - indptr[:-1], nnz) + np.arange(indptr[-1])
+    batch = np.repeat(np.arange(order.size) // size, nnz)  # of each entry
+    used, inverse = np.unique(batch * width + X.indices[at], return_inverse=True)
+    bounds = np.searchsorted(used, np.arange(0, order.size + size, size) // size * width)
+    inverse = (inverse - bounds[batch]).astype(indptr.dtype)
+    data, cols = X.data[at], (used % width).astype(X.indices.dtype)
+    for b, start in enumerate(range(0, order.size, size)):
+        lo, hi = indptr[start], indptr[min(start + size, order.size)]
+        yield (data[lo:hi], inverse[lo:hi], indptr[start : start + size + 1] - lo,
+               cols[bounds[b] : bounds[b + 1]])
+
+
 def batch_gradients(W1T, b1, W2, b2, data, indices, indptr, cols, y):
-    """Mean cross-entropy on the CSR rows (data, indices, indptr) and its
-    gradients, (loss, gW1T, gb1, gW2, gb2). The rows hold only the feature
-    columns ``cols`` they use (``compact``), the hidden weights ``W1T`` are
-    feature-major, shape (V, H), and ``gW1T`` holds only the gradient rows
-    ``cols`` (the rest are zero)."""
+    """The output logits of the CSR rows (data, indices, indptr), which hold only
+    the feature columns ``cols`` they use (``compact``), and the gradients of
+    their mean cross-entropy: (logits, gW1T, gb1, gW2, gb2). ``W1T`` is
+    feature-major, (V, H); ``gW1T`` holds only the gradient rows ``cols``. If
+    logits reach 1e307 / n, the n rows' summed loss may overflow: it is then
+    taken first, to raise before the gradients, as a loss taken per batch did."""
     # The compiled kernels behind `csr_matrix @ dense` and `csr_matrix.T @ dense`,
     # called on the raw arrays: building the two CSR objects costs far more than
     # the products. The module is private; tests/test_mlp.py pins them to `@`.
@@ -32,12 +51,16 @@ def batch_gradients(W1T, b1, W2, b2, data, indices, indptr, cols, y):
     csr_matvecs(n, m, H, indptr, indices, data, W1T[cols].ravel(), z1.ravel())
     z1 += b1
     a1 = np.maximum(0.0, z1)
-    loss, delta2 = softmax_cross_entropy(a1 @ W2.T + b2, y)
+    logits = a1 @ W2.T + b2
+    if not np.abs(logits).max() < 1e307 / n:
+        np.mean(cross_entropy_rows(logits, y))
+    delta2 = softmax(logits)
+    delta2[np.arange(n), y] -= 1.0
     delta2 /= n
     delta1 = (delta2 @ W2) * (z1 > 0.0)
     gW1T = np.zeros((m, H))
     csc_matvecs(m, n, H, indptr, indices, data, delta1.ravel(), gW1T.ravel())
-    return loss, gW1T, delta1.sum(axis=0), delta2.T @ a1, delta2.sum(axis=0)
+    return logits, gW1T, delta1.sum(axis=0), delta2.T @ a1, delta2.sum(axis=0)
 
 
 def mlp_objective(params, X, y):
@@ -49,10 +72,10 @@ def mlp_objective(params, X, y):
     """
     W1, b1, W2, b2 = params
     *batch, cols = compact(X.data, X.indices, X.indptr, 0, X.shape[0])
-    loss, gW1T, gb1, gW2, gb2 = batch_gradients(W1.T, b1, W2, b2, *batch, cols, y)
+    logits, gW1T, gb1, gW2, gb2 = batch_gradients(W1.T, b1, W2, b2, *batch, cols, y)
     gW1 = np.zeros_like(W1)
     gW1[:, cols] = gW1T.T
-    return loss, (gW1, gb1, gW2, gb2)
+    return float(np.mean(cross_entropy_rows(logits, y))), (gW1, gb1, gW2, gb2)
 
 
 def init_params(n_features, hidden_units, rng):
@@ -87,29 +110,24 @@ class MLPClassifier(ClassifierBase):
         W1, b1, W2, b2 = init_params(V, self.hidden_units, rng)
         W1T = np.ascontiguousarray(W1.T)
         every_row = compact(X.data, X.indices, X.indptr, 0, n)
-        start_loss = batch_gradients(W1T, b1, W2, b2, *every_row, y)[0]
-        row_nnz = np.diff(X.indptr)
+        start_loss = float(np.mean(cross_entropy_rows(
+            batch_gradients(W1T, b1, W2, b2, *every_row, y)[0], y)))
         curve = []
         for _ in range(self.epochs):
-            # the rows, shuffled, as CSR arrays: each mini-batch is a contiguous slice
-            order = rng.permutation(n)
-            indptr = np.zeros_like(X.indptr)
-            np.cumsum(row_nnz[order], out=indptr[1:])
-            at = np.repeat(X.indptr[order] - indptr[:-1], row_nnz[order]) + np.arange(indptr[-1])
-            data, indices, y_epoch = X.data[at], X.indices[at], y[order]
-            batch_losses = []
-            for start in range(0, n, self.batch_size):
-                stop = min(start + self.batch_size, n)
-                *batch, cols = compact(data, indices, indptr, start, stop)
-                loss, gW1T, gb1, gW2, gb2 = batch_gradients(
-                    W1T, b1, W2, b2, *batch, cols, y_epoch[start:stop])
+            order, logits, steps = rng.permutation(n), [], range(0, n, self.batch_size)
+            y_epoch = y[order]
+            for start, (*batch, cols) in zip(steps, epoch_batches(X, order, self.batch_size)):
+                out, gW1T, gb1, gW2, gb2 = batch_gradients(
+                    W1T, b1, W2, b2, *batch, cols, y_epoch[start : start + self.batch_size])
                 W2 -= self.lr * gW2
                 b2 -= self.lr * gb2
                 W1T[cols, :] -= self.lr * gW1T
                 b1 -= self.lr * gb1
-                batch_losses.append(loss)
-            curve.append(float(np.mean(batch_losses)))
-        self.final_loss_ = batch_gradients(W1T, b1, W2, b2, *every_row, y)[0]
+                logits.append(out)
+            losses = cross_entropy_rows(np.concatenate(logits), y_epoch)  # every batch's at once
+            curve.append(float(np.mean([np.mean(losses[s : s + self.batch_size]) for s in steps])))
+        self.final_loss_ = float(np.mean(cross_entropy_rows(
+            batch_gradients(W1T, b1, W2, b2, *every_row, y)[0], y)))
         if not np.any(X @ W1T + b1 > 0.0):  # the output is one constant class
             raise DivergedError("mlp training diverged (every hidden unit is inactive on "
                                 "every training row)")

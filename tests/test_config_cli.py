@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import multiprocessing
 import os
@@ -8,7 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from rusent import CLASSIFIER_KINDS, ClassifierSpec, evaluate_once, load_csv
+from rusent import CLASSIFIER_KINDS, ClassifierSpec, TfidfVectorizer, evaluate_once, load_csv
 from rusent import cli
 from rusent import eval as evaluation
 from rusent.cli import FLAGS, main
@@ -190,6 +191,18 @@ class TestConfigParsing:
         assert config.runs == 10
         assert config.folds == 10
         assert config.protocol == "repeated"
+
+    def test_one_vocabulary_cap_default(self, capsys):
+        # What --max-features says it defaults to, what a run without it
+        # uses and what the library functions use are one number.
+        cap = TfidfVectorizer().max_features
+        assert RunConfig().max_features == cap
+        for function in (evaluation.fit_vocabulary, evaluation.evaluate_specs,
+                         evaluation.evaluate_once):
+            assert inspect.signature(function).parameters["max_features"].default == cap
+        with pytest.raises(SystemExit):
+            main(["compare", "--help"])
+        assert f"vocabulary size cap (default {cap})" in " ".join(capsys.readouterr().out.split())
 
 
 def _drop(key, section=None):

@@ -752,6 +752,31 @@ class TestCellWorkers:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    @pytest.mark.parametrize("n_empty, error, message", [
+        (0, EmptyCorpusError, "^empty training partition$"),
+        (2, ValueError, "^no terms: every document is empty$"),
+    ], ids=["empty-partition", "all-empty-documents"])
+    def test_a_refused_split_raises_once_the_splits_before_are_scored(
+            self, monkeypatch, pool_sizes, cpus, n_empty, error, message):
+        # Split 1 of three trains on no document, or on empty ones only: as in
+        # a serial loop, its error is raised after split 0's cells are scored,
+        # and split 2 is never built, though the plan's terms are counted first.
+        docs = preprocess_corpus(three_class_corpus(30, seed=1), default_stopwords())
+        plan = plan_splits(docs, "repeated", 4, runs=3)
+        empty = tuple(TokenizedComment(100 + i, (), Sentiment(i)) for i in range(n_empty))
+        plan[1] = PlannedSplit(empty, plan[1].test, plan[1].seed)
+        scored = []
+        monkeypatch.setattr(evaluation, "_fit_predict",
+                            lambda cell: scored.append(cell[2]) or _fit_predict(cell))
+        self.allow_cpus(monkeypatch, cpus)
+        with pytest.raises(error, match=message):
+            evaluate_specs(self.SPECS, plan)
+        assert pool_sizes == ([] if cpus == {0} else [2])
+        assert len(scored) == len(self.SPECS)
+        for y_train in scored:
+            assert np.array_equal(y_train, [d.label for d in plan[0].train])
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
     def test_cell_error_before_a_later_split_fails_its_features(self, monkeypatch, pool_sizes,
                                                                  cpus):
         # Split 0 trains naive Bayes without a negative comment; split 1 has

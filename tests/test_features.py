@@ -1,14 +1,20 @@
 import json
 import math
+import os
+import re
 from collections import Counter
+from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from rusent import TfidfVectorizer, load_tfidf, save_tfidf
+from rusent import ClassifierSpec, TfidfVectorizer, evaluate_specs, load_tfidf, plan_splits, save_tfidf
+from rusent import eval as evaluation
+from rusent.corpus import Sentiment
 from rusent.exceptions import NotFittedError
-from rusent.features import write_word_frequencies
+from rusent.features import TermCounts, write_word_frequencies
 from rusent.preprocess import TokenizedComment
 
 from conftest import random_tfidf_instance
@@ -219,6 +225,130 @@ class TestTransformOracle:
     def test_batches_without_terms(self, toy_docs, docs):
         vec = TfidfVectorizer().fit(toy_docs)
         assert_same_csr(vec.transform(docs), per_document_transform(vec, docs))
+
+
+def per_document_fit(docs, max_features=3000):
+    """The Counter loop that ``fit`` replaced: each document's tokens added to
+    the corpus totals and, as a set, to the document frequencies; the cap keeps
+    the highest totals, ties to the lexicographically first term. Returns a
+    stand-in with the attributes ``fit`` sets, the ones
+    ``per_document_transform`` reads among them."""
+    docs = [getattr(doc, "tokens", doc) for doc in docs]
+    if not docs:
+        raise ValueError("cannot fit on an empty document sequence")
+    df, totals = Counter(), Counter()
+    for tokens in docs:
+        totals.update(tokens)
+        df.update(set(tokens))
+    if not totals:
+        raise ValueError("no terms: every document is empty")
+    terms = sorted(sorted(totals, key=lambda t: (-totals[t], t))[:max_features])
+    document_frequency = np.array([df[t] for t in terms], dtype=np.int64)
+    n = len(docs)
+    return SimpleNamespace(
+        terms_=terms, document_frequency_=document_frequency,
+        feature_counts_=np.array([totals[t] for t in terms], dtype=np.int64),
+        n_documents_=n, n_features_=len(terms), vocabulary_={t: i for i, t in enumerate(terms)},
+        idf_=np.log((1.0 + n) / (1.0 + document_frequency)) + 1.0)
+
+
+def assert_same_fit(vec, reference):
+    assert vec.terms_ == reference.terms_
+    for name in ("document_frequency_", "feature_counts_"):
+        got, expected = getattr(vec, name), getattr(reference, name)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+    assert vec.n_documents_ == reference.n_documents_
+
+
+def tied_corpus(seed):
+    """(documents, cap): 150 random documents, a tenth of them empty, over 200
+    terms whose names sort in another order than their frequencies, and a cap
+    that cuts through a run of terms tied on their total count."""
+    rng = np.random.default_rng(seed)
+    terms = [f"w{i}" for i in rng.permutation(200)]
+    weights = 1.0 / np.arange(1, 201)
+    docs = [rng.choice(terms, size=int(rng.integers(1, 12)), p=weights / weights.sum()).tolist()
+            if i % 10 else [] for i in range(150)]
+    totals = sorted(Counter(chain.from_iterable(docs)).values(), reverse=True)
+    cap = next(k for k in range(len(totals) // 3, len(totals)) if totals[k - 1] == totals[k])
+    return docs, cap
+
+
+class TestFitOracle:
+    """``fit`` equals the per-document Counter loop: the same terms, document
+    frequencies, total counts and document count, and the same refusals."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_counter_loop_with_ties_at_the_cap(self, seed):
+        docs, cap = tied_corpus(seed)
+        assert_same_fit(TfidfVectorizer(max_features=cap).fit(docs), per_document_fit(docs, cap))
+
+    def test_matches_counter_loop_uncapped(self):
+        docs, _ = tied_corpus(4)
+        assert_same_fit(TfidfVectorizer().fit(docs), per_document_fit(docs))
+
+    @pytest.mark.parametrize("docs", [[], [[]], [[], [], []]],
+                             ids=["no-documents", "one-empty", "all-empty"])
+    def test_refusals(self, docs):
+        with pytest.raises(ValueError) as expected:
+            per_document_fit(docs)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            TfidfVectorizer().fit(docs)
+
+    def test_selected_counts_fit_and_transform_as_their_documents(self):
+        # rows of the counts of more documents, in another order and with repeats
+        docs, cap = tied_corpus(5)
+        rows = [*range(100, -1, -3), *range(5)]
+        chosen, part = [docs[i] for i in rows], TermCounts(docs).take(rows)
+        vec = TfidfVectorizer(max_features=cap).fit(part)
+        reference = per_document_fit(chosen, cap)
+        assert_same_fit(vec, reference)
+        assert_same_csr(vec.transform(part), per_document_transform(reference, chosen))
+
+
+def split_docs(seed, n=90):
+    """Labelled documents over 60 terms, some empty, each other one with a term
+    of its own: every test side holds terms that no training document does."""
+    rng = np.random.default_rng(seed)
+    terms = [f"w{i}" for i in rng.permutation(60)]
+    return [TokenizedComment(i, () if i % 11 == 0 else tuple(
+                rng.choice(terms, size=int(rng.integers(0, 8))).tolist()) + (f"solo{i}",),
+             Sentiment(i % 3)) for i in range(n)]
+
+
+class TestSplitFeatures:
+    """Each split's matrices, built by ``evaluate_specs`` from one count of the
+    plan's documents, are the per-document reference's, byte for byte."""
+
+    CAP = 50  # below the number of distinct terms: the cap's tie-break is at work
+
+    @pytest.mark.parametrize("protocol, fit_on_all", [
+        ("repeated", False), ("kfold", False), ("kfold", True),
+    ], ids=["repeated", "3-fold", "fit-on-all"])
+    def test_cells_get_the_per_document_matrices(self, monkeypatch, protocol, fit_on_all):
+        docs = split_docs(1)
+        plan = plan_splits(docs, protocol, 7, runs=3, folds=3)
+        fitted, handed = [], []  # the vectorizer and (X_train, X_test) of each split
+        fit_vocabulary, fit_predict = evaluation.fit_vocabulary, evaluation._fit_predict
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(evaluation, "fit_vocabulary", lambda part, **options: fitted.append(
+            fit_vocabulary(part, **options)) or fitted[-1])
+        monkeypatch.setattr(evaluation, "_fit_predict",
+                            lambda cell: handed.append(cell[1::2]) or fit_predict(cell))
+        evaluate_specs([ClassifierSpec("knn", {"k": 1})], plan, fit_on_all=fit_on_all,
+                       max_features=self.CAP)
+        assert len(fitted) == len(handed) == len(plan) == 3
+        for part, vec, (X_train, X_test) in zip(plan, fitted, handed):
+            reference = per_document_fit(part.train + part.test if fit_on_all else part.train,
+                                         self.CAP)
+            assert_same_fit(vec, reference)
+            for X, side in ((X_train, part.train), (X_test, part.test)):
+                assert_same_csr(X, per_document_transform(reference, [d.tokens for d in side]))
+            test_only = ({t for d in part.test for t in d.tokens}
+                         - {t for d in part.train for t in d.tokens})
+            assert test_only
+            if not fit_on_all:
+                assert not test_only & set(vec.terms_)
 
 
 class TestSerialization:

@@ -6,7 +6,8 @@ from scipy.sparse import _sparsetools
 from rusent import MLPClassifier, TfidfVectorizer, preprocess_corpus
 from rusent.base import softmax_cross_entropy
 from rusent.exceptions import DivergedError, NotFittedError
-from rusent.models.mlp import batch_gradients, compact, init_params, mlp_objective
+from rusent.models.mlp import (batch_gradients, compact, epoch_batches, init_params,
+                               mlp_objective)
 from rusent.preprocess import default_stopwords
 
 from conftest import (central_diff, label_codes, random_tfidf_instance, relative_error,
@@ -132,6 +133,115 @@ class TestExactBatches:
         for want, fitted in zip(params, got):
             assert np.array_equal(fitted, want)
         assert model.loss_curve_ == curve
+
+
+def per_batch_gradients(W1T, b1, W2, b2, data, indices, indptr, cols, y):
+    """A mini-batch step before the loss was taken per epoch: the mean
+    cross-entropy of the rows and then its gradients, (loss, gW1T, gb1, gW2,
+    gb2), with the sparse products through scipy's public ``@``."""
+    rows = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, cols.size))
+    z1 = rows @ W1T[cols] + b1
+    a1 = np.maximum(0.0, z1)
+    loss, delta2 = softmax_cross_entropy(a1 @ W2.T + b2, y)
+    delta2 /= rows.shape[0]
+    delta1 = (delta2 @ W2) * (z1 > 0.0)
+    return loss, rows.T @ delta1, delta1.sum(axis=0), delta2.T @ a1, delta2.sum(axis=0)
+
+
+class PerBatchMLP(MLPClassifier):
+    """The training loop before the per-epoch compaction: each mini-batch
+    compacted on its own, and its loss taken as it is stepped."""
+
+    def _fit(self, X, y):
+        n, V = X.shape
+        rng = np.random.default_rng(self.seed)
+        W1, b1, W2, b2 = init_params(V, self.hidden_units, rng)
+        W1T = np.ascontiguousarray(W1.T)
+        every_row = compact(X.data, X.indices, X.indptr, 0, n)
+        start_loss = per_batch_gradients(W1T, b1, W2, b2, *every_row, y)[0]
+        row_nnz = np.diff(X.indptr)
+        curve = []
+        for _ in range(self.epochs):
+            order = rng.permutation(n)
+            indptr = np.zeros_like(X.indptr)
+            np.cumsum(row_nnz[order], out=indptr[1:])
+            at = np.repeat(X.indptr[order] - indptr[:-1], row_nnz[order]) + np.arange(indptr[-1])
+            data, indices, y_epoch = X.data[at], X.indices[at], y[order]
+            batch_losses = []
+            for start in range(0, n, self.batch_size):
+                stop = min(start + self.batch_size, n)
+                *batch, cols = compact(data, indices, indptr, start, stop)
+                loss, gW1T, gb1, gW2, gb2 = per_batch_gradients(
+                    W1T, b1, W2, b2, *batch, cols, y_epoch[start:stop])
+                W2 -= self.lr * gW2
+                b2 -= self.lr * gb2
+                W1T[cols, :] -= self.lr * gW1T
+                b1 -= self.lr * gb1
+                batch_losses.append(loss)
+            curve.append(float(np.mean(batch_losses)))
+        self.final_loss_ = per_batch_gradients(W1T, b1, W2, b2, *every_row, y)[0]
+        if not np.any(X @ W1T + b1 > 0.0):
+            raise DivergedError("mlp training diverged (every hidden unit is inactive on "
+                                "every training row)")
+        self.hidden_coef_ = np.ascontiguousarray(W1T.T)
+        self.hidden_intercept_ = b1
+        self.output_coef_ = W2
+        self.output_intercept_ = b2
+        self.loss_curve_ = curve
+        return start_loss
+
+
+class TestEpochCompaction:
+    """``fit`` compacts each epoch's mini-batches with one np.unique and takes
+    their losses once the epoch is stepped; it must equal ``PerBatchMLP`` bit
+    for bit, and refuse a diverging fit with the same error."""
+
+    @pytest.mark.parametrize("n, batch_size, empty_rows", [
+        (23, 5, ()), (23, 1, ()), (23, 23, ()), (23, 40, ()), (23, 4, (0, 7, 8, 22)),
+        (200, 32, (3,)),
+    ], ids=["short-last-batch", "batch-of-one", "one-batch", "batch-above-rows", "empty-rows",
+            "default-batch"])
+    def test_fit_equals_per_batch_loop(self, n, batch_size, empty_rows):
+        X, y = random_tfidf_instance(n + batch_size, n_docs=n, vocab_size=15, doc_len=3)
+        for row in empty_rows:
+            X.data[X.indptr[row] : X.indptr[row + 1]] = 0.0
+        X.eliminate_zeros()
+        params = dict(hidden_units=6, lr=0.5, epochs=4, batch_size=batch_size, seed=3)
+        expected, got = PerBatchMLP(**params).fit(X, y), MLPClassifier(**params).fit(X, y)
+        for name in ("hidden_coef_", "hidden_intercept_", "output_coef_", "output_intercept_"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+        assert got.loss_curve_ == expected.loss_curve_
+        assert got.final_loss_ == expected.final_loss_
+
+    @pytest.mark.parametrize("lr, error", [
+        (1e155, "overflow encountered in reduce"),  # in a batch's loss, before its step
+        (1e250, "overflow encountered in matmul"),
+    ])
+    def test_a_diverging_fit_raises_the_per_batch_error(self, lr, error):
+        X, y = random_tfidf_instance(1, n_docs=23, vocab_size=10, doc_len=1)
+        params = dict(hidden_units=4, lr=lr, epochs=3, batch_size=8, seed=1)
+        with pytest.raises(DivergedError) as expected:
+            PerBatchMLP(**params).fit(X, y)
+        with pytest.raises(DivergedError) as got:
+            MLPClassifier(**params).fit(X, y)
+        assert str(got.value) == str(expected.value) == f"mlp training diverged ({error})"
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @pytest.mark.parametrize("size", [1, 4, 5, 22, 23, 40])
+    def test_epoch_batches_are_the_compacted_runs_of_rows(self, size, shuffled):
+        X, _ = random_tfidf_instance(8, n_docs=23, vocab_size=15, doc_len=3)
+        X.data[X.indptr[4] : X.indptr[6]] = 0.0
+        X.eliminate_zeros()
+        order = np.random.default_rng(size).permutation(23) if shuffled else np.arange(23)
+        batches = list(epoch_batches(X, order, size))
+        starts = range(0, X.shape[0], size)
+        assert len(batches) == len(starts)
+        rows = X[order]
+        for got, start in zip(batches, starts):
+            expected = compact(rows.data, rows.indices, rows.indptr, start,
+                               min(start + size, X.shape[0]))
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def kernel_batch(case):
