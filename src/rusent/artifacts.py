@@ -4,8 +4,8 @@ JSON artifact format of saved models and tf-idf vocabularies.
 Each file is written through ``replacing``, so it appears whole or not at
 all. A fitted object is saved as the payload of ``to_payload``; its
 ``fitted`` rows pick a codec per key. ``FLOATS`` and ``INTS`` are arrays of
-finite numbers (plain numbers when they have no axes); ``CSR`` is a sparse
-matrix stored as its ``data``/``indices``/``indptr``/``shape`` fields;
+finite numbers (plain numbers when they have no axes); ``CSR`` is a
+``base.CSRMatrix`` stored as its ``data``/``indices``/``indptr``/``shape`` fields;
 ``TERMS`` is a list of distinct strings.
 """
 
@@ -103,14 +103,11 @@ def _decode(codec, raw):
     import numpy as np
 
     if codec == CSR:
-        import scipy.sparse as sp  # here, so that a stage reading no matrix never loads it
+        from .base import CSRMatrix  # checks the arrays' format
+
         data, indices, indptr, shape = fields(raw, ("data", "indices", "indptr", "shape"))
-        value = sp.csr_matrix(
-            (_decode(FLOATS, data), _decode(INTS, indices), _decode(INTS, indptr)),
-            shape=tuple(_decode(INTS, shape)),
-        )
-        value.check_format(full_check=True)
-        return value
+        return CSRMatrix(_decode(FLOATS, data), _decode(INTS, indices), _decode(INTS, indptr),
+                         _decode(INTS, shape))
     if codec == TERMS:
         if not isinstance(raw, list) or not all(isinstance(t, str) for t in raw):
             raise ValueError("expected a list of strings")
@@ -135,12 +132,12 @@ def decode_value(key, codec, raw, axes, sizes):
         value = _decode(codec, raw)
         shape = tuple(sizes.setdefault(a, n) if isinstance(a, str) else a
                       for a, n in zip(axes, value.shape))
-        if len(axes) != value.ndim or shape != value.shape:
+        if len(axes) != len(value.shape) or shape != value.shape:
             shape = tuple(sizes.get(a, a) if isinstance(a, str) else a for a in axes)
             raise ValueError(f"shape {value.shape} does not match {shape}")
     except (TypeError, ValueError) as exc:  # TypeError: e.g. a number where a list belongs
         raise ArtifactError(f"{key}: {exc}") from None
-    return value.item() if value.ndim == 0 else value
+    return value if value.shape else value.item()
 
 
 def check_is_fitted(obj):

@@ -7,6 +7,8 @@ relies on those conventions, without this package depending on scikit-learn.
 """
 
 import contextlib
+import operator
+import sys
 
 import numpy as np
 
@@ -48,19 +50,77 @@ class BaseEstimator:
         return f"{type(self).__name__}({args})"
 
 
+class CSRMatrix:
+    """The package's feature matrix: float64 values in canonical compressed
+    sparse row form, the layout scipy.sparse.csr_matrix uses, without scipy.
+    Row i holds the values ``data[indptr[i]:indptr[i + 1]]`` at the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, which strictly ascend. ``indices`` and
+    ``indptr`` share scipy's index dtype: int32 while every size fits, else
+    int64. The constructor raises ValueError for arrays that break any of this,
+    and copies an array only to change its dtype."""
+
+    __slots__ = ("data", "indices", "indptr", "shape")
+
+    def __init__(self, data, indices, indptr, shape):
+        data, indices, indptr = np.asarray(data, np.float64), *map(np.asarray, (indices, indptr))
+        shape = tuple(map(operator.index, shape))
+        if len(shape) != 2 or min(shape) < 0:
+            raise ValueError(f"shape must be two sizes >= 0, got {shape}")
+        if not all(a.ndim == 1 for a in (data, indices, indptr)):
+            raise ValueError("data, indices and indptr must be 1-D")
+        if indices.dtype.kind not in "iu" or indptr.dtype.kind not in "iu":
+            raise ValueError("indices and indptr must be integers")
+        if indptr.size != shape[0] + 1:
+            raise ValueError(f"indptr has {indptr.size} entries, {shape[0]} rows need "
+                             f"{shape[0] + 1}")
+        lengths = np.diff(indptr)
+        if indptr[0] != 0 or np.any(lengths < 0):
+            raise ValueError("indptr must start at 0 and never decrease")
+        if not indptr[-1] == indices.size == data.size:
+            raise ValueError(f"indptr ends at {indptr[-1]}, with {indices.size} indices "
+                             f"and {data.size} values")
+        if indices.size and not 0 <= indices.min() <= indices.max() < shape[1]:
+            raise ValueError(f"a column index is outside [0, {shape[1]})")
+        row_start = np.zeros(indices.size, dtype=bool)
+        row_start[indptr[:-1][lengths > 0]] = True
+        if np.any((np.diff(indices) <= 0) & ~row_start[1:]):
+            raise ValueError("the column indices of a row must strictly ascend "
+                             "(sorted, no duplicates)")
+        index = np.int32 if max(*shape, data.size) <= np.iinfo(np.int32).max else np.int64
+        self.data, self.shape = data, shape
+        self.indices, self.indptr = (a.astype(index, copy=False) for a in (indices, indptr))
+
+    @property
+    def nnz(self):
+        return self.data.size
+
+    def toarray(self):
+        dense = np.zeros(self.shape)
+        dense[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = self.data
+        return dense
+
+
 def check_feature_matrix(X, n_features=None):
-    """``X``, any scipy sparse matrix or 2-D array, as a float64 CSR matrix with
-    sorted indices and no duplicates. The caller's arrays are never rewritten:
-    a result that needs sorting or summing is a copy. Raises ValueError for
-    input that is not 2-D, a NaN or infinite entry, or a width other than
-    ``n_features`` when that is given."""
-    import scipy.sparse as sp  # here, so that a stage reading no matrix never loads it
-    if np.ndim(X) != 2:
-        raise ValueError(f"feature matrix must be 2-D, got {np.ndim(X)}-D")
-    X = sp.csr_matrix(X, dtype=np.float64)  # may share the input's arrays
-    if not X.has_canonical_format:
-        X = X.copy()
-        X.sum_duplicates()
+    """``X``, a CSRMatrix, any scipy sparse matrix or a 2-D array, as a
+    CSRMatrix. The caller's arrays are never rewritten: a result that needs
+    converting, sorting or summing is a copy. Raises ValueError for input that
+    is not 2-D, a NaN or infinite entry, or a width other than ``n_features``
+    when that is given."""
+    if not isinstance(X, CSRMatrix):
+        if np.ndim(X) != 2:
+            raise ValueError(f"feature matrix must be 2-D, got {np.ndim(X)}-D")
+        sparse = sys.modules.get("scipy.sparse")  # loaded wherever a scipy matrix exists
+        if sparse is not None and sparse.issparse(X):
+            X = sparse.csr_matrix(X, dtype=np.float64)  # may share the input's arrays
+            if not X.has_canonical_format:
+                X = X.copy()
+                X.sum_duplicates()
+            X = CSRMatrix(X.data, X.indices, X.indptr, X.shape)
+        else:
+            dense = np.asarray(X, dtype=np.float64)
+            rows, cols = np.nonzero(dense)
+            X = CSRMatrix(dense[rows, cols], cols,
+                          np.searchsorted(rows, np.arange(dense.shape[0] + 1)), dense.shape)
     if not np.isfinite(X.data).all():
         raise ValueError("feature matrix has a non-finite (NaN or infinite) entry")
     if n_features is not None and X.shape[1] != n_features:
@@ -119,7 +179,7 @@ class ClassifierBase(BaseEstimator):
     """Shared training and prediction surface for the five classifier kinds.
 
     ``fit`` checks the hyperparameters and the training set, then calls the
-    kind's ``_fit(X, y)`` with a CSR matrix and class codes. The fit is
+    kind's ``_fit(X, y)`` with a CSRMatrix and class codes. The fit is
     refused with ``DivergedError`` on a numpy overflow, invalid or divide
     error, and when ``_fit`` returns the loss at its starting parameters
     and ``final_loss_`` is above ``loss_limit`` times it.
@@ -149,7 +209,7 @@ class ClassifierBase(BaseEstimator):
 
     @contextlib.contextmanager
     def _training(self, X, y):
-        """The checked CSR matrix and class codes; a numpy error in the block is DivergedError."""
+        """The checked CSRMatrix and class codes; a numpy error in the block is DivergedError."""
         self.check_params(self.get_params())
         X = check_feature_matrix(X)
         y = check_labels(y, X.shape[0])

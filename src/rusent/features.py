@@ -13,7 +13,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .artifacts import INTS, TERMS, from_payload, read_json, to_payload, write_csv, write_json
-from .base import BaseEstimator, check_is_fitted
+from .base import BaseEstimator, CSRMatrix, check_is_fitted
 from .models import AT_LEAST_ONE, MAX_FEATURES
 
 
@@ -99,9 +99,9 @@ class TfidfVectorizer(BaseEstimator):
         self.idf_ = np.log((1.0 + n) / (1.0 + df)) + 1.0
 
     def transform(self, docs):
-        """Row i is the l2-normalized tf-idf vector of docs[i]; out-of-vocabulary
-        tokens are ignored and fully out-of-vocabulary docs come out all-zero."""
-        import scipy.sparse as sp  # here, so that a stage reading no matrix never loads it
+        """A CSRMatrix whose row i is the l2-normalized tf-idf vector of docs[i];
+        out-of-vocabulary tokens are ignored and fully out-of-vocabulary docs
+        come out all-zero."""
         check_is_fitted(self)
         counts = docs if isinstance(docs, TermCounts) else TermCounts(docs, self.terms_)
         column = np.fromiter(map(self.vocabulary_.get, counts.terms, repeat(-1)), np.int64,
@@ -119,10 +119,7 @@ class TfidfVectorizer(BaseEstimator):
             same = np.flatnonzero(nnz == length)
             block = data[indptr[same, None] + np.arange(length)]
             norms[same] = np.sqrt(np.sum(block * block, axis=1))
-        return sp.csr_matrix(
-            (data / np.repeat(norms, nnz), cols.astype(np.int32), indptr),
-            shape=(nnz.size, self.n_features_),
-        )
+        return CSRMatrix(data / np.repeat(norms, nnz), cols, indptr, (nnz.size, self.n_features_))
 
     def fit_transform(self, docs, y=None):
         return self.fit(counts := TermCounts(docs)).transform(counts)

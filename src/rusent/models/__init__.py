@@ -1,10 +1,12 @@
 """The five classifier kinds behind one fit/predict surface, plus
 saving and loading them as JSON model files. A kind's estimator module,
-and numpy with it, is imported when its class is first asked for."""
+and numpy with it, is imported when its class is first asked for; the
+modules of the kinds that multiply with scipy.sparse import it too."""
 
 import importlib
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from ..artifacts import from_payload, read_json, to_payload, write_json
@@ -96,6 +98,21 @@ def save_model(model, path):
     write_json(path, to_payload(model))
 
 
+class _Classes(Mapping):
+    """kind -> estimator class, for every kind; a lookup imports that kind's module only."""
+
+    def __getitem__(self, kind):
+        if kind not in _CLASSES:
+            raise KeyError(kind)
+        return classifier_class(kind)
+
+    def __iter__(self):
+        return iter(CLASSIFIER_KINDS)
+
+    def __len__(self):
+        return len(CLASSIFIER_KINDS)
+
+
 def load_model(path):
-    classes = {kind: classifier_class(kind) for kind in CLASSIFIER_KINDS}
-    return read_json(path, lambda payload: from_payload(payload, classes))
+    """The model saved at ``path``; of the estimator modules, only its kind's is imported."""
+    return read_json(path, lambda payload: from_payload(payload, _Classes()))

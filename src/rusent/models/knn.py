@@ -1,9 +1,10 @@
 """k-nearest-neighbor classifier over cosine distance."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..artifacts import CSR, INTS
-from ..base import N_CLASSES, ClassifierBase, check_labels
+from ..base import N_CLASSES, ClassifierBase, CSRMatrix, check_labels
 
 _CHUNK = 512
 
@@ -22,7 +23,9 @@ class KNeighborsClassifier(ClassifierBase):
     fitted = (("matrix", "X_", CSR, ("rows", "dimension")), ("labels", "y_", INTS, ("rows",)))
 
     def _fit(self, X, y):
-        self.X_, self.y_ = X.copy(), y  # X may share the caller's arrays
+        # X may share the caller's arrays
+        self.X_ = CSRMatrix(X.data.copy(), X.indices.copy(), X.indptr.copy(), X.shape)
+        self.y_ = y
 
     def _check_fitted(self):
         check_labels(self.y_)
@@ -34,11 +37,13 @@ class KNeighborsClassifier(ClassifierBase):
         query row, ordered by (distance, training index), and the label of
         the nearest one."""
         X = self._validate_input(X)
+        X, train = (sp.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape)
+                    for M in (X, self.X_))
         counts = np.empty((X.shape[0], N_CLASSES), dtype=np.int64)
         nearest = np.empty(X.shape[0], dtype=np.int64)
         for start in range(0, X.shape[0], _CHUNK):
             chunk = X[start : start + _CHUNK]
-            distances = 1.0 - (chunk @ self.X_.T).toarray()
+            distances = 1.0 - (chunk @ train.T).toarray()
             # stable argsort keeps lower training indices first among ties
             order = np.argsort(distances, axis=1, kind="stable")
             labels = self.y_[order[:, : self.k]]

@@ -2,6 +2,7 @@
 gradient descent."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..base import LINEAR_FITTED, N_CLASSES, ClassifierBase, softmax, softmax_cross_entropy
 
@@ -31,6 +32,7 @@ class LogisticRegression(ClassifierBase):
     loss_curve_ = None  # not saved: a loaded model reads None
 
     def _fit(self, X, y):
+        X = sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
         W = np.zeros((N_CLASSES, X.shape[1]))
         b = np.zeros(N_CLASSES)
         curve = []
@@ -49,4 +51,5 @@ class LogisticRegression(ClassifierBase):
     def decision_scores(self, X):
         """Softmax probabilities (rows sum to 1)."""
         X = self._validate_input(X)
+        X = sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
         return softmax(X @ self.coef_.T + self.intercept_)

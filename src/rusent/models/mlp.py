@@ -2,6 +2,11 @@
 mean cross-entropy loss, mini-batch stochastic gradient descent."""
 
 import numpy as np
+import scipy.sparse as sp
+# The compiled kernels behind `csr_matrix @ dense` and `csr_matrix.T @ dense`,
+# called on the raw arrays: building the two CSR objects costs far more than
+# the products. The module is private; tests/test_mlp.py pins them to `@`.
+from scipy.sparse import _sparsetools
 
 from ..artifacts import FLOATS
 from ..base import N_CLASSES, ClassifierBase, cross_entropy_rows, softmax
@@ -42,13 +47,9 @@ def batch_gradients(W1T, b1, W2, b2, data, indices, indptr, cols, y):
     feature-major, (V, H); ``gW1T`` holds only the gradient rows ``cols``. If
     logits reach 1e307 / n, the n rows' summed loss may overflow: it is then
     taken first, to raise before the gradients, as a loss taken per batch did."""
-    # The compiled kernels behind `csr_matrix @ dense` and `csr_matrix.T @ dense`,
-    # called on the raw arrays: building the two CSR objects costs far more than
-    # the products. The module is private; tests/test_mlp.py pins them to `@`.
-    from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
     n, m, H = indptr.size - 1, cols.size, b1.size
     z1 = np.zeros((n, H))
-    csr_matvecs(n, m, H, indptr, indices, data, W1T[cols].ravel(), z1.ravel())
+    _sparsetools.csr_matvecs(n, m, H, indptr, indices, data, W1T[cols].ravel(), z1.ravel())
     z1 += b1
     a1 = np.maximum(0.0, z1)
     logits = a1 @ W2.T + b2
@@ -59,7 +60,7 @@ def batch_gradients(W1T, b1, W2, b2, data, indices, indptr, cols, y):
     delta2 /= n
     delta1 = (delta2 @ W2) * (z1 > 0.0)
     gW1T = np.zeros((m, H))
-    csc_matvecs(m, n, H, indptr, indices, data, delta1.ravel(), gW1T.ravel())
+    _sparsetools.csc_matvecs(m, n, H, indptr, indices, data, delta1.ravel(), gW1T.ravel())
     return logits, gW1T, delta1.sum(axis=0), delta2.T @ a1, delta2.sum(axis=0)
 
 
@@ -109,9 +110,14 @@ class MLPClassifier(ClassifierBase):
         rng = np.random.default_rng(self.seed)
         W1, b1, W2, b2 = init_params(V, self.hidden_units, rng)
         W1T = np.ascontiguousarray(W1.T)
-        every_row = compact(X.data, X.indices, X.indptr, 0, n)
-        start_loss = float(np.mean(cross_entropy_rows(
-            batch_gradients(W1T, b1, W2, b2, *every_row, y)[0], y)))
+        X_all = sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+
+        def every_row():  # the hidden layer and the mean loss on every row
+            hidden = X_all @ W1T + b1
+            logits = np.maximum(0.0, hidden) @ W2.T + b2
+            return hidden, float(np.mean(cross_entropy_rows(logits, y)))
+
+        start_loss = every_row()[1]
         curve = []
         for _ in range(self.epochs):
             order, logits, steps = rng.permutation(n), [], range(0, n, self.batch_size)
@@ -126,9 +132,8 @@ class MLPClassifier(ClassifierBase):
                 logits.append(out)
             losses = cross_entropy_rows(np.concatenate(logits), y_epoch)  # every batch's at once
             curve.append(float(np.mean([np.mean(losses[s : s + self.batch_size]) for s in steps])))
-        self.final_loss_ = float(np.mean(cross_entropy_rows(
-            batch_gradients(W1T, b1, W2, b2, *every_row, y)[0], y)))
-        if not np.any(X @ W1T + b1 > 0.0):  # the output is one constant class
+        hidden, self.final_loss_ = every_row()
+        if not np.any(hidden > 0.0):  # the output is one constant class
             raise DivergedError("mlp training diverged (every hidden unit is inactive on "
                                 "every training row)")
         self.hidden_coef_ = np.ascontiguousarray(W1T.T)
@@ -141,5 +146,6 @@ class MLPClassifier(ClassifierBase):
     def decision_scores(self, X):
         """Softmax output probabilities (rows sum to 1)."""
         X = self._validate_input(X)
+        X = sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
         hidden = np.maximum(0.0, X @ self.hidden_coef_.T + self.hidden_intercept_)
         return softmax(hidden @ self.output_coef_.T + self.output_intercept_)

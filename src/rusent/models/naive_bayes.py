@@ -1,10 +1,26 @@
-"""Multinomial naive Bayes over fractional tf-idf weights."""
+"""Multinomial naive Bayes over fractional tf-idf weights, in numpy alone."""
 
 import numpy as np
 
 from ..artifacts import FLOATS, INTS
 from ..base import N_CLASSES, ClassifierBase, softmax
 from ..exceptions import MissingClassError
+
+
+def class_sums(X, y):
+    """Row c is the sum of the rows of the CSRMatrix ``X`` whose class code in
+    ``y`` is c. Each class's entries are added in row order, as scipy's
+    ``X[rows].sum(axis=0)`` adds them, by one bincount over (class, column)."""
+    V = X.shape[1]
+    keys = np.repeat(y, np.diff(X.indptr)) * V + X.indices
+    return np.bincount(keys, X.data, N_CLASSES * V).reshape(N_CLASSES, V)
+
+
+def times_transpose(X, W):
+    """``X @ W.T`` for the CSRMatrix ``X``. Each row's products are added in
+    column order, as scipy's CSR kernel adds them, by one bincount per row of W."""
+    rows = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
+    return np.column_stack([np.bincount(rows, X.data * w[X.indices], X.shape[0]) for w in W])
 
 
 class MultinomialNaiveBayes(ClassifierBase):
@@ -31,13 +47,8 @@ class MultinomialNaiveBayes(ClassifierBase):
                 f"training data is missing class code(s) {missing}; "
                 "pass allow_missing_class=True to permit this"
             )
-        weight_sums = np.zeros((N_CLASSES, X.shape[1]))
-        for c in range(N_CLASSES):
-            rows = np.flatnonzero(y == c)
-            if rows.size:
-                weight_sums[c] = np.asarray(X[rows].sum(axis=0)).ravel()
         self.class_count_ = counts
-        self.feature_weight_sum_ = weight_sums
+        self.feature_weight_sum_ = class_sums(X, y)
 
     def _check_fitted(self):
         """Derive ``class_log_prior_`` and ``feature_log_prob_`` from the
@@ -60,6 +71,5 @@ class MultinomialNaiveBayes(ClassifierBase):
 
     def decision_scores(self, X):
         """Class posterior probabilities (rows sum to 1)."""
-        X = self._validate_input(X)
-        joint = X @ self.feature_log_prob_.T + self.class_log_prior_
-        return softmax(joint)
+        joint = times_transpose(self._validate_input(X), self.feature_log_prob_)
+        return softmax(joint + self.class_log_prior_)

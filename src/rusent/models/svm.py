@@ -2,6 +2,7 @@
 seeded, shuffled per-sample subgradient descent."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..base import LINEAR_FITTED, N_CLASSES, ClassifierBase
 
@@ -91,6 +92,7 @@ class LinearSVM(ClassifierBase):
         rng = np.random.default_rng([self.seed, c])
         rows = _pairs(X) if rows is None else rows
         w, b = _sgd_binary(rows, y_signed, X.shape[1], self.lr, self.epochs, self.C, rng)
+        X = sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
         return w, b, hinge_objective(w, b, X, y_signed, self.C)[0]
 
     def _fit(self, X, y):
@@ -109,4 +111,5 @@ class LinearSVM(ClassifierBase):
     def decision_scores(self, X):
         """Raw one-vs-rest decision values (not probabilities)."""
         X = self._validate_input(X)
+        X = sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
         return X @ self.coef_.T + self.intercept_

@@ -2,6 +2,7 @@ import csv
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rusent import LabeledComment, Sentiment, TfidfVectorizer
 
@@ -75,7 +76,8 @@ def three_class_corpus(n_docs, seed, shared=2):
 
 
 def as_dicts(X):
-    X = X.tocsr()
+    if sp.issparse(X):
+        X = X.tocsr()
     return [
         {
             int(c): float(v)
@@ -89,13 +91,16 @@ def as_dicts(X):
 
 
 def random_tfidf_instance(seed, n_docs=6, vocab_size=5, doc_len=4):
-    """Small random feature matrix + labels via the real vectorizer."""
+    """Small random feature matrix + labels via the real vectorizer, the matrix
+    as a scipy CSR matrix, which the tests slice, edit and multiply."""
     rng = np.random.default_rng(seed)
     terms = [f"t{i}" for i in range(vocab_size)]
     docs = [list(rng.choice(terms, size=doc_len)) for _ in range(n_docs)]
     y = rng.integers(0, 3, size=n_docs)
     vec = TfidfVectorizer().fit(docs)
-    return vec.transform(docs), np.asarray(y, dtype=np.int64)
+    X = vec.transform(docs)
+    return (sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape),
+            np.asarray(y, dtype=np.int64))
 
 
 def central_diff(f, x, step=1e-5):
@@ -134,3 +139,40 @@ def toy_docs():
 @pytest.fixture
 def stopwords_small():
     return frozenset({"ye", "hai"})
+
+
+def count_instance():
+    """An 18x7 int64 count matrix, a quarter of it zero, and labels (0, 1, 2) * 6."""
+    rng = np.random.default_rng(3)
+    counts = rng.integers(1, 4, size=(18, 7)) * (rng.random((18, 7)) < 0.75)
+    return counts, np.array((0, 1, 2) * 6)
+
+
+def unsorted_with_duplicates(A):
+    """The float64 CSR form of the dense ``A`` with each row's entries stored
+    in reverse column order and its first entry stored as two halves."""
+    data, indices, indptr = [], [], [0]
+    for row in A:
+        cols = np.flatnonzero(row)[::-1].tolist()
+        vals = row[cols].astype(np.float64).tolist()
+        if cols:
+            cols.append(cols[0])
+            vals[0] /= 2.0
+            vals.append(vals[0])
+        indices += cols
+        data += vals
+        indptr.append(len(indices))
+    X = sp.csr_matrix((np.array(data), np.array(indices, dtype=np.int32), np.array(indptr)),
+                      shape=A.shape)
+    assert not X.has_canonical_format
+    return X
+
+
+# Every input form of the same counts that the estimators take.
+INPUT_FORMS = {
+    "int64_csr": sp.csr_matrix,
+    "csc": lambda A: sp.csc_matrix(A.astype(np.float64)),
+    "coo": lambda A: sp.coo_matrix(A.astype(np.float64)),
+    "dense": lambda A: A.astype(np.float64),
+    "unsorted_duplicates": unsorted_with_duplicates,
+}

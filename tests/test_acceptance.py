@@ -207,7 +207,7 @@ def test_criterion_5_tfidf_properties():
     rand_docs.append([])
     model = TfidfVectorizer(max_features=25).fit(rand_docs)
     X = model.transform(rand_docs)
-    norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
+    norms = np.sqrt((X.toarray() ** 2).sum(axis=1))
     ok &= bool(np.all((np.abs(norms - 1.0) <= 1e-9) | (norms == 0.0)))
     order = np.argsort(model.document_frequency_)
     df_sorted = model.document_frequency_[order]

@@ -249,6 +249,37 @@ CORRUPT_NB_MODELS = {
                              slice(None), [0.0] * doc["dimension"]), "parameters.class_count: "),
 }
 
+
+def _knn_matrix_edit(edit):
+    """A corruption of model_knn.json that calls ``edit(matrix, a)`` on its stored
+    training matrix, ``a`` the offset of the first row with two entries or more."""
+    def corrupt(doc):
+        matrix = doc["parameters"]["matrix"]
+        indptr = matrix["indptr"]
+        a = next(start for start, stop in zip(indptr, indptr[1:]) if stop - start >= 2)
+        edit(matrix, a)
+    return corrupt
+
+
+def _swap(values, i, j):
+    values[i], values[j] = values[j], values[i]
+
+
+# case -> (corruption of model_knn.json's training matrix, the start of the error
+# after the file name): the arrays that the CSRMatrix it is read into refuses
+CORRUPT_KNN_MATRICES = {
+    "knn-unsorted-indices": (_knn_matrix_edit(lambda m, a: _swap(m["indices"], a, a + 1)),
+                             "parameters.matrix: the column indices of a row must strictly"),
+    "knn-duplicate-index": (_knn_matrix_edit(lambda m, a: m["indices"].__setitem__(
+        a + 1, m["indices"][a])), "parameters.matrix: the column indices of a row must strictly"),
+    "knn-decreasing-indptr": (_knn_matrix_edit(lambda m, a: m["indptr"].__setitem__(
+        1, m["indptr"][-1])), "parameters.matrix: indptr must start at 0 and never decrease"),
+    "knn-index-out-of-range": (_knn_matrix_edit(lambda m, a: m["indices"].__setitem__(
+        -1, m["shape"][1])), "parameters.matrix: a column index is outside [0, "),
+    "knn-shape-mismatch": (_knn_matrix_edit(lambda m, a: m["shape"].__setitem__(
+        0, m["shape"][0] + 1)), "parameters.matrix: indptr has "),
+}
+
 # case -> (corruption of tfidf.json, the start of the error after the file name)
 CORRUPT_TFIDF_TERMS = {
     "tfidf-empty-terms": (lambda doc: doc["parameters"].update(terms=[], df=[])
@@ -318,6 +349,7 @@ CORRUPT_ARTIFACTS = merge_cases(
         "tfidf-parent-layout": ("tfidf.json", _parent_tfidf_layout),
     },
     {case: ("model_naive_bayes.json", corrupt) for case, (corrupt, _) in CORRUPT_NB_MODELS.items()},
+    {case: ("model_knn.json", corrupt) for case, (corrupt, _) in CORRUPT_KNN_MATRICES.items()},
     {case: ("tfidf.json", corrupt) for case, (corrupt, _) in CORRUPT_TFIDF_TERMS.items()},
     {case: (artifact, corrupt) for case, (artifact, corrupt, _) in CORRUPT_VALUES.items()},
 )
@@ -607,7 +639,7 @@ class TestCliExitCodes:
         assert main(["predict", "--classifier", kind] + common) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
-        named = {**CORRUPT_NB_MODELS, **CORRUPT_TFIDF_TERMS}
+        named = {**CORRUPT_NB_MODELS, **CORRUPT_TFIDF_TERMS, **CORRUPT_KNN_MATRICES}
         if case in named:
             assert err.startswith(f"error: {path}: {named[case][1]}")
         if case in CORRUPT_VALUES:

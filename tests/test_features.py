@@ -116,7 +116,7 @@ class TestTransform:
         docs.append([])
         vec = TfidfVectorizer(max_features=20).fit(docs)
         X = vec.transform(docs)
-        norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
+        norms = np.sqrt((X.toarray() ** 2).sum(axis=1))
         for norm in norms:
             assert norm == pytest.approx(1.0, abs=1e-9) or norm == 0.0
 
@@ -134,7 +134,7 @@ class TestTransform:
         assert X.shape == (3, 3)
         for i, doc in enumerate(toy_docs):
             np.testing.assert_array_equal(
-                X[i].toarray(), vec.transform([doc]).toarray()
+                X.toarray()[i : i + 1], vec.transform([doc]).toarray()
             )
 
     def test_empty_sequence_keeps_dimension(self, toy_docs):

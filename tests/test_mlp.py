@@ -180,7 +180,8 @@ class PerBatchMLP(MLPClassifier):
                 batch_losses.append(loss)
             curve.append(float(np.mean(batch_losses)))
         self.final_loss_ = per_batch_gradients(W1T, b1, W2, b2, *every_row, y)[0]
-        if not np.any(X @ W1T + b1 > 0.0):
+        if not np.any(sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape) @ W1T
+                      + b1 > 0.0):
             raise DivergedError("mlp training diverged (every hidden unit is inactive on "
                                 "every training row)")
         self.hidden_coef_ = np.ascontiguousarray(W1T.T)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -22,11 +23,12 @@ from rusent import (
     save_tfidf,
 )
 from rusent.artifacts import from_payload, to_payload
-from rusent.base import softmax, softmax_cross_entropy
+from rusent.base import CSRMatrix, check_feature_matrix, softmax, softmax_cross_entropy
 from rusent.exceptions import NotFittedError
 from rusent.models import classifier_class
 
-from conftest import random_tfidf_instance, write_rows
+from conftest import (INPUT_FORMS, count_instance, random_tfidf_instance,
+                      unsorted_with_duplicates, write_rows)
 
 FAST_PARAMS = {
     "naive_bayes": {"allow_missing_class": True},
@@ -175,43 +177,6 @@ class TestUniformSurface:
         assert model.predict(X[0]).item() == 0
 
 
-def count_instance():
-    """An 18x7 int64 count matrix, a quarter of it zero, and labels (0, 1, 2) * 6."""
-    rng = np.random.default_rng(3)
-    counts = rng.integers(1, 4, size=(18, 7)) * (rng.random((18, 7)) < 0.75)
-    return counts, np.array((0, 1, 2) * 6)
-
-
-def unsorted_with_duplicates(A):
-    """The float64 CSR form of the dense ``A`` with each row's entries stored
-    in reverse column order and its first entry stored as two halves."""
-    data, indices, indptr = [], [], [0]
-    for row in A:
-        cols = np.flatnonzero(row)[::-1].tolist()
-        vals = row[cols].astype(np.float64).tolist()
-        if cols:
-            cols.append(cols[0])
-            vals[0] /= 2.0
-            vals.append(vals[0])
-        indices += cols
-        data += vals
-        indptr.append(len(indices))
-    X = sp.csr_matrix((np.array(data), np.array(indices, dtype=np.int32), np.array(indptr)),
-                      shape=A.shape)
-    assert not X.has_canonical_format
-    return X
-
-
-# Every input form of the same counts that the estimators take.
-INPUT_FORMS = {
-    "int64_csr": sp.csr_matrix,
-    "csc": lambda A: sp.csc_matrix(A.astype(np.float64)),
-    "coo": lambda A: sp.coo_matrix(A.astype(np.float64)),
-    "dense": lambda A: A.astype(np.float64),
-    "unsorted_duplicates": unsorted_with_duplicates,
-}
-
-
 @pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
 class TestFeatureMatrixInput:
     """Each estimator takes any scipy sparse matrix or 2-D array, and never
@@ -270,6 +235,58 @@ class TestFeatureMatrixInput:
         with pytest.raises(NotFittedError):
             save_tfidf(TfidfVectorizer(), path)
         assert list(tmp_path.iterdir()) == []
+
+
+def canonical_scipy(A):
+    X = sp.csr_matrix(A.astype(np.float64))
+    assert X.has_canonical_format
+    return X
+
+
+# case -> (data, indices, indptr, shape) a CSRMatrix refuses, and the start of its message
+MALFORMED_CSR = {
+    "unsorted": (([1.0, 2.0], [2, 0], [0, 2], (1, 3)), "the column indices of a row"),
+    "duplicate": (([1.0, 2.0], [1, 1], [0, 2], (1, 3)), "the column indices of a row"),
+    "indptr-decreasing": (([1.0, 2.0], [0, 1], [0, 2, 1, 2], (3, 3)), "indptr must start"),
+    "indptr-not-from-0": (([1.0, 2.0], [0, 1], [1, 2], (1, 3)), "indptr must start"),
+    "index-above-width": (([1.0, 2.0], [0, 3], [0, 2], (1, 3)), "a column index is outside"),
+    "negative-index": (([1.0, 2.0], [-1, 1], [0, 2], (1, 3)), "a column index is outside"),
+    "shape-rows": (([1.0, 2.0], [0, 1], [0, 2], (2, 3)), "indptr has 2 entries"),
+    "short-data": (([1.0], [0, 1], [0, 2], (1, 3)), "indptr ends at 2"),
+    "shape-of-three": (([1.0], [0], [0, 1], (1, 3, 1)), "shape must be two sizes"),
+    "float-indices": (([1.0], [0.0], [0, 1], (1, 3)), "indices and indptr must be integers"),
+}
+
+
+class TestCSRMatrix:
+    """The package's own CSR record: scipy's canonical form in numpy alone."""
+
+    @pytest.mark.parametrize("form", INPUT_FORMS)
+    def test_every_input_form_becomes_scipys_canonical_form(self, form):
+        A, _ = count_instance()
+        got, want = check_feature_matrix(INPUT_FORMS[form](A)), canonical_scipy(A)
+        assert type(got) is CSRMatrix and got.shape == want.shape and got.nnz == want.nnz
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert np.array_equal(got.toarray(), want.toarray())
+
+    def test_a_record_passes_as_given(self):
+        X = check_feature_matrix(canonical_scipy(count_instance()[0]))
+        assert check_feature_matrix(X, X.shape[1]) is X
+
+    @pytest.mark.parametrize("width", [4, 2**31 - 1, 2**31])  # int32 up to its maximum
+    def test_index_dtype_is_scipys(self, width):
+        X = CSRMatrix(np.zeros(1), np.array([width - 1]), np.array([0, 1]), (1, width))
+        want = sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+        assert X.indices.dtype == X.indptr.dtype == want.indices.dtype == want.indptr.dtype
+
+    @pytest.mark.parametrize("case", MALFORMED_CSR)
+    def test_malformed_arrays_refused(self, case):
+        arrays, message = MALFORMED_CSR[case]
+        data, indices, indptr, shape = arrays
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            CSRMatrix(np.array(data), np.array(indices), np.array(indptr), shape)
 
 
 class TestDeterminism:
@@ -392,9 +409,10 @@ class TestSoftmaxHead:
 
     def test_cli_start_up_skips_scipy_special(self):
         # importing scipy.special costs a CLI process about 0.13 s, scipy.sparse
-        # about 0.28 s and numpy about 0.13 s; only the stages that build or
-        # read a feature matrix import scipy.sparse, only the stages that build
-        # an array import numpy, and only compare's scoring loads multiprocessing
+        # about 0.23 s and numpy about 0.18 s; only the estimator modules of the
+        # four kinds that multiply with scipy.sparse import it (train and predict
+        # of those kinds, and compare), only the stages that build an array
+        # import numpy, and only compare's scoring loads multiprocessing
         code = ("import rusent.cli, sys\n"
                 "for name in ('numpy', 'scipy.special', 'scipy.sparse', 'multiprocessing'):\n"
                 "    if name in sys.modules: sys.exit(f'{name} is loaded')\n")
@@ -426,6 +444,31 @@ class TestSoftmaxHead:
                 "    loaded.append('numpy' in sys.modules)\n"
                 "sys.exit(loaded != [False, False, True] and f'numpy loaded after each: {loaded}')\n")
         run = self.run_python(code, str(dataset), str(tmp_path / "out"), str(config))
+        assert run.returncode == 0, run.stderr
+
+    def test_naive_bayes_stages_run_without_scipy(self, tmp_path):
+        # naive Bayes adds its sums and products with np.bincount, and load_model
+        # imports the estimator module of the file's kind alone
+        rows = [(f"comment {i} acha", ("negative", "neutral", "positive")[i % 3])
+                for i in range(30)]
+        dataset = write_rows(tmp_path / "data.csv", rows, header=("comment", "sentiment"))
+        code = ("import os, sys\n"
+                "from rusent.cli import main\n"
+                "from rusent.models import load_model\n"
+                "common = ['--dataset', sys.argv[1], '--out', sys.argv[2]]\n"
+                "for stage in ('ingest', 'preprocess', 'fit-features', 'train', 'predict',\n"
+                "              'evaluate'):\n"
+                "    staged = stage in ('train', 'predict', 'evaluate')\n"
+                "    kind = ['--classifier', 'naive_bayes'] if staged else []\n"
+                "    if main([stage, *kind, *common]) != 0:\n"
+                "        sys.exit(f'{stage} failed')\n"
+                "    scipy = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
+                "    if scipy: sys.exit(f'{stage} loaded {scipy[:3]}')\n"
+                "load_model(os.path.join(sys.argv[2], 'model_naive_bayes.json'))\n"
+                "other = sorted(name for name in sys.modules if name.startswith('rusent.models.')\n"
+                "               and name != 'rusent.models.naive_bayes')\n"
+                "sys.exit(f'load_model loaded {other}' if other else 0)\n")
+        run = self.run_python(code, str(dataset), str(tmp_path / "out"))
         assert run.returncode == 0, run.stderr
 
 

@@ -3,9 +3,11 @@ import pytest
 import scipy.sparse as sp
 
 from rusent import MultinomialNaiveBayes, TfidfVectorizer
+from rusent.base import CSRMatrix, check_feature_matrix, softmax
 from rusent.exceptions import MissingClassError
+from rusent.models.naive_bayes import class_sums, times_transpose
 
-from conftest import as_dicts, random_tfidf_instance
+from conftest import INPUT_FORMS, as_dicts, count_instance, random_tfidf_instance
 
 
 def brute_force_posteriors(rows, y, alpha, query, V, n_classes=3):
@@ -121,3 +123,59 @@ class TestPosteriorsAgainstBruteForce:
         scores = model.decision_scores(X)
         np.testing.assert_allclose(scores.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(scores >= 0.0)
+
+
+def scipy_reference(X, y, log_prob):
+    """What naive Bayes computed with scipy before it added in numpy alone: each
+    class's ``X[rows].sum(axis=0)`` (zeros for a class with no rows), and
+    ``X @ log_prob.T``, with X as a canonical scipy CSR matrix."""
+    X = sp.csr_matrix(X, dtype=np.float64, copy=True)
+    X.sum_duplicates()
+    sums = np.zeros((3, X.shape[1]))
+    for c in range(3):
+        rows = np.flatnonzero(y == c)
+        if rows.size:
+            sums[c] = np.asarray(X[rows].sum(axis=0)).ravel()
+    return sums, X @ log_prob.T
+
+
+def oracle_instances():
+    """(X, y) cases: every input form of one count matrix, random tf-idf
+    instances of many rows per term, one with every row of a class emptied,
+    and one missing class 2."""
+    A, y = count_instance()
+    cases = [pytest.param(make(A), y, id=f"form-{form}") for form, make in INPUT_FORMS.items()]
+    for seed in range(12):
+        X, y = random_tfidf_instance(seed + 300, n_docs=120, vocab_size=25, doc_len=9)
+        cases.append(pytest.param(X, y, id=f"tfidf-{seed}"))
+    X, y = random_tfidf_instance(7, n_docs=40, vocab_size=12, doc_len=5)
+    X = X.tolil()
+    X[np.flatnonzero(y == 1)] = 0.0  # every row of class 1 all-empty
+    cases.append(pytest.param(X.tocsr(), y, id="empty-rows"))
+    X, _ = random_tfidf_instance(8, n_docs=40, vocab_size=12, doc_len=5)
+    cases.append(pytest.param(X, np.arange(40) % 2, id="missing-class"))
+    return cases
+
+
+class TestScipyOracle:
+    """Naive Bayes adds its fit sums and decision products with np.bincount, in
+    the order scipy's kernels add them: each must equal scipy's to the bit."""
+
+    @pytest.mark.parametrize("X, y", oracle_instances())
+    def test_fit_sums_and_products_equal_scipys(self, X, y):
+        model = MultinomialNaiveBayes(allow_missing_class=True).fit(X, y)
+        sums, products = scipy_reference(X, y, model.feature_log_prob_)
+        assert np.array_equal(model.feature_weight_sum_, sums)
+        checked = check_feature_matrix(X)
+        assert np.array_equal(class_sums(checked, y), sums)
+        assert np.array_equal(times_transpose(checked, model.feature_log_prob_), products)
+        assert np.array_equal(model.decision_scores(X),
+                              softmax(products + model.class_log_prior_))
+
+    def test_rows_without_entries_score_the_priors(self):
+        X, y = random_tfidf_instance(9, n_docs=30, vocab_size=8, doc_len=4)
+        model = MultinomialNaiveBayes().fit(X, y)
+        empty = CSRMatrix(np.zeros(0), np.zeros(0, int), [0, 0, 0], (2, X.shape[1]))
+        assert np.array_equal(times_transpose(empty, model.feature_log_prob_), np.zeros((2, 3)))
+        assert np.array_equal(model.decision_scores(empty),
+                              softmax(np.tile(model.class_log_prior_, (2, 1))))

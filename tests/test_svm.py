@@ -83,7 +83,7 @@ class TestTraining:
         model = LinearSVM(C=100.0, epochs=300, seed=0).fit(X, y)
         assert np.mean(model.predict(X) == y) == 1.0
         for c in (0, 2):
-            decisions = X @ model.coef_[c] + model.intercept_[c]
+            decisions = X.toarray() @ model.coef_[c] + model.intercept_[c]
             assert np.all(np.sign(decisions) == signed(y, c))
 
     def test_c_zero_reduces_to_pure_shrinkage(self):
