@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .artifacts import FLOATS, check_is_fitted
-from .exceptions import DivergedError
+from .exceptions import DivergedError, RusentError
 from .models import check_hyperparams, kind_entry
 
 N_CLASSES = 3
@@ -220,6 +220,8 @@ class ClassifierBase(BaseEstimator):
                 yield X, y
         except FloatingPointError as exc:
             raise DivergedError(f"{self.kind} training diverged ({exc})") from None
+        except MemoryError as exc:
+            raise RusentError(f"{self.kind} training ran out of memory ({exc})") from None
 
     def fit_piece(self, X, y, piece):
         with self._training(X, y) as (X, y):

@@ -116,21 +116,14 @@ def metrics(cm):
     row_sums = cm.sum(axis=1)
     col_sums = cm.sum(axis=0)
     diag = np.diag(cm)
-    undefined = []
-    precision, recall, f1 = np.zeros((3, N_CLASSES))
-    for c, name in enumerate(LABEL_NAMES):
-        if col_sums[c] == 0:
-            undefined.append(f"precision:{name}")
-        else:
-            precision[c] = diag[c] / col_sums[c]
-        if row_sums[c] == 0:
-            undefined.append(f"recall:{name}")
-        else:
-            recall[c] = diag[c] / row_sums[c]
-        if precision[c] + recall[c] == 0.0:
-            undefined.append(f"f1:{name}")
-        else:
-            f1[c] = 2.0 * precision[c] * recall[c] / (precision[c] + recall[c])
+    with np.errstate(invalid="ignore"):  # a zero denominator has a zero numerator: 0/0
+        precision = np.where(col_sums == 0, 0.0, diag / col_sums)
+        recall = np.where(row_sums == 0, 0.0, diag / row_sums)
+        both = precision + recall
+        f1 = np.where(both == 0.0, 0.0, 2.0 * precision * recall / both)
+    zero = np.array([col_sums == 0, row_sums == 0, both == 0.0]).T  # class, metric
+    undefined = tuple(f"{('precision', 'recall', 'f1')[m]}:{LABEL_NAMES[c]}"
+                      for c, m in np.argwhere(zero))
     weights = row_sums / total
     return MetricsReport(
         accuracy=float(np.trace(cm) / total),
@@ -144,7 +137,7 @@ def metrics(cm):
         weighted_recall=float(recall @ weights),
         weighted_f1=float(f1 @ weights),
         supports=tuple(int(s) for s in row_sums),
-        undefined=tuple(undefined),
+        undefined=undefined,
     )
 
 

@@ -6,7 +6,6 @@ modules of the kinds that multiply with scipy.sparse import it too."""
 import importlib
 import math
 import numbers
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from ..artifacts import from_payload, read_json, to_payload, write_json
@@ -98,21 +97,12 @@ def save_model(model, path):
     write_json(path, to_payload(model))
 
 
-class _Classes(Mapping):
-    """kind -> estimator class, for every kind; a lookup imports that kind's module only."""
-
-    def __getitem__(self, kind):
-        if kind not in _CLASSES:
-            raise KeyError(kind)
-        return classifier_class(kind)
-
-    def __iter__(self):
-        return iter(CLASSIFIER_KINDS)
-
-    def __len__(self):
-        return len(CLASSIFIER_KINDS)
-
-
 def load_model(path):
     """The model saved at ``path``; of the estimator modules, only its kind's is imported."""
-    return read_json(path, lambda payload: from_payload(payload, _Classes()))
+
+    def rebuild(payload):  # any other kind is refused by the table's keys; no module loads
+        kind = payload.get("kind") if isinstance(payload, dict) else None
+        known = isinstance(kind, str) and kind in _CLASSES
+        return from_payload(payload, {kind: classifier_class(kind)} if known else _CLASSES)
+
+    return read_json(path, rebuild)

@@ -118,20 +118,20 @@ class MLPClassifier(ClassifierBase):
             return hidden, float(np.mean(cross_entropy_rows(logits, y)))
 
         start_loss = every_row()[1]
-        curve = []
+        curve, size = [], min(self.batch_size, n)  # every size >= n is one batch
         for _ in range(self.epochs):
-            order, logits, steps = rng.permutation(n), [], range(0, n, self.batch_size)
+            order, logits, steps = rng.permutation(n), [], range(0, n, size)
             y_epoch = y[order]
-            for start, (*batch, cols) in zip(steps, epoch_batches(X, order, self.batch_size)):
+            for start, (*batch, cols) in zip(steps, epoch_batches(X, order, size)):
                 out, gW1T, gb1, gW2, gb2 = batch_gradients(
-                    W1T, b1, W2, b2, *batch, cols, y_epoch[start : start + self.batch_size])
+                    W1T, b1, W2, b2, *batch, cols, y_epoch[start : start + size])
                 W2 -= self.lr * gW2
                 b2 -= self.lr * gb2
                 W1T[cols, :] -= self.lr * gW1T
                 b1 -= self.lr * gb1
                 logits.append(out)
             losses = cross_entropy_rows(np.concatenate(logits), y_epoch)  # every batch's at once
-            curve.append(float(np.mean([np.mean(losses[s : s + self.batch_size]) for s in steps])))
+            curve.append(float(np.mean([np.mean(losses[s : s + size]) for s in steps])))
         hidden, self.final_loss_ = every_row()
         if not np.any(hidden > 0.0):  # the output is one constant class
             raise DivergedError("mlp training diverged (every hidden unit is inactive on "

@@ -448,6 +448,30 @@ class TestCliExitCodes:
         assert started == []
         assert out.read_text(encoding="utf-8") == "a file\n"
 
+    def test_mlp_batch_size_beyond_the_training_rows_is_one_full_batch(self, dataset, tmp_path):
+        # 10**21 overflows a C long in numpy; every size >= the 72 training rows
+        # is the same single batch, so it scores as a batch of exactly 72 does
+        written = []
+        for size in (10**21, 72):
+            out = tmp_path / str(size)
+            path = tmp_path / f"{size}.cfg"
+            path.write_text(f"dataset = {dataset}\nout = {out}\nruns = 1\nmlp.epochs = 5\n"
+                            f"mlp.batch_size = {size}\n", encoding="utf-8")
+            assert main(["compare", "--config", str(path)]) == 0
+            written.append((out / "metrics.csv").read_bytes())
+        assert written[0] == written[1]
+
+    def test_fit_that_cannot_allocate_exits_1(self, dataset, tmp_path, capsys):
+        # 10**15 hidden units ask for more than the address space holds, so the
+        # allocation fails before any page is touched
+        path = tmp_path / "huge.cfg"
+        path.write_text(f"dataset = {dataset}\nout = {tmp_path / 'out'}\nruns = 1\n"
+                        f"mlp.hidden_units = {10**15}\n", encoding="utf-8")
+        assert main(["compare", "--config", str(path)]) == 1
+        *progress, last = capsys.readouterr().err.splitlines()
+        assert all(line.startswith(("corpus: ", "[seed ")) for line in progress)
+        assert last.startswith("error: mlp training ran out of memory (")
+
     def test_dead_hidden_layer_exits_1(self, dataset, tmp_path, capsys):
         path = tmp_path / "dead.cfg"
         path.write_text(f"dataset = {dataset}\nout = {tmp_path / 'out'}\nruns = 1\n"

@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -26,8 +27,8 @@ from rusent import (
     split,
 )
 from rusent import eval as evaluation
-from rusent.corpus import Sentiment
-from rusent.eval import PlannedSplit, _fit_predict, derive_seed, fit_vocabulary
+from rusent.corpus import LABEL_NAMES, Sentiment
+from rusent.eval import MetricsReport, PlannedSplit, _fit_predict, derive_seed, fit_vocabulary
 from rusent.exceptions import DivergedError, EmptyCorpusError, MissingClassError
 from rusent.preprocess import TokenizedComment
 
@@ -60,6 +61,55 @@ def exact_report(cells):
     out["weighted_recall"] = sum(r * s for r, s in zip(recall, support)) / total
     out["weighted_f1"] = sum(f * s for f, s in zip(f1, support)) / total
     return out
+
+
+def loop_report(cm):
+    """``metrics`` as a per-class loop with a branch per zero denominator: the
+    reference whose floats, bit for bit, and ``undefined`` it must give."""
+    cm = np.asarray(cm, dtype=np.int64)
+    total = cm.sum()
+    row_sums = cm.sum(axis=1)
+    col_sums = cm.sum(axis=0)
+    diag = np.diag(cm)
+    undefined = []
+    precision, recall, f1 = np.zeros((3, 3))
+    for c, name in enumerate(LABEL_NAMES):
+        if col_sums[c] == 0:
+            undefined.append(f"precision:{name}")
+        else:
+            precision[c] = diag[c] / col_sums[c]
+        if row_sums[c] == 0:
+            undefined.append(f"recall:{name}")
+        else:
+            recall[c] = diag[c] / row_sums[c]
+        if precision[c] + recall[c] == 0.0:
+            undefined.append(f"f1:{name}")
+        else:
+            f1[c] = 2.0 * precision[c] * recall[c] / (precision[c] + recall[c])
+    weights = row_sums / total
+    return MetricsReport(
+        accuracy=float(np.trace(cm) / total),
+        precision=tuple(float(p) for p in precision),
+        recall=tuple(float(r) for r in recall),
+        f1=tuple(float(v) for v in f1),
+        macro_precision=float(precision.mean()),
+        macro_recall=float(recall.mean()),
+        macro_f1=float(f1.mean()),
+        weighted_precision=float(precision @ weights),
+        weighted_recall=float(recall @ weights),
+        weighted_f1=float(f1 @ weights),
+        supports=tuple(int(s) for s in row_sums),
+        undefined=tuple(undefined),
+    )
+
+
+def report_bits(report):
+    """Every field of ``report``, each float as its eight bytes, so -0.0 is not 0.0."""
+    def bits(value):
+        if isinstance(value, tuple):
+            return tuple(map(bits, value))
+        return np.float64(value).tobytes() if isinstance(value, float) else value
+    return [bits(getattr(report, field.name)) for field in dataclasses.fields(report)]
 
 
 class TestConfusionMatrix:
@@ -183,6 +233,20 @@ class TestMetrics:
             "weighted_f1",
         ):
             assert getattr(report, key) == pytest.approx(float(expected[key]), abs=1e-9)
+
+    def test_every_float_is_the_per_class_loop_to_the_bit(self):
+        # small and large counts, with zero rows and zero columns in most matrices
+        rng = np.random.default_rng(26)
+        checked = set()
+        for scale in (2, 6, 40, 10**6):
+            cms = rng.integers(0, scale, size=(1500, 3, 3))
+            cms[rng.random((1500, 3)) < 0.3] = 0
+            cms.transpose(0, 2, 1)[rng.random((1500, 3)) < 0.3] = 0
+            for cm in cms[cms.sum(axis=(1, 2)) > 0]:
+                report = metrics(cm)
+                assert report_bits(report) == report_bits(loop_report(cm)), cm.tolist()
+                checked.update(report.undefined)
+        assert len(checked) == 9  # each metric of each class was undefined somewhere
 
     def test_perfect_diagonal(self):
         report = metrics(np.diag([4, 4, 4]))

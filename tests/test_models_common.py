@@ -471,6 +471,37 @@ class TestSoftmaxHead:
         run = self.run_python(code, str(dataset), str(tmp_path / "out"))
         assert run.returncode == 0, run.stderr
 
+    def test_load_model_imports_the_estimator_module_of_the_file_kind_alone(self, tmp_path):
+        # one process: a file of an unknown kind is refused before any estimator
+        # module loads, then each kind's file adds exactly its own module
+        for kind in CLASSIFIER_KINDS:
+            save_model(fitted_model(kind)[0], tmp_path / f"{kind}.json")
+        for name, kind in (("unknown", "svm"), ("not-a-string", ["knn"])):
+            doc = json.loads((tmp_path / "knn.json").read_text(encoding="utf-8"))
+            (tmp_path / f"{name}.json").write_text(json.dumps({**doc, "kind": kind}))
+        code = ("import os, sys\n"
+                "from rusent.exceptions import ArtifactError\n"
+                "from rusent.models import CLASSIFIER_KINDS, _CLASSES, load_model\n"
+                "def loaded():\n"
+                "    return {name for name in sys.modules if name.startswith('rusent.models.')}\n"
+                "for name in ('unknown', 'not-a-string'):\n"
+                "    try:\n"
+                "        load_model(os.path.join(sys.argv[1], name + '.json'))\n"
+                "        sys.exit(f'{name} loaded')\n"
+                "    except ArtifactError as exc:\n"
+                "        print(str(exc).split(': ', 1)[1])\n"
+                "    if loaded(): sys.exit(f'{name} loaded {sorted(loaded())}')\n"
+                "for kind in CLASSIFIER_KINDS:\n"
+                "    before = loaded()\n"
+                "    model = load_model(os.path.join(sys.argv[1], kind + '.json'))\n"
+                "    added = sorted(loaded() - before)\n"
+                "    if (model.kind, added) != (kind, ['rusent.models.' + _CLASSES[kind][0]]):\n"
+                "        sys.exit(f'{kind} loaded {model.kind} and {added}')\n")
+        run = self.run_python(code, str(tmp_path))
+        assert (run.returncode, run.stderr) == (0, "")
+        expected = f"kind: expected one of {sorted(CLASSIFIER_KINDS)}, got "
+        assert run.stdout == f"{expected}'svm'\n{expected}['knn']\n"
+
 
 class TestFitPieces:
     """A fit of independent pieces, each computed alone, then finished."""
