@@ -224,10 +224,14 @@ class ClassifierBase(BaseEstimator):
             raise RusentError(f"{self.kind} training ran out of memory ({exc})") from None
 
     def fit_piece(self, X, y, piece):
+        if piece not in range(self.pieces):
+            raise ValueError(f"piece must be in range({self.pieces}), got {piece!r}")
         with self._training(X, y) as (X, y):
             return self._fit_piece(X, y, piece)
 
     def fit(self, X, y, pieces=None):
+        if pieces is not None and len(pieces) != self.pieces:
+            raise ValueError(f"a {self.kind} fit takes {self.pieces} pieces, got {len(pieces)}")
         with self._training(X, y) as (X, y):
             self.n_features_ = None  # a refused fit leaves the model unfitted
             start = self._fit(X, y) if pieces is None else self._assemble(pieces)

@@ -242,68 +242,61 @@ def _merged(cells, pieces, done):
 
 def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=MAX_FEATURES):
     """Fit and score every classifier spec on every split of ``plan``, a plan
-    of preprocessed documents; returns one RunAggregate per spec. Each split's
-    tf-idf matrices (train-only vocabulary unless ``fit_on_all``) are built
-    here from one count of the plan's terms; its cells, one per spec, are fit
-    in forked workers, one per cell and allowed CPU, or here if that is one;
-    with fewer splits than CPUs, a cell whose fit has independent pieces is a
-    task per piece. Merged in plan order, the results and the first error
-    raised are those of a serial loop. A worker that dies, killed by a signal
-    say, fails the run with WorkerDiedError."""
+    of preprocessed documents; returns one RunAggregate per spec. Every split's
+    tf-idf matrices (train-only vocabulary unless ``fit_on_all``), from one
+    count of the plan's terms, and every cell's model are built first: a plan
+    that cannot be built raises its build error before any fit. The cells, one
+    per split and spec, are fit in forked workers, one per cell and allowed CPU,
+    or here if that is one; with fewer splits than CPUs, a cell whose fit has
+    independent pieces is a task per piece. The results, and the first cell
+    error, are read in plan order. A worker that dies fails with WorkerDiedError."""
     import multiprocessing  # here, so that only scoring cells loads these
     import signal
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     if not plan:
         raise ValueError("the split plan is empty: there is no split to evaluate")
-    cells, failure = [], None  # per split built and spec, in plan order
+    cells = []  # per split and spec, in plan order
     docs = {id(d): d for part in plan for side in (part.train, part.test) for d in side}
     counts, row = TermCounts(docs.values()), dict(zip(docs, range(len(docs))))
 
     def counted(side):  # the rows of the plan's counts that hold ``side``
         return counts.take(np.fromiter(map(row.__getitem__, map(id, side)), np.int64))
 
-    try:
-        for part in plan:
-            if not part.train:
-                raise EmptyCorpusError("empty training partition")
-            vectorizer = fit_vocabulary(part, fit_on_all=fit_on_all, max_features=max_features,
-                                        counted=counted)
-            X_train, X_test = map(vectorizer.transform, map(counted, (part.train, part.test)))
-            y_train = np.array([d.label for d in part.train], dtype=np.int64)
-            for spec in specs:  # one at a time: a spec refused here scores the cells before it
-                model = make_classifier(spec, seed=part.train_seed(spec.kind))
-                cells.append((model, X_train, y_train, X_test))
-    except ValueError as exc:  # a serial loop raises it after scoring the splits before
-        failure = exc
+    for part in plan:
+        if not part.train:
+            raise EmptyCorpusError("empty training partition")
+        vectorizer = fit_vocabulary(part, fit_on_all=fit_on_all, max_features=max_features,
+                                    counted=counted)
+        X_train, X_test = map(vectorizer.transform, map(counted, (part.train, part.test)))
+        y_train = np.array([d.label for d in part.train], dtype=np.int64)
+        cells += [(make_classifier(spec, seed=part.train_seed(spec.kind)), X_train, y_train,
+                   X_test) for spec in specs]
     affinity = getattr(os, "sched_getaffinity", None)  # every platform with it can fork
     cpus = len(affinity(0)) if affinity else 1
     pieces = [model.pieces if len(plan) < cpus else 1 for model, *_ in cells]
     tasks = [cell + (i,) if n > 1 else cell for cell, n in zip(cells, pieces) for i in range(n)]
-    workers = min(len(tasks), cpus)
-    scored = [[] for _ in specs]  # per spec: (confusion matrix, reported seed) per split
+    workers, pool = min(len(tasks), cpus), None
     if workers > 1:
         # The workers ignore SIGINT. On any error here, a KeyboardInterrupt
         # too, the tasks not yet started are cancelled and the running ones finish
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                    initializer=signal.signal,
                                    initargs=(signal.SIGINT, signal.SIG_IGN))
-        try:
-            results = list(_merged(cells, pieces, pool.map(_fit_predict, tasks)))
-        except BrokenExecutor as exc:  # the executor has stopped the other workers
-            raise WorkerDiedError(f"a worker process scoring the cells died ({exc})") from None
-        finally:
+    try:
+        results = list(_merged(cells, pieces, (pool.map if pool else map)(_fit_predict, tasks)))
+    except BrokenExecutor as exc:  # the executor has stopped the other workers
+        raise WorkerDiedError(f"a worker process scoring the cells died ({exc})") from None
+    finally:
+        if pool:
             pool.shutdown(cancel_futures=True)
-    else:
-        results = map(_fit_predict, cells)
-    # zip stops after the last cell built; a fold reports its model's seed, if its kind has one
+    scored = [[] for _ in specs]  # per spec: (confusion matrix, reported seed) per split
+    # a fold reports its model's seed, if its kind has one
     for (part, i), (model, *_), predicted in zip(
             itertools.product(plan, range(len(specs))), cells, results):
         seed = part.seed if part.fold is None else getattr(
             model, "seed", part.train_seed(model.kind))
         scored[i].append((confusion_matrix([d.label for d in part.test], predicted), seed))
-    if failure is not None:
-        raise failure
     return [_aggregate(*zip(*spec_cells)) for spec_cells in scored]
 
 

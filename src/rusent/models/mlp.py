@@ -107,6 +107,8 @@ class MLPClassifier(ClassifierBase):
 
     def _fit(self, X, y):
         n, V = X.shape
+        if 8 * self.hidden_units * (V + N_CLASSES) > np.iinfo(np.intp).max:  # beyond any array
+            raise MemoryError(f"{self.hidden_units} hidden units over {V} features are too many")
         rng = np.random.default_rng(self.seed)
         W1, b1, W2, b2 = init_params(V, self.hidden_units, rng)
         W1T = np.ascontiguousarray(W1.T)

@@ -22,12 +22,13 @@ CORPUS = os.path.join(HERE, "data.csv")
 # output directory -> the config lines of its compare, at default hyperparameters
 # otherwise. The 600 comments hold about 1.9k terms, so max_features = 500 puts
 # the cap's tie-break to work; a run of one split on two CPUs fits the linear
-# SVM's one-vs-rest problems as separate tasks, and a k-fold run reports the MLP
-# seed that it sets.
+# SVM's one-vs-rest problems as separate tasks, a k-fold run reports the MLP
+# seed that it sets, and fit_on_all fits each fold's vocabulary on both its sides.
 CASES = {
     "runs1": ["runs = 1"],
     "runs2_max500": ["runs = 2", "max_features = 500"],
     "kfold3_mlp_seed5": ["protocol = kfold", "folds = 3", "mlp.seed = 5"],
+    "kfold3_fit_on_all": ["protocol = kfold", "folds = 3", "fit_on_all = true"],
 }
 
 

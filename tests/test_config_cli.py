@@ -417,7 +417,7 @@ class TestCliExitCodes:
         self, dataset, tmp_path, capfd, monkeypatch
     ):
         # logistic regression and the MLP both diverge, each in its own forked
-        # worker; the error is the one a serial loop raises first, and capfd
+        # worker; the error is the first cell's in plan order, and capfd
         # would also catch anything a worker wrote to stderr
         path = tmp_path / "diverge.cfg"
         path.write_text(
@@ -461,12 +461,16 @@ class TestCliExitCodes:
             written.append((out / "metrics.csv").read_bytes())
         assert written[0] == written[1]
 
-    def test_fit_that_cannot_allocate_exits_1(self, dataset, tmp_path, capsys):
+    @pytest.mark.parametrize("hidden_units", [10**15, 10**18, 10**21],
+                             ids=["past-the-address-space", "past-an-array", "past-int64"])
+    def test_fit_that_cannot_allocate_exits_1(self, dataset, tmp_path, capsys, hidden_units):
         # 10**15 hidden units ask for more than the address space holds, so the
-        # allocation fails before any page is touched
+        # allocation fails before any page is touched; the weights of 10**18
+        # are more bytes than a numpy array can have, and 10**21 is no C long:
+        # both are refused before any allocation
         path = tmp_path / "huge.cfg"
         path.write_text(f"dataset = {dataset}\nout = {tmp_path / 'out'}\nruns = 1\n"
-                        f"mlp.hidden_units = {10**15}\n", encoding="utf-8")
+                        f"mlp.hidden_units = {hidden_units}\n", encoding="utf-8")
         assert main(["compare", "--config", str(path)]) == 1
         *progress, last = capsys.readouterr().err.splitlines()
         assert all(line.startswith(("corpus: ", "[seed ")) for line in progress)

@@ -815,68 +815,48 @@ class TestCellWorkers:
         assert len((tmp_path / "cells").read_text().split()) < len(plan)
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
-    @pytest.mark.parametrize("n_empty, error, message", [
-        (0, EmptyCorpusError, "^empty training partition$"),
-        (2, ValueError, "^no terms: every document is empty$"),
-    ], ids=["empty-partition", "all-empty-documents"])
-    def test_a_refused_split_raises_once_the_splits_before_are_scored(
-            self, monkeypatch, pool_sizes, cpus, n_empty, error, message):
-        # Split 1 of three trains on no document, or on empty ones only: as in
-        # a serial loop, its error is raised after split 0's cells are scored,
-        # and split 2 is never built, though the plan's terms are counted first.
-        docs = preprocess_corpus(three_class_corpus(30, seed=1), default_stopwords())
-        plan = plan_splits(docs, "repeated", 4, runs=3)
-        empty = tuple(TokenizedComment(100 + i, (), Sentiment(i)) for i in range(n_empty))
-        plan[1] = PlannedSplit(empty, plan[1].test, plan[1].seed)
-        scored = []
-        monkeypatch.setattr(evaluation, "_fit_predict",
-                            lambda cell: scored.append(cell[2]) or _fit_predict(cell))
-        self.allow_cpus(monkeypatch, cpus)
-        with pytest.raises(error, match=message):
-            evaluate_specs(self.SPECS, plan)
-        assert pool_sizes == ([] if cpus == {0} else [2])
-        assert len(scored) == len(self.SPECS)
-        for y_train in scored:
-            assert np.array_equal(y_train, [d.label for d in plan[0].train])
-
-    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
-    def test_cell_error_before_a_later_split_fails_its_features(self, monkeypatch, pool_sizes,
-                                                                 cpus):
-        # Split 0 trains naive Bayes without a negative comment; split 1 has
-        # only empty training docs, so no vocabulary. The serial loop raises
-        # split 0's error, though every split's features are built before
-        # any cell is scored.
+    @staticmethod
+    def unbuildable_plan(case):
+        """The specs and a plan whose build fails, and that error's type and message."""
         def docs(*cells):
             return tuple(TokenizedComment(i, tokens, label)
                          for i, (tokens, label) in enumerate(cells))
 
         pos, neu = Sentiment.POSITIVE, Sentiment.NEUTRAL
+        no_terms = (ValueError, "^no terms: every document is empty$")
+        if case in ("empty-partition", "all-empty-documents"):  # in split 1 of three
+            corpus = preprocess_corpus(three_class_corpus(30, seed=1), default_stopwords())
+            plan = plan_splits(corpus, "repeated", 4, runs=3)
+            empty = docs(((), pos), ((), neu)) if case == "all-empty-documents" else ()
+            plan[1] = PlannedSplit(empty, plan[1].test, plan[1].seed)
+            error = (EmptyCorpusError, "^empty training partition$") if not empty else no_terms
+            return TestCellWorkers.SPECS, plan, error
+        # naive Bayes trains without a negative comment: its cell would raise MissingClassError
         plan = [PlannedSplit(docs((("acha",), pos), (("theek",), neu)),
-                             docs((("acha",), pos),), 0, 0),
-                PlannedSplit(docs(((), pos), ((), neu)), docs((("acha",), pos),), 0, 1)]
-        specs = [ClassifierSpec("knn", {"k": 1}), ClassifierSpec("naive_bayes")]
-        self.allow_cpus(monkeypatch, cpus)
-        with pytest.raises(MissingClassError):
-            evaluate_specs(specs, plan)
-        assert pool_sizes == ([] if cpus == {0} else [2])
-        with pytest.raises(ValueError, match="every document is empty"):
-            evaluate_specs(specs, plan[1:])
+                             docs((("acha",), pos),), 0, 0)]
+        if case == "refused-spec":
+            specs = [ClassifierSpec("naive_bayes"), ClassifierSpec("knn", {"k": 0})]
+            return specs, plan, (ValueError, "^k must be an integer >= 1, got 0$")
+        plan.append(PlannedSplit(docs(((), pos), ((), neu)), plan[0].test, 0, 1))
+        return [ClassifierSpec("naive_bayes")], plan, no_terms
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
-    def test_cell_error_before_a_refused_spec_wins(self, monkeypatch, pool_sizes, cpus):
-        # Each split's models are built here, before any cell is scored. The
-        # naive Bayes model trains without a negative comment; the last KNN
-        # spec is refused as its model is built. The serial loop raises the
-        # naive Bayes error first.
-        pos, neu = Sentiment.POSITIVE, Sentiment.NEUTRAL
-        train = (TokenizedComment(0, ("acha",), pos), TokenizedComment(1, ("theek",), neu))
-        plan = [PlannedSplit(train, train[:1], 0)]
-        specs = [ClassifierSpec("naive_bayes"), ClassifierSpec("knn", {"k": 1}),
-                 ClassifierSpec("knn", {"k": 0})]
+    @pytest.mark.parametrize("case", ["empty-partition", "all-empty-documents", "refused-spec",
+                                      "later-split-vocabulary"])
+    def test_a_plan_that_cannot_be_built_raises_before_any_cell_is_scored(
+            self, monkeypatch, pool_sizes, cpus, case):
+        # Every split's features and every cell's model are built before any
+        # cell is fit: the build error is raised before a cell is scored, and
+        # before a pool is asked for, even where a cell before it would fail.
+        specs, plan, (error, message) = self.unbuildable_plan(case)
+        scored = []
+        monkeypatch.setattr(evaluation, "_fit_predict",
+                            lambda cell: scored.append(cell) or _fit_predict(cell))
         self.allow_cpus(monkeypatch, cpus)
-        with pytest.raises(MissingClassError):
+        with pytest.raises(error, match=message):
             evaluate_specs(specs, plan)
-        assert pool_sizes == ([] if cpus == {0} else [2])
-        with pytest.raises(ValueError, match="^k must be an integer >= 1, got 0$"):
-            evaluate_specs(specs[1:], plan)
+        assert scored == []
+        assert pool_sizes == []
+        if case in ("refused-spec", "later-split-vocabulary"):  # the cell before would fail
+            with pytest.raises(MissingClassError):
+                evaluate_specs(specs[:1], plan[:1])

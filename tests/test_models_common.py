@@ -534,6 +534,22 @@ class TestFitPieces:
             with pytest.raises(ValueError, match=message):
                 fit(X, y)
 
+    @pytest.mark.parametrize("piece", [-1, 3, 7])
+    def test_a_piece_number_outside_the_pieces_is_refused(self, piece):
+        X, y = random_tfidf_instance(0)
+        with pytest.raises(ValueError, match=rf"^piece must be in range\(3\), got {piece}$"):
+            self.svm().fit_piece(X, y, piece)
+
+    @pytest.mark.parametrize("count", [0, 2, 4])
+    def test_a_fit_from_other_than_every_piece_is_refused(self, count):
+        # Two pieces once fit a model that never predicts the third class
+        X, y = random_tfidf_instance(0)
+        pieces = [self.svm().fit_piece(X, y, c % 3) for c in range(count)]
+        model = self.svm()
+        with pytest.raises(ValueError, match=f"^a linear_svm fit takes 3 pieces, got {count}$"):
+            model.fit(X, y, pieces)
+        assert not hasattr(model, "coef_")
+
 
 class TestSklearnInterop:
     @pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
