@@ -1,5 +1,5 @@
-"""Rewrite the golden ``rusent compare`` outputs that tests/test_golden.py
-requires byte for byte.
+"""Rewrite the golden ``rusent compare`` outputs and staged artifacts that
+tests/test_golden.py requires.
 
 Run it from the repository root, as ``PYTHONPATH=src python
 tests/golden/regen.py``, only in a change that moves the numbers on purpose,
@@ -30,6 +30,14 @@ CASES = {
     "kfold3_mlp_seed5": ["protocol = kfold", "folds = 3", "mlp.seed = 5"],
     "kfold3_fit_on_all": ["protocol = kfold", "folds = 3", "fit_on_all = true"],
 }
+# The staged chain's directory and config: ingest, preprocess and fit-features,
+# then train, predict and evaluate for each kind, every stage at base seed 5.
+# The cap and the MLP's 16 hidden units keep model_mlp.json near 200 KB (5 MB
+# at the defaults); every other hyperparameter is its default.
+STAGED = "staged"
+STAGED_CONFIG = ["seed = 5", "max_features = 500", "mlp.hidden_units = 16"]
+STAGES = ["ingest", "preprocess", "fit-features"]
+KIND_STAGES = ["train", "predict", "evaluate"]
 
 
 def compare(case, out, config_dir):
@@ -41,6 +49,26 @@ def compare(case, out, config_dir):
     with open(config, "w", encoding="utf-8") as handle:
         handle.write("".join(f"{line}\n" for line in CASES[case]))
     return main(["compare", "--config", config, "--dataset", CORPUS, "--out", out])
+
+
+def staged(out, config_dir):
+    """Run the staged chain for every kind into ``out``, with its config file in
+    ``config_dir``; return the first non-zero exit code, or 0."""
+    from rusent.cli import main
+    from rusent.models import CLASSIFIER_KINDS
+
+    config = os.path.join(config_dir, f"{STAGED}.cfg")
+    with open(config, "w", encoding="utf-8") as handle:
+        handle.write("".join(f"{line}\n" for line in STAGED_CONFIG))
+    common = ["--config", config, "--dataset", CORPUS, "--out", out]
+    runs = [[stage, *common] for stage in STAGES]
+    runs += [[stage, *common, "--classifier", kind]
+             for kind in CLASSIFIER_KINDS for stage in KIND_STAGES]
+    for argv in runs:
+        status = main(argv)
+        if status != 0:
+            return status
+    return 0
 
 
 def regenerate():
@@ -57,6 +85,12 @@ def regenerate():
             status = compare(case, out, config_dir)
         if status != 0:
             sys.exit(f"compare for {case} exited {status}")
+    out = os.path.join(HERE, STAGED)
+    shutil.rmtree(out, ignore_errors=True)
+    with tempfile.TemporaryDirectory() as config_dir:
+        status = staged(out, config_dir)
+    if status != 0:
+        sys.exit(f"the staged chain exited {status}")
 
 
 if __name__ == "__main__":
