@@ -147,24 +147,39 @@ def softmax(logits):
     return exp / exp.sum(axis=1, keepdims=True)
 
 
+def _class_major(logits):
+    """The (n, 3) ``logits`` as a contiguous class-major (3, n) copy L, each row's
+    max ``top`` and exp(L - top): one exp that the loss and the gradient share."""
+    L = np.ascontiguousarray(logits.T)
+    top = np.maximum(np.maximum(L[0], L[1]), L[2])
+    return L, top, np.exp(L - top)
+
+
+def _rows_loss(L, top, exp, y):
+    at_top = L == top
+    m = at_top.sum(axis=0)
+    rest = np.where(at_top, 0.0, exp)
+    s = (rest[0] + rest[1] + rest[2]) / m  # one of the three is 0: any order adds the same
+    with np.errstate(divide="ignore"):  # a row with a NaN has no max (m = 0): NaN loss
+        log_sum = np.log1p(s) + np.log(m) + top
+    return log_sum - L[y, np.arange(L.shape[1])]
+
+
 def cross_entropy_rows(logits, y):
     """Each row's cross-entropy of softmax(``logits``) against its class code in
     ``y``. The log-sum-exp is scipy.special.logsumexp's to the bit: the row's m
     maxima leave the sum s of exp(x - max), and it is log1p(s / m) + log(m) + max."""
-    top = logits.max(axis=1, keepdims=True)
-    at_top = logits == top
-    m = at_top.sum(axis=1)
-    s = np.where(at_top, 0.0, np.exp(logits - top)).sum(axis=1) / m
-    with np.errstate(divide="ignore"):  # a row with a NaN has no max (m = 0): NaN loss
-        log_sum = np.log1p(s) + np.log(m) + top[:, 0]
-    return log_sum - logits[np.arange(logits.shape[0]), y]
+    return _rows_loss(*_class_major(logits), y)
 
 
 def softmax_cross_entropy(logits, y):
-    """The mean of ``cross_entropy_rows`` and each row's gradient, softmax - onehot."""
-    delta = softmax(logits)
-    delta[np.arange(logits.shape[0]), y] -= 1.0
-    return float(np.mean(cross_entropy_rows(logits, y))), delta
+    """The mean of ``cross_entropy_rows`` and each row's gradient, softmax - onehot,
+    as a C-contiguous (n, 3) array: ``softmax`` and ``cross_entropy_rows`` to the bit."""
+    L, top, exp = _class_major(logits)
+    delta = np.empty(logits.shape)
+    np.divide(exp, exp[0] + exp[1] + exp[2], out=delta.T)  # numpy's order for an (n, 3) row
+    delta.T[y, np.arange(L.shape[1])] -= 1.0
+    return float(np.mean(_rows_loss(L, top, exp, y))), delta
 
 
 # The ``fitted`` rows of both linear kinds, logistic regression and linear SVM.
@@ -223,15 +238,23 @@ class ClassifierBase(BaseEstimator):
         except MemoryError as exc:
             raise RusentError(f"{self.kind} training ran out of memory ({exc})") from None
 
+    def _check_pieced(self):
+        if self.pieces == 1:
+            raise ValueError(f"a {self.kind} fit takes no pieces")
+
     def fit_piece(self, X, y, piece):
+        self._check_pieced()
         if piece not in range(self.pieces):
             raise ValueError(f"piece must be in range({self.pieces}), got {piece!r}")
         with self._training(X, y) as (X, y):
             return self._fit_piece(X, y, piece)
 
     def fit(self, X, y, pieces=None):
-        if pieces is not None and len(pieces) != self.pieces:
-            raise ValueError(f"a {self.kind} fit takes {self.pieces} pieces, got {len(pieces)}")
+        if pieces is not None:
+            self._check_pieced()
+            if len(pieces) != self.pieces:
+                raise ValueError(f"a {self.kind} fit takes {self.pieces} pieces, "
+                                 f"got {len(pieces)}")
         with self._training(X, y) as (X, y):
             self.n_features_ = None  # a refused fit leaves the model unfitted
             start = self._fit(X, y) if pieces is None else self._assemble(pieces)

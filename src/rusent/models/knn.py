@@ -39,14 +39,21 @@ class KNeighborsClassifier(ClassifierBase):
         X = self._validate_input(X)
         X, train = (sp.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape)
                     for M in (X, self.X_))
+        k = self.k
         counts = np.empty((X.shape[0], N_CLASSES), dtype=np.int64)
         nearest = np.empty(X.shape[0], dtype=np.int64)
         for start in range(0, X.shape[0], _CHUNK):
             chunk = X[start : start + _CHUNK]
             distances = 1.0 - (chunk @ train.T).toarray()
-            # stable argsort keeps lower training indices first among ties
-            order = np.argsort(distances, axis=1, kind="stable")
-            labels = self.y_[order[:, : self.k]]
+            # Select k, then order them by (distance, index). Only a row with more
+            # than k distances at or below its k-th takes the first k of its stable
+            # sort, which keeps the lower training indices among the ties.
+            near = np.argpartition(distances, k - 1, axis=1)[:, :k]
+            kth = np.take_along_axis(distances, near[:, k - 1 :], axis=1)
+            tied = np.count_nonzero(distances <= kth, axis=1) > k
+            near[tied] = np.argsort(distances[tied], axis=1, kind="stable")[:, :k]
+            order = np.lexsort((near, np.take_along_axis(distances, near, axis=1)))
+            labels = self.y_[np.take_along_axis(near, order, axis=1)]
             rows = slice(start, start + chunk.shape[0])
             counts[rows] = (labels[:, :, None] == np.arange(N_CLASSES)).sum(axis=1)
             nearest[rows] = labels[:, 0]

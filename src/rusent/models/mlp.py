@@ -40,16 +40,17 @@ def epoch_batches(X, order, size):
                cols[bounds[b] : bounds[b + 1]])
 
 
-def batch_gradients(W1T, b1, W2, b2, data, indices, indptr, cols, y):
+def batch_gradients(block, b1, W2, b2, data, indices, indptr, y):
     """The output logits of the CSR rows (data, indices, indptr), which hold only
     the feature columns ``cols`` they use (``compact``), and the gradients of
-    their mean cross-entropy: (logits, gW1T, gb1, gW2, gb2). ``W1T`` is
-    feature-major, (V, H); ``gW1T`` holds only the gradient rows ``cols``. If
-    logits reach 1e307 / n, the n rows' summed loss may overflow: it is then
-    taken first, to raise before the gradients, as a loss taken per batch did."""
-    n, m, H = indptr.size - 1, cols.size, b1.size
+    their mean cross-entropy: (logits, gW1T, gb1, gW2, gb2). ``block`` is
+    W1T[cols], the rows of the feature-major (V, H) hidden weights ``W1T`` at
+    those columns; ``gW1T`` holds only the gradient rows ``cols``. If logits
+    reach 1e307 / n, the n rows' summed loss may overflow: it is then taken
+    first, to raise before the gradients, as a loss taken per batch did."""
+    (m, H), n = block.shape, indptr.size - 1
     z1 = np.zeros((n, H))
-    _sparsetools.csr_matvecs(n, m, H, indptr, indices, data, W1T[cols].ravel(), z1.ravel())
+    _sparsetools.csr_matvecs(n, m, H, indptr, indices, data, block.ravel(), z1.ravel())
     z1 += b1
     a1 = np.maximum(0.0, z1)
     logits = a1 @ W2.T + b2
@@ -73,7 +74,7 @@ def mlp_objective(params, X, y):
     """
     W1, b1, W2, b2 = params
     *batch, cols = compact(X.data, X.indices, X.indptr, 0, X.shape[0])
-    logits, gW1T, gb1, gW2, gb2 = batch_gradients(W1.T, b1, W2, b2, *batch, cols, y)
+    logits, gW1T, gb1, gW2, gb2 = batch_gradients(W1.T[cols], b1, W2, b2, *batch, y)
     gW1 = np.zeros_like(W1)
     gW1[:, cols] = gW1T.T
     return float(np.mean(cross_entropy_rows(logits, y))), (gW1, gb1, gW2, gb2)
@@ -125,11 +126,12 @@ class MLPClassifier(ClassifierBase):
             order, logits, steps = rng.permutation(n), [], range(0, n, size)
             y_epoch = y[order]
             for start, (*batch, cols) in zip(steps, epoch_batches(X, order, size)):
+                block = W1T[cols]
                 out, gW1T, gb1, gW2, gb2 = batch_gradients(
-                    W1T, b1, W2, b2, *batch, cols, y_epoch[start : start + size])
+                    block, b1, W2, b2, *batch, y_epoch[start : start + size])
                 W2 -= self.lr * gW2
                 b2 -= self.lr * gb2
-                W1T[cols, :] -= self.lr * gW1T
+                W1T[cols] = block - self.lr * gW1T
                 b1 -= self.lr * gb1
                 logits.append(out)
             losses = cross_entropy_rows(np.concatenate(logits), y_epoch)  # every batch's at once

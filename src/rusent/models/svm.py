@@ -30,8 +30,8 @@ def hinge_objective(w, b, X, y_signed, C):
 
 def _pairs(X):
     """Each row of the CSR matrix ``X`` as a list of (column, value) pairs."""
-    indptr, indices, data = X.indptr.tolist(), X.indices.tolist(), X.data.tolist()
-    return [list(zip(indices[a:b], data[a:b])) for a, b in zip(indptr, indptr[1:])]
+    indptr, pairs = X.indptr.tolist(), list(zip(X.indices.tolist(), X.data.tolist()))
+    return [pairs[a:b] for a, b in zip(indptr, indptr[1:])]
 
 
 def _sgd_binary(rows, y_signed, V, lr, epochs, C, rng):

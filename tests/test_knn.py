@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from rusent import KNeighborsClassifier
+from rusent.models import knn
 
 from conftest import as_dicts, random_tfidf_instance
 
@@ -134,3 +135,38 @@ class TestOracleEquivalence:
             label, fractions = knn_oracle(train_rows, y, q, k)
             assert preds[i] == label
             assert scores[i].tolist() == fractions
+
+
+def full_sort_votes(model, X):
+    """``_votes`` by a full stable argsort of every distance row, as it was
+    computed before selection: the reference."""
+    distances = 1.0 - (sp.csr_matrix(X) @ sp.csr_matrix(model.X_.toarray()).T).toarray()
+    labels = model.y_[np.argsort(distances, axis=1, kind="stable")[:, : model.k]]
+    return (labels[:, :, None] == np.arange(3)).sum(axis=1), labels[:, 0]
+
+
+class TestSelection:
+    """``_votes`` selects each row's k nearest and sorts only the rows with more
+    than k distances at or below their k-th; it must equal a full stable
+    argsort of every row bit for bit."""
+
+    @pytest.mark.parametrize("chunk", [3, knn._CHUNK])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 27])  # 27: every training row
+    def test_votes_equal_the_full_stable_argsort(self, monkeypatch, k, chunk):
+        rng = np.random.default_rng(k)
+        base = random_unit_matrix(rng, 12, 4)
+        # rows 0-3 three times over and rows 4-6 twice: queries equal to them,
+        # or near them, have more than k distances at their k-th
+        X = sp.vstack([base, base[:4], base[:7], base[:4]]).tocsr()
+        y = rng.integers(0, 3, size=X.shape[0])
+        model = KNeighborsClassifier(k=k).fit(X, y)
+        queries = sp.vstack([base, random_unit_matrix(rng, 8, 4), sp.csr_matrix((1, 4))]).tocsr()
+        want_counts, want_nearest = full_sort_votes(model, queries)
+        distances = 1.0 - (queries @ X.T).toarray()
+        kth = np.sort(distances, axis=1)[:, k - 1 : k]
+        tied = np.sum(distances <= kth, axis=1) > k
+        assert tied.any() or k == X.shape[0]
+        monkeypatch.setattr(knn, "_CHUNK", chunk)
+        counts, nearest = model._votes(queries)
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(nearest, want_nearest)

@@ -290,7 +290,7 @@ class TestSparseKernels:
 
         for name in ("csr_matvecs", "csc_matvecs"):
             monkeypatch.setattr(_sparsetools, name, spy(name, getattr(_sparsetools, name)))
-        gW1T = batch_gradients(W1T, b1, W2, b2, data, indices, indptr, cols, y)[1]
+        gW1T = batch_gradients(W1T[cols], b1, W2, b2, data, indices, indptr, y)[1]
         monkeypatch.undo()
         rows = sp.csr_matrix((data, indices, indptr), shape=(stop - start, cols.size))
         weights, z1 = seen["csr_matvecs"]

@@ -23,9 +23,10 @@ from rusent import (
     save_tfidf,
 )
 from rusent.artifacts import from_payload, to_payload
-from rusent.base import CSRMatrix, check_feature_matrix, softmax, softmax_cross_entropy
-from rusent.exceptions import NotFittedError
-from rusent.models import classifier_class
+from rusent.base import (CSRMatrix, check_feature_matrix, cross_entropy_rows, softmax,
+                         softmax_cross_entropy)
+from rusent.exceptions import DivergedError, NotFittedError
+from rusent.models import classifier_class, logistic, mlp
 
 from conftest import (INPUT_FORMS, count_instance, random_tfidf_instance,
                       unsorted_with_duplicates, write_rows)
@@ -503,6 +504,70 @@ class TestSoftmaxHead:
         assert run.stdout == f"{expected}'svm'\n{expected}['knn']\n"
 
 
+def row_major_cross_entropy_rows(logits, y):
+    """``cross_entropy_rows`` reduced along the 3-wide axis of the (n, 3) logits,
+    as it was before the class-major form: the reference."""
+    top = logits.max(axis=1, keepdims=True)
+    at_top = logits == top
+    m = at_top.sum(axis=1)
+    s = np.where(at_top, 0.0, np.exp(logits - top)).sum(axis=1) / m
+    with np.errstate(divide="ignore"):
+        log_sum = np.log1p(s) + np.log(m) + top[:, 0]
+    return log_sum - logits[np.arange(logits.shape[0]), y]
+
+
+def row_major_softmax_cross_entropy(logits, y):
+    """``softmax_cross_entropy`` on the (n, 3) logits, each part with its own
+    row max and exp, as it was before the class-major form: the reference."""
+    delta = softmax(logits)
+    delta[np.arange(logits.shape[0]), y] -= 1.0
+    return float(np.mean(row_major_cross_entropy_rows(logits, y))), delta
+
+
+class TestClassMajorSoftmax:
+    """The class-major loss and gradient are the row-major reference's bit for
+    bit. That holds only while numpy sums an (n, 3) row as (a0 + a1) + a2, the
+    order the class-major rows are added in."""
+
+    @pytest.mark.parametrize("n", [1, 32, 1000])
+    @pytest.mark.parametrize("form", ["random", "times-50", "rounded"])
+    def test_equals_the_row_major_reference(self, form, n):
+        rng = np.random.default_rng(n)
+        logits = rng.normal(scale=3.0, size=(n, 3))
+        logits = {"random": logits, "times-50": logits * 50, "rounded": np.round(logits)}[form]
+        if form == "rounded" and n > 1:
+            assert np.any(np.sum(logits == logits.max(axis=1, keepdims=True), axis=1) > 1)
+        y = rng.integers(0, 3, size=n)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):  # as in fit
+            loss, delta = softmax_cross_entropy(logits, y)
+            want_loss, want_delta = row_major_softmax_cross_entropy(logits, y)
+            rows = cross_entropy_rows(logits, y)
+        assert loss == want_loss
+        assert np.array_equal(delta, want_delta)
+        assert delta.flags.c_contiguous  # X.T @ delta and its column means add as before
+        assert np.array_equal(rows, row_major_cross_entropy_rows(logits, y))
+
+    @pytest.mark.parametrize("module, name, model", [
+        (logistic, "softmax_cross_entropy", lambda: logistic.LogisticRegression(lr=1e6, l2=1)),
+        (logistic, "softmax_cross_entropy",
+         lambda: logistic.LogisticRegression(lr=5, epochs=5, l2=1)),
+        (mlp, "cross_entropy_rows", lambda: mlp.MLPClassifier(
+            hidden_units=4, lr=1e155, epochs=3, batch_size=8, seed=1)),
+        (mlp, "cross_entropy_rows", lambda: mlp.MLPClassifier(
+            hidden_units=4, lr=1e250, epochs=3, batch_size=8, seed=1)),
+    ], ids=["lr-overflow", "lr-final-loss", "mlp-batch-loss", "mlp-matmul"])
+    def test_a_diverging_fit_raises_the_reference_error(self, monkeypatch, module, name, model):
+        X, y = random_tfidf_instance(1, n_docs=23, vocab_size=10, doc_len=1)
+        with pytest.raises(DivergedError) as got:
+            model().fit(X, y)
+        reference = {"softmax_cross_entropy": row_major_softmax_cross_entropy,
+                     "cross_entropy_rows": row_major_cross_entropy_rows}[name]
+        monkeypatch.setattr(module, name, reference)
+        with pytest.raises(DivergedError) as expected:
+            model().fit(X, y)
+        assert str(got.value) == str(expected.value)
+
+
 class TestFitPieces:
     """A fit of independent pieces, each computed alone, then finished."""
 
@@ -549,6 +614,19 @@ class TestFitPieces:
         with pytest.raises(ValueError, match=f"^a linear_svm fit takes 3 pieces, got {count}$"):
             model.fit(X, y, pieces)
         assert not hasattr(model, "coef_")
+
+
+    @pytest.mark.parametrize("kind", ["naive_bayes", "knn", "logistic_regression", "mlp"])
+    def test_a_kind_fit_whole_refuses_a_pieced_fit(self, kind):
+        # piece 0 and a one-piece list pass the two checks above
+        X, y = random_tfidf_instance(0)
+        model = classifier_class(kind)()
+        assert model.pieces == 1
+        with pytest.raises(ValueError, match=f"^a {kind} fit takes no pieces$"):
+            model.fit_piece(X, y, 0)
+        with pytest.raises(ValueError, match=f"^a {kind} fit takes no pieces$"):
+            model.fit(X, y, [None])
+        assert getattr(model, "n_features_", None) is None
 
 
 class TestSklearnInterop:
