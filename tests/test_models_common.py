@@ -15,6 +15,8 @@ from rusent import (
     CLASSIFIER_KINDS,
     ClassifierSpec,
     LinearSVM,
+    LogisticRegression,
+    MLPClassifier,
     TfidfVectorizer,
     load_model,
     load_tfidf,
@@ -26,7 +28,7 @@ from rusent.artifacts import from_payload, to_payload
 from rusent.base import (CSRMatrix, check_feature_matrix, cross_entropy_rows, softmax,
                          softmax_cross_entropy)
 from rusent.exceptions import DivergedError, NotFittedError
-from rusent.models import classifier_class, logistic, mlp
+from rusent.models import classifier_class
 
 from conftest import (INPUT_FORMS, count_instance, random_tfidf_instance,
                       unsorted_with_duplicates, write_rows)
@@ -547,22 +549,22 @@ class TestClassMajorSoftmax:
         assert delta.flags.c_contiguous  # X.T @ delta and its column means add as before
         assert np.array_equal(rows, row_major_cross_entropy_rows(logits, y))
 
-    @pytest.mark.parametrize("module, name, model", [
-        (logistic, "softmax_cross_entropy", lambda: logistic.LogisticRegression(lr=1e6, l2=1)),
-        (logistic, "softmax_cross_entropy",
-         lambda: logistic.LogisticRegression(lr=5, epochs=5, l2=1)),
-        (mlp, "cross_entropy_rows", lambda: mlp.MLPClassifier(
-            hidden_units=4, lr=1e155, epochs=3, batch_size=8, seed=1)),
-        (mlp, "cross_entropy_rows", lambda: mlp.MLPClassifier(
-            hidden_units=4, lr=1e250, epochs=3, batch_size=8, seed=1)),
+    @pytest.mark.parametrize("target, reference, model", [
+        ("logistic.softmax_cross_entropy", row_major_softmax_cross_entropy,
+         lambda: LogisticRegression(lr=1e6, l2=1)),
+        ("logistic.softmax_cross_entropy", row_major_softmax_cross_entropy,
+         lambda: LogisticRegression(lr=5, epochs=5, l2=1)),
+        ("mlp.cross_entropy_rows", row_major_cross_entropy_rows,
+         lambda: MLPClassifier(hidden_units=4, lr=1e155, epochs=3, batch_size=8, seed=1)),
+        ("mlp.cross_entropy_rows", row_major_cross_entropy_rows,
+         lambda: MLPClassifier(hidden_units=4, lr=1e250, epochs=3, batch_size=8, seed=1)),
     ], ids=["lr-overflow", "lr-final-loss", "mlp-batch-loss", "mlp-matmul"])
-    def test_a_diverging_fit_raises_the_reference_error(self, monkeypatch, module, name, model):
+    def test_a_diverging_fit_raises_the_reference_error(self, monkeypatch, target, reference,
+                                                        model):
         X, y = random_tfidf_instance(1, n_docs=23, vocab_size=10, doc_len=1)
         with pytest.raises(DivergedError) as got:
             model().fit(X, y)
-        reference = {"softmax_cross_entropy": row_major_softmax_cross_entropy,
-                     "cross_entropy_rows": row_major_cross_entropy_rows}[name]
-        monkeypatch.setattr(module, name, reference)
+        monkeypatch.setattr(f"rusent.models.{target}", reference)
         with pytest.raises(DivergedError) as expected:
             model().fit(X, y)
         assert str(got.value) == str(expected.value)
@@ -614,7 +616,6 @@ class TestFitPieces:
         with pytest.raises(ValueError, match=f"^a linear_svm fit takes 3 pieces, got {count}$"):
             model.fit(X, y, pieces)
         assert not hasattr(model, "coef_")
-
 
     @pytest.mark.parametrize("kind", ["naive_bayes", "knn", "logistic_regression", "mlp"])
     def test_a_kind_fit_whole_refuses_a_pieced_fit(self, kind):
