@@ -142,17 +142,19 @@ def check_labels(y, n_rows=None, name="labels"):
 
 
 def softmax(logits):
-    """Row-wise softmax of the 2-D ``logits``: exp(x - row max) / row sum."""
-    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return exp / exp.sum(axis=1, keepdims=True)
+    """Row-wise softmax of the (n, 3) ``logits`` as a C-contiguous array."""
+    return _class_major(logits)[3]
 
 
 def _class_major(logits):
-    """The (n, 3) ``logits`` as a contiguous class-major (3, n) copy L, each row's
-    max ``top`` and exp(L - top): one exp that the loss and the gradient share."""
+    """The (n, 3) ``logits`` as a contiguous class-major (3, n) copy L, each row's max
+    ``top``, exp(L - top) and the C-contiguous (n, 3) softmax: one exp for them all."""
     L = np.ascontiguousarray(logits.T)
     top = np.maximum(np.maximum(L[0], L[1]), L[2])
-    return L, top, np.exp(L - top)
+    exp = np.exp(L - top)
+    probs = np.empty(logits.shape)
+    np.divide(exp, (exp[0] + exp[1]) + exp[2], out=probs.T)  # numpy's order for an (n, 3) row
+    return L, top, exp, probs
 
 
 def _rows_loss(L, top, exp, y):
@@ -169,15 +171,13 @@ def cross_entropy_rows(logits, y):
     """Each row's cross-entropy of softmax(``logits``) against its class code in
     ``y``. The log-sum-exp is scipy.special.logsumexp's to the bit: the row's m
     maxima leave the sum s of exp(x - max), and it is log1p(s / m) + log(m) + max."""
-    return _rows_loss(*_class_major(logits), y)
+    return _rows_loss(*_class_major(logits)[:3], y)
 
 
 def softmax_cross_entropy(logits, y):
     """The mean of ``cross_entropy_rows`` and each row's gradient, softmax - onehot,
     as a C-contiguous (n, 3) array: ``softmax`` and ``cross_entropy_rows`` to the bit."""
-    L, top, exp = _class_major(logits)
-    delta = np.empty(logits.shape)
-    np.divide(exp, exp[0] + exp[1] + exp[2], out=delta.T)  # numpy's order for an (n, 3) row
+    L, top, exp, delta = _class_major(logits)
     delta.T[y, np.arange(L.shape[1])] -= 1.0
     return float(np.mean(_rows_loss(L, top, exp, y))), delta
 

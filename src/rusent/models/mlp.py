@@ -13,18 +13,10 @@ from ..base import N_CLASSES, ClassifierBase, cross_entropy_rows, softmax
 from ..exceptions import DivergedError
 
 
-def compact(data, indices, indptr, start, stop):
-    """Rows ``start:stop`` of the CSR matrix with arrays (data, indices, indptr)
-    over only the columns they use: the rows' (data, indices, indptr) and cols,
-    where column j of the rows is column cols[j] of the matrix."""
-    lo, hi = indptr[start], indptr[stop]
-    cols, inverse = np.unique(indices[lo:hi], return_inverse=True)
-    return data[lo:hi], inverse.astype(indptr.dtype), indptr[start : stop + 1] - lo, cols
-
-
 def epoch_batches(X, order, size):
-    """``compact`` of each run of ``size`` rows of the CSR matrix ``X``, taken in
-    the order ``order``, from one np.unique over the keys batch * width + column."""
+    """Each run of ``size`` rows of the CSR matrix ``X``, in the order ``order``, as
+    (data, indices, indptr, cols): the run over only the columns cols it uses. One
+    np.unique over the keys batch * width + column finds every run's columns."""
     nnz, width = np.diff(X.indptr)[order], X.shape[1]
     indptr = np.zeros_like(X.indptr)
     np.cumsum(nnz, out=indptr[1:])
@@ -42,7 +34,7 @@ def epoch_batches(X, order, size):
 
 def batch_gradients(block, b1, W2, b2, data, indices, indptr, y):
     """The output logits of the CSR rows (data, indices, indptr), which hold only
-    the feature columns ``cols`` they use (``compact``), and the gradients of
+    the feature columns ``cols`` they use (``epoch_batches``), and the gradients of
     their mean cross-entropy: (logits, gW1T, gb1, gW2, gb2). ``block`` is
     W1T[cols], the rows of the feature-major (V, H) hidden weights ``W1T`` at
     those columns; ``gW1T`` holds only the gradient rows ``cols``. If logits
@@ -73,7 +65,7 @@ def mlp_objective(params, X, y):
     (3, H). Returns (loss, (gW1, gb1, gW2, gb2)).
     """
     W1, b1, W2, b2 = params
-    *batch, cols = compact(X.data, X.indices, X.indptr, 0, X.shape[0])
+    *batch, cols = next(epoch_batches(X, np.arange(X.shape[0]), X.shape[0]))
     logits, gW1T, gb1, gW2, gb2 = batch_gradients(W1.T[cols], b1, W2, b2, *batch, y)
     gW1 = np.zeros_like(W1)
     gW1[:, cols] = gW1T.T
@@ -135,7 +127,9 @@ class MLPClassifier(ClassifierBase):
                 b1 -= self.lr * gb1
                 logits.append(out)
             losses = cross_entropy_rows(np.concatenate(logits), y_epoch)  # every batch's at once
-            curve.append(float(np.mean([np.mean(losses[s : s + size]) for s in steps])))
+            means = losses[: n - n % size].reshape(-1, size).mean(axis=1)  # a full batch a row
+            short = losses[n - n % size :]  # the rows of a short last batch, if there is one
+            curve.append(float(np.mean(np.append(means, short.mean()) if short.size else means)))
         hidden, self.final_loss_ = every_row()
         if not np.any(hidden > 0.0):  # the output is one constant class
             raise DivergedError("mlp training diverged (every hidden unit is inactive on "

@@ -6,12 +6,21 @@ from scipy.sparse import _sparsetools
 from rusent import MLPClassifier, TfidfVectorizer, preprocess_corpus
 from rusent.base import softmax_cross_entropy
 from rusent.exceptions import DivergedError, NotFittedError
-from rusent.models.mlp import (batch_gradients, compact, epoch_batches, init_params,
-                               mlp_objective)
+from rusent.models.mlp import batch_gradients, epoch_batches, init_params, mlp_objective
 from rusent.preprocess import default_stopwords
 
 from conftest import (central_diff, label_codes, random_tfidf_instance, relative_error,
                       three_class_corpus)
+
+
+def compact(data, indices, indptr, start, stop):
+    """Rows ``start:stop`` of the CSR matrix with arrays (data, indices, indptr)
+    over only the columns they use: the rows' (data, indices, indptr) and cols,
+    where column j of the rows is column cols[j] of the matrix. The reference
+    for ``epoch_batches``, one batch at a time."""
+    lo, hi = indptr[start], indptr[stop]
+    cols, inverse = np.unique(indices[lo:hi], return_inverse=True)
+    return data[lo:hi], inverse.astype(indptr.dtype), indptr[start : stop + 1] - lo, cols
 
 
 class TestValidation:

@@ -518,18 +518,25 @@ def row_major_cross_entropy_rows(logits, y):
     return log_sum - logits[np.arange(logits.shape[0]), y]
 
 
+def row_major_softmax(logits):
+    """``softmax`` reduced along the 3-wide axis of the (n, 3) logits, as it was
+    before the class-major form: the reference."""
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
 def row_major_softmax_cross_entropy(logits, y):
     """``softmax_cross_entropy`` on the (n, 3) logits, each part with its own
     row max and exp, as it was before the class-major form: the reference."""
-    delta = softmax(logits)
+    delta = row_major_softmax(logits)
     delta[np.arange(logits.shape[0]), y] -= 1.0
     return float(np.mean(row_major_cross_entropy_rows(logits, y))), delta
 
 
 class TestClassMajorSoftmax:
-    """The class-major loss and gradient are the row-major reference's bit for
-    bit. That holds only while numpy sums an (n, 3) row as (a0 + a1) + a2, the
-    order the class-major rows are added in."""
+    """The class-major probabilities, loss and gradient are the row-major
+    reference's bit for bit. That holds only while numpy sums an (n, 3) row as
+    (a0 + a1) + a2, the order the class-major rows are added in."""
 
     @pytest.mark.parametrize("n", [1, 32, 1000])
     @pytest.mark.parametrize("form", ["random", "times-50", "rounded"])
@@ -548,6 +555,21 @@ class TestClassMajorSoftmax:
         assert np.array_equal(delta, want_delta)
         assert delta.flags.c_contiguous  # X.T @ delta and its column means add as before
         assert np.array_equal(rows, row_major_cross_entropy_rows(logits, y))
+
+    @pytest.mark.parametrize("n", [0, 1, 32, 400, 1000])
+    @pytest.mark.parametrize("form", ["random", "times-50", "rounded", "missing-class"])
+    def test_softmax_equals_the_row_major_reference(self, form, n):
+        rng = np.random.default_rng(n + 7)
+        logits = rng.normal(scale=3.0, size=(n, 3))
+        if form == "missing-class":  # naive Bayes: a class missing from training, log prior -inf
+            logits[:, 1] = -np.inf
+        logits = {"times-50": logits * 50, "rounded": np.round(logits)}.get(form, logits)
+        if form == "rounded" and n > 1:
+            assert np.any(np.sum(logits == logits.max(axis=1, keepdims=True), axis=1) > 1)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):  # as in fit
+            probs, want = softmax(logits), row_major_softmax(logits)
+        assert np.array_equal(probs, want)
+        assert probs.flags.c_contiguous
 
     @pytest.mark.parametrize("target, reference, model", [
         ("logistic.softmax_cross_entropy", row_major_softmax_cross_entropy,
