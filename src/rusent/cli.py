@@ -39,7 +39,7 @@ FLAGS = {
     "seed": "base seed for all randomness",
     "out": "output directory for stage artifacts",
     "protocol": "evaluation protocol",
-    "max_features": f"vocabulary size cap (default {RunConfig.max_features})",
+    "max_features": f"vocabulary size cap (default {RunConfig._field_defaults['max_features']})",
     "fit_on_all": "fit the tf-idf vocabulary on train+test instead of train only",
     "skip_bad_rows": "skip malformed dataset rows instead of aborting",
     "strip_punct": "strip leading/trailing punctuation from tokens",

@@ -5,7 +5,8 @@ ignored. Classifier hyperparameters are overridden with qualified keys,
 e.g. ``mlp.hidden_units = 64``. Unknown keys are rejected.
 """
 
-from dataclasses import dataclass, field, fields, replace
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .exceptions import ConfigError
 from .models import CLASSIFIER_KINDS, MAX_FEATURES, check_hyperparams, kind_entry
@@ -13,8 +14,7 @@ from .models import CLASSIFIER_KINDS, MAX_FEATURES, check_hyperparams, kind_entr
 PROTOCOLS = ("repeated", "kfold")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     dataset: str | None = None
     stopwords: str | None = None
     dedup: bool = True
@@ -28,15 +28,15 @@ class RunConfig:
     fit_on_all: bool = False
     seed: int = 0
     out: str = "out"
-    overrides: dict = field(default_factory=dict)
+    overrides: dict = MappingProxyType({})  # read-only: the default is shared
 
     def classifier_overrides(self, kind):
         return dict(self.overrides.get(kind, {}))
 
 
 # Key -> value type of the top-level keys; ``str | None`` fields are paths.
-SCHEMA = {f.name: f.type if isinstance(f.type, type) else str
-          for f in fields(RunConfig) if f.name != "overrides"}
+SCHEMA = {name: kind if isinstance(kind, type) else str
+          for name, kind in RunConfig.__annotations__.items() if name != "overrides"}
 
 # Value rules of the top-level keys: (test, rule text), as the hyperparameter rules are.
 _RULES = {
@@ -128,4 +128,4 @@ def validate(config):
 
 def apply_cli_values(config, **cli_values):
     """Overlay non-None CLI flag values onto a config."""
-    return validate(replace(config, **{k: v for k, v in cli_values.items() if v is not None}))
+    return validate(config._replace(**{k: v for k, v in cli_values.items() if v is not None}))

@@ -1,9 +1,7 @@
 """Labeled comment corpus: CSV ingestion, label distribution, splits and folds."""
 
 import math
-from dataclasses import dataclass
 from enum import IntEnum
-from fractions import Fraction
 from typing import NamedTuple
 
 from .artifacts import csv_rows
@@ -36,8 +34,7 @@ _LABELS = {s.name.lower(): s for s in Sentiment}
 LABEL_NAMES = tuple(s.label for s in Sentiment)
 
 
-@dataclass(frozen=True)
-class LabeledComment:
+class LabeledComment(NamedTuple):
     text: str
     label: Sentiment
     row_id: int
@@ -112,6 +109,8 @@ def label_distribution(corpus):
 def _train_size(train_ratio, n):
     # Exact rational floor: float multiplication could land on the wrong
     # side of an integer boundary.
+    from fractions import Fraction  # here, so that only a split loads it
+
     return int(math.floor(Fraction(train_ratio) * n))
 
 

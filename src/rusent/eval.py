@@ -5,7 +5,7 @@ splits, and ``evaluate_specs`` scores classifiers on them."""
 import hashlib
 import itertools
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +51,7 @@ def accuracy(cm):
     return metrics(cm).accuracy
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     """Accuracy plus per-class and averaged precision/recall/F1.
 
     ``undefined`` lists metrics whose denominator was zero and that were
@@ -141,8 +140,7 @@ def metrics(cm):
     )
 
 
-@dataclass(frozen=True)
-class RunAggregate:
+class RunAggregate(NamedTuple):
     """Per-run reports with mean/sample-std per metric and, when the runs
     partition the corpus (k-fold), the pooled confusion matrix."""
 
@@ -180,8 +178,7 @@ def train_seed(seed, kind, fold=None):
     return derive_seed(seed, f"{prefix}train:{kind}")
 
 
-@dataclass(frozen=True)
-class PlannedSplit:
+class PlannedSplit(NamedTuple):
     """One split of a plan: repeated-protocol run ``seed``, or fold ``fold`` at base ``seed``."""
 
     train: tuple

@@ -6,7 +6,7 @@ modules of the kinds that multiply with scipy.sparse import it too."""
 import importlib
 import math
 import numbers
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..artifacts import from_payload, read_json, to_payload, write_json
 
@@ -70,15 +70,15 @@ def check_hyperparams(params, table, owner):
             raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ClassifierSpec:
+class ClassifierSpec(NamedTuple("ClassifierSpec", [("kind", str), ("hyperparams", dict)])):
     """A classifier kind with hyperparameter overrides."""
 
-    kind: str
-    hyperparams: dict = field(default_factory=dict)
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        kind_entry(self.kind)  # validates the kind eagerly
+    def __new__(cls, kind, hyperparams=None):
+        kind_entry(kind)  # validates the kind eagerly
+        return super().__new__(cls, kind, {} if hyperparams is None else hyperparams)
 
 
 def make_classifier(spec, seed=None):

@@ -1,18 +1,17 @@
 """Five-step text cleanup: stop-word list, row extraction, lowercasing,
 tokenization, stop-word removal."""
 
-import string
-from dataclasses import dataclass
-from importlib import resources
+from typing import NamedTuple
 
 from .corpus import Sentiment
 from .exceptions import EmptyCorpusError, MalformedRowError
 
 DEFAULT_STOPWORDS_RESOURCE = "stopwords_roman_urdu.txt"
+# string.punctuation, written out: no command imports string, and tokenize imports nothing
+_PUNCTUATION = r"""!"#$%&'()*+,-./:;<=>?@[\]^_`{|}~"""
 
 
-@dataclass(frozen=True)
-class TokenizedComment:
+class TokenizedComment(NamedTuple):
     """One preprocessed record: surviving tokens in original order."""
 
     row_id: int
@@ -60,6 +59,8 @@ def load_stopwords(path):
 
 def default_stopwords():
     """The packaged Roman Urdu stop-word list, as a frozenset."""
+    from importlib import resources  # here, so that only the stages that read it load it
+
     text = (
         resources.files("rusent.data")
         .joinpath(DEFAULT_STOPWORDS_RESOURCE)
@@ -82,7 +83,7 @@ def tokenize(text, strip_punct=False):
     """
     tokens = text.split()
     if strip_punct:
-        tokens = [t.strip(string.punctuation) for t in tokens]
+        tokens = [t.strip(_PUNCTUATION) for t in tokens]
         tokens = [t for t in tokens if t]
     return tokens
 

@@ -4,7 +4,6 @@ import json
 import multiprocessing
 import os
 import signal
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -169,7 +168,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("key", list(FLAGS))
     def test_flag_overrides_its_config_key(self, tmp_path, monkeypatch, key):
-        assert key in {f.name for f in fields(RunConfig)}
+        assert key in RunConfig._fields
         # the key's text in the config file, and a different value for its flag
         file_text, flag_value = {"protocol": ("kfold", "repeated")}.get(key) or {
             bool: ("false", True), int: ("3", 5), str: ("from-file", "from-flag")}[SCHEMA[key]]

@@ -1,6 +1,5 @@
 import concurrent.futures
 import contextlib
-import dataclasses
 import multiprocessing
 import os
 import signal
@@ -109,7 +108,7 @@ def report_bits(report):
         if isinstance(value, tuple):
             return tuple(map(bits, value))
         return np.float64(value).tobytes() if isinstance(value, float) else value
-    return [bits(getattr(report, field.name)) for field in dataclasses.fields(report)]
+    return [bits(getattr(report, field)) for field in report._fields]
 
 
 class TestConfusionMatrix:

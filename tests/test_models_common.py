@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -66,6 +67,12 @@ class TestRegistry:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown classifier kind"):
             ClassifierSpec("decision_tree")
+
+    def test_unknown_kind_rejected_by_replace(self):
+        spec = ClassifierSpec("knn", {"k": 3})
+        assert spec._replace(hyperparams={"k": 5}) == ClassifierSpec("knn", {"k": 5})
+        with pytest.raises(ValueError, match="unknown classifier kind"):
+            spec._replace(kind="decision_tree")
 
     def test_unknown_hyperparameter_rejected(self):
         with pytest.raises(ValueError, match="unknown hyperparameter"):
@@ -415,10 +422,18 @@ class TestSoftmaxHead:
         # about 0.23 s and numpy about 0.18 s; only the estimator modules of the
         # four kinds that multiply with scipy.sparse import it (train and predict
         # of those kinds, and compare), only the stages that build an array
-        # import numpy, and only compare's scoring loads multiprocessing
-        code = ("import rusent.cli, sys\n"
+        # import numpy, and only compare's scoring loads multiprocessing. The
+        # records are NamedTuples, so no command loads dataclasses (and with it
+        # inspect and ast); fractions is imported by its one caller, and string
+        # by none. Those three are compared with what the interpreter had loaded
+        # before rusent, as a site hook may import any of them.
+        code = ("import sys\n"
+                "preloaded = set(sys.modules)\n"
+                "import rusent.cli\n"
                 "for name in ('numpy', 'scipy.special', 'scipy.sparse', 'multiprocessing'):\n"
-                "    if name in sys.modules: sys.exit(f'{name} is loaded')\n")
+                "    if name in sys.modules: sys.exit(f'{name} is loaded')\n"
+                "added = {'dataclasses', 'fractions', 'string'} & set(sys.modules) - preloaded\n"
+                "if added: sys.exit(f'rusent.cli loaded {sorted(added)}')\n")
         run = self.run_python(code)
         assert (run.returncode, run.stderr) == (0, "")
 
@@ -433,6 +448,7 @@ class TestSoftmaxHead:
                           "mlp.lr = 1\nnaive_bayes.allow_missing_class = true\n",
                           encoding="utf-8")
         code = ("import sys\n"
+                "preloaded = set(sys.modules)\n"
                 "from rusent.config import parse_config_file\n"
                 "parse_config_file(sys.argv[3])\n"
                 "early = [name for name in sys.modules\n"
@@ -445,9 +461,31 @@ class TestSoftmaxHead:
                 "             '--out', sys.argv[2]]) != 0:\n"
                 "        sys.exit(f'{stage} failed')\n"
                 "    loaded.append('numpy' in sys.modules)\n"
+                "    added = {'dataclasses', 'fractions', 'string'} & set(sys.modules) - preloaded\n"
+                "    if stage != 'fit-features' and added:\n"
+                "        sys.exit(f'{stage} loaded {sorted(added)}')\n"
                 "sys.exit(loaded != [False, False, True] and f'numpy loaded after each: {loaded}')\n")
         run = self.run_python(code, str(dataset), str(tmp_path / "out"), str(config))
         assert run.returncode == 0, run.stderr
+
+    def test_no_module_imports_dataclasses(self):
+        # nor fractions or string at module level: a split imports fractions where it is used
+        package = os.path.dirname(rusent.__file__)
+        for folder, _, names in os.walk(package):
+            for name in (n for n in names if n.endswith(".py")):
+                path = os.path.join(folder, name)
+                with open(path, encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read(), path)
+                top = set(tree.body)
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Import):
+                        modules = [alias.name for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom) and not node.level:
+                        modules = [node.module]
+                    else:
+                        continue
+                    banned = {"dataclasses"} | ({"fractions", "string"} if node in top else set())
+                    assert not banned & set(modules), f"{path}:{node.lineno} imports {modules}"
 
     def test_naive_bayes_stages_run_without_scipy(self, tmp_path):
         # naive Bayes adds its sums and products with np.bincount, and load_model

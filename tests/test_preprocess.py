@@ -1,3 +1,5 @@
+import string
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -81,6 +83,13 @@ class TestTokenize:
 
     def test_strip_punct_drops_pure_punctuation(self):
         assert tokenize("acha !!! drama", strip_punct=True) == ["acha", "drama"]
+
+    def test_strip_punct_strips_exactly_ascii_punctuation(self):
+        # string.punctuation's characters, and no other ASCII or non-ASCII one
+        for code in [*range(33, 127), 0xBF, 0x2019, 0x06D4]:
+            c = chr(code)
+            want = ["a"] if c in string.punctuation else [f"{c}a{c}"]
+            assert tokenize(f"{c}a{c}", strip_punct=True) == want, repr(c)
 
     @given(st.text())
     def test_never_emits_empty_tokens(self, text):
