@@ -370,9 +370,23 @@ def _interrupted(signum, frame):
 
 
 def run():
-    """The ``rusent`` command: ``main``, then an exit that a Ctrl-C cannot end with -2."""
+    """The ``rusent`` command: ``main``, then an exit that a Ctrl-C cannot end with -2.
+
+    It flushes standard output, a failure being a named error, and standard
+    error, then ends with ``os._exit``: no teardown of every module and object,
+    no atexit handler, no finalizer. Every artifact is closed and renamed inside
+    ``artifacts.replacing`` before ``main`` returns, and ``evaluate_specs`` has
+    reaped every worker with ``shutdown(wait=True)``, so nothing is lost."""
     if signal.getsignal(signal.SIGINT) is not signal.SIG_IGN:  # an inherited ignore stays
         signal.signal(signal.SIGINT, _interrupted)  # the first Ctrl-C ends the run
     status = main()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    sys.exit(status)
+    try:
+        if sys.stdout is not None:  # None when the command started with fd 1 closed
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        status = 1
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(status)

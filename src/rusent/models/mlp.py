@@ -57,21 +57,6 @@ def batch_gradients(block, b1, W2, b2, data, indices, indptr, y):
     return logits, gW1T, delta1.sum(axis=0), delta2.T @ a1, delta2.sum(axis=0)
 
 
-def mlp_objective(params, X, y):
-    """Mean cross-entropy and its dense gradients for all four parameter
-    blocks: the finite-difference reference for ``batch_gradients``.
-
-    ``params`` is (W1, b1, W2, b2) with W1 of shape (H, V) and W2 of shape
-    (3, H). Returns (loss, (gW1, gb1, gW2, gb2)).
-    """
-    W1, b1, W2, b2 = params
-    *batch, cols = next(epoch_batches(X, np.arange(X.shape[0]), X.shape[0]))
-    logits, gW1T, gb1, gW2, gb2 = batch_gradients(W1.T[cols], b1, W2, b2, *batch, y)
-    gW1 = np.zeros_like(W1)
-    gW1[:, cols] = gW1T.T
-    return float(np.mean(cross_entropy_rows(logits, y))), (gW1, gb1, gW2, gb2)
-
-
 def init_params(n_features, hidden_units, rng):
     """Uniform [-r, r] weight init with r = sqrt(6 / (fan_in + fan_out));
     biases start at zero."""

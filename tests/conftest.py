@@ -5,6 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from rusent import LabeledComment, Sentiment, TfidfVectorizer
+from rusent.base import cross_entropy_rows
+from rusent.models.mlp import batch_gradients, epoch_batches
 
 # Fixed reference confusion matrices (rows = true negative/neutral/positive,
 # columns = predicted). They pin the metric engine: the expected accuracy,
@@ -113,6 +115,21 @@ def central_diff(f, x, step=1e-5):
         down.flat[i] -= step
         grad.flat[i] = (f(up) - f(down)) / (2.0 * step)
     return grad
+
+
+def mlp_objective(params, X, y):
+    """Mean cross-entropy and its dense gradients for all four parameter
+    blocks: the finite-difference reference for ``batch_gradients``.
+
+    ``params`` is (W1, b1, W2, b2) with W1 of shape (H, V) and W2 of shape
+    (3, H). Returns (loss, (gW1, gb1, gW2, gb2)).
+    """
+    W1, b1, W2, b2 = params
+    *batch, cols = next(epoch_batches(X, np.arange(X.shape[0]), X.shape[0]))
+    logits, gW1T, gb1, gW2, gb2 = batch_gradients(W1.T[cols], b1, W2, b2, *batch, y)
+    gW1 = np.zeros_like(W1)
+    gW1[:, cols] = gW1T.T
+    return float(np.mean(cross_entropy_rows(logits, y))), (gW1, gb1, gW2, gb2)
 
 
 def relative_error(a, b):

@@ -26,7 +26,7 @@ from rusent import (
 )
 from rusent.cli import main
 from rusent.models.logistic import softmax_objective
-from rusent.models.mlp import init_params, mlp_objective
+from rusent.models.mlp import init_params
 from rusent.models.svm import hinge_objective
 
 from conftest import (
@@ -35,6 +35,7 @@ from conftest import (
     build_corpus,
     central_diff,
     label_codes,
+    mlp_objective,
     random_tfidf_instance,
     relative_error,
     three_class_corpus,

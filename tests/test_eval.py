@@ -516,6 +516,14 @@ def run_python(code):
                           capture_output=True, text=True, timeout=30)
 
 
+def run_buffered(argv, **options):
+    """The finished ``argv``, in ``child_env()`` without PYTHONUNBUFFERED, so that
+    a Python child's standard output is block-buffered, as in a shell pipe."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(argv, env=env, text=True, timeout=30, **options)
+
+
 class StopScoring(Exception):
     """An error raised in the process that scores the cells, as from a signal handler."""
 
@@ -765,6 +773,65 @@ class TestCellWorkers:
                 "cli.run()\n")
         run = run_python(code)
         assert (run.returncode, run.stderr) == (0, "")
+
+    @pytest.mark.parametrize("status", [0, 1, 2])
+    def test_the_command_skips_the_interpreter_teardown_and_keeps_its_status(self, status):
+        # It ends with os._exit once its output is flushed: no atexit handler runs.
+        code = ("import atexit, os\n"
+                "from rusent import cli\n"
+                "atexit.register(os.write, 2, b'atexit ran\\n')\n"
+                f"cli.main = lambda: {status}\n"
+                "cli.run()\n")
+        run = run_buffered([sys.executable, "-c", code], capture_output=True)
+        assert (run.returncode, run.stderr) == (status, "")
+
+    def test_buffered_output_reaches_a_pipe(self):
+        code = ("from rusent import cli\n"
+                "cli.main = lambda: print('x', end='') or 0\n"
+                "cli.run()\n")
+        run = run_buffered([sys.executable, "-c", code], capture_output=True)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "x", "")
+
+    def test_ctrl_c_during_the_final_flush_keeps_its_status(self):
+        code = ("import io, os, signal, sys, time\n"
+                "from rusent import cli\n"
+                "class Stdout(io.StringIO):\n"
+                "    def flush(self):\n"
+                "        os.kill(os.getpid(), signal.SIGINT)\n"
+                "        time.sleep(0.1)\n"
+                "sys.stdout = Stdout()\n"
+                "cli.main = lambda: 0\n"
+                "cli.run()\n")
+        run = run_python(code)
+        assert (run.returncode, run.stderr) == (0, "")
+
+    @staticmethod
+    def ingest_command(tmp_path):
+        """``python -m rusent ingest`` of a small corpus into ``tmp_path / "out"``."""
+        rows = [(r.text, r.label.label) for r in three_class_corpus(30, seed=8)]
+        dataset = write_rows(tmp_path / "data.csv", rows)
+        return [sys.executable, "-m", "rusent", "ingest", "--dataset", str(dataset),
+                "--out", str(tmp_path / "out")]
+
+    def test_a_closed_pipe_is_a_named_error(self, tmp_path):
+        # As `rusent ingest ... | true`: the reader is gone when the output is flushed.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            run = run_buffered(self.ingest_command(tmp_path), stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert run.returncode == 1, run.stderr
+        assert run.stderr.splitlines()[1:] == [
+            "error: cannot write standard output: [Errno 32] Broken pipe"]
+
+    def test_a_closed_standard_output_is_no_error(self, tmp_path):
+        # As `rusent ingest ... >&-`: sys.stdout is None, and print writes nothing.
+        run = run_buffered(["sh", "-c", 'exec "$@" >&-', "sh", *self.ingest_command(tmp_path)],
+                           stderr=subprocess.PIPE)
+        assert run.returncode == 0, run.stderr
+        assert run.stderr.startswith("ingested ") and len(run.stderr.splitlines()) == 1
+        assert (tmp_path / "out" / "corpus.csv").exists()
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
     def test_a_second_ctrl_c_ends_compare_at_once(self, tmp_path, cpus):

@@ -6,11 +6,11 @@ from scipy.sparse import _sparsetools
 from rusent import MLPClassifier, TfidfVectorizer, preprocess_corpus
 from rusent.base import softmax_cross_entropy
 from rusent.exceptions import DivergedError, NotFittedError
-from rusent.models.mlp import batch_gradients, epoch_batches, init_params, mlp_objective
+from rusent.models.mlp import batch_gradients, epoch_batches, init_params
 from rusent.preprocess import default_stopwords
 
-from conftest import (central_diff, label_codes, random_tfidf_instance, relative_error,
-                      three_class_corpus)
+from conftest import (central_diff, label_codes, mlp_objective, random_tfidf_instance,
+                      relative_error, three_class_corpus)
 
 
 def compact(data, indices, indptr, start, stop):
