@@ -1,12 +1,13 @@
 """Command-line pipeline: ingest, preprocess, fit-features, train, predict,
 evaluate, and the five-classifier compare benchmark.
 
-Stages communicate through files in the output directory; every stage
-reads its predecessor's artifact. All randomness derives from the single
+Stages communicate through files in the output directory: ``STAGES`` names
+the files each stage reads and writes. All randomness derives from the single
 configured base seed, so reruns with the same config are byte-identical.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import signal
@@ -22,14 +23,6 @@ from .preprocess import TokenizedComment, default_stopwords, load_stopwords, pre
 
 # eval and features load numpy: the commands that build arrays import them in
 # their own body, so that ingest and preprocess start without it.
-
-CORPUS_FILE = "corpus.csv"
-DISTRIBUTION_FILE = "label_distribution.json"
-PREPROCESSED_FILE = "preprocessed.csv"
-TFIDF_FILE = "tfidf.json"
-WORD_FREQ_FILE = "word_frequencies.csv"
-TRAIN_FILE = "train.csv"
-TEST_FILE = "test.csv"
 
 # The config keys that a flag of the same name, with "-" for "_", overrides;
 # each with its help text.
@@ -48,7 +41,7 @@ FLAGS = {
 
 def _numpy_round6(x):
     """``x`` rounded to 6 decimals as numpy rounds a float64, rint(x * 1e6) / 1e6;
-    label_distribution.json has always been rounded so. ``round(x, 6)`` differs
+    ingest's label distribution has always been rounded so. ``round(x, 6)`` differs
     on 512 of the fractions c / n with n <= 3000, 1 / 640 among them."""
     return round(x * 1e6) / 1e6
 
@@ -63,13 +56,18 @@ def _round6(obj):
     return obj
 
 
-def _stage_input(config, name, producer):
-    """The path of the artifact ``name`` in the output directory; a missing
-    one names the stage that writes it."""
-    path = os.path.join(config.out, name)
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"missing artifact {path}; run the '{producer}' stage first")
-    return path
+def _stage_paths(config, args):
+    """The paths in the output directory of the files that the stage
+    ``args.command`` reads, then of those it writes, as ``STAGES`` lists them;
+    a missing input names the stage that writes it."""
+    _, reads, writes = STAGES[args.command]
+    kind = getattr(args, "classifier", None)
+    paths = [os.path.join(config.out, name.format(kind=kind)) for name in reads + writes]
+    for name, path in zip(reads, paths):
+        if not os.path.exists(path):
+            producer = next(stage for stage, (_, _, out) in STAGES.items() if name in out)
+            raise FileNotFoundError(f"missing artifact {path}; run the '{producer}' stage first")
+    return paths
 
 
 def _info(message):
@@ -77,9 +75,7 @@ def _info(message):
 
 
 def _load_stopword_list(config):
-    if config.stopwords:
-        return load_stopwords(config.stopwords)
-    return default_stopwords()
+    return load_stopwords(config.stopwords) if config.stopwords else default_stopwords()
 
 
 def _distribution_line(corpus):
@@ -101,10 +97,9 @@ def _artifact_rows(path, parsers):
         yield fields
 
 
-def _split_side(config, name):
+def _split_side(path):
     """The docs of one side of the staged split, in split order, from the
-    file ``name`` that fit-features wrote; row ids index preprocessed.csv."""
-    path = _stage_input(config, name, "fit-features")
+    file at ``path`` that fit-features wrote; row ids index the preprocessed rows."""
     return [TokenizedComment(row_id, tuple(text_final.split()), label)
             for row_id, label, text_final in _artifact_rows(path, {0: int, 1: Sentiment.parse})]
 
@@ -117,22 +112,22 @@ def _load_dataset(config):
 
 def cmd_ingest(config, args):
     corpus = _load_dataset(config)
+    out_path, distribution_path = _stage_paths(config, args)
     os.makedirs(config.out, exist_ok=True)
-    out_path = os.path.join(config.out, CORPUS_FILE)
     write_csv(out_path, ["comment", "sentiment"], ([r.text, r.label.label] for r in corpus))
     payload = {s.label: {"count": d["count"], "fraction": _numpy_round6(d["fraction"])}
                for s, d in label_distribution(corpus).items()}
-    write_json(os.path.join(config.out, DISTRIBUTION_FILE), payload)
+    write_json(distribution_path, payload)
     print(json.dumps(payload, sort_keys=True))
     _info(f"ingested {len(corpus)} records -> {out_path}")
     return 0
 
 
 def cmd_preprocess(config, args):
-    corpus = load_csv(_stage_input(config, CORPUS_FILE, "ingest"), dedup=False)
+    corpus_path, out_path = _stage_paths(config, args)
+    corpus = load_csv(corpus_path, dedup=False)
     stopwords = _load_stopword_list(config)
     docs = preprocess_corpus(corpus, stopwords, config.strip_punct)
-    out_path = os.path.join(config.out, PREPROCESSED_FILE)
     write_csv(out_path, ["comment", "sentiment", "text_final"],
               ([r.text, r.label.label, d.text_final] for r, d in zip(corpus, docs)))
     emptied = sum(1 for d in docs if d.is_empty)
@@ -148,19 +143,17 @@ def cmd_fit_features(config, args):
     from .eval import fit_vocabulary, plan_splits
     from .features import save_tfidf, write_word_frequencies
 
-    rows = enumerate(_artifact_rows(_stage_input(config, PREPROCESSED_FILE, "preprocess"),
-                                    {1: Sentiment.parse}))
+    in_path, model_path, frequencies_path, *side_paths = _stage_paths(config, args)
+    rows = enumerate(_artifact_rows(in_path, {1: Sentiment.parse}))
     docs = [TokenizedComment(i, tuple(text_final.split()), label)
             for i, (_, label, text_final) in rows]
     (part,) = plan_splits(docs, "repeated", config.seed, runs=1, train_ratio=config.train_ratio)
     vectorizer = fit_vocabulary(part, fit_on_all=config.fit_on_all,
                                 max_features=config.max_features)
-    model_path = os.path.join(config.out, TFIDF_FILE)
     save_tfidf(vectorizer, model_path)
-    write_word_frequencies(vectorizer, os.path.join(config.out, WORD_FREQ_FILE))
+    write_word_frequencies(vectorizer, frequencies_path)
     _info(f"fitted tf-idf vocabulary of {vectorizer.n_features_} terms -> {model_path}")
-    for name, side in ((TRAIN_FILE, part.train), (TEST_FILE, part.test)):
-        path = os.path.join(config.out, name)
+    for path, side in zip(side_paths, (part.train, part.test)):
         write_csv(path, ["row_id", "sentiment", "text_final"],
                   ([d.row_id, d.label.label, d.text_final] for d in side))
         _info(f"{len(side)} records ({_distribution_line(side)}) -> {path}")
@@ -171,12 +164,12 @@ def cmd_train(config, args):
     from .eval import train_seed
     from .features import load_tfidf
 
-    docs = _split_side(config, TRAIN_FILE)
-    X = load_tfidf(_stage_input(config, TFIDF_FILE, "fit-features")).transform(docs)
+    train_path, tfidf_path, model_path = _stage_paths(config, args)
+    docs = _split_side(train_path)
+    X = load_tfidf(tfidf_path).transform(docs)
     spec = ClassifierSpec(args.classifier, config.classifier_overrides(args.classifier))
     model = make_classifier(spec, seed=train_seed(config.seed, spec.kind))
     model.fit(X, [d.label for d in docs])
-    model_path = os.path.join(config.out, f"model_{spec.kind}.json")
     save_model(model, model_path)
     _info(f"trained {spec.kind} on {X.shape[0]} records -> {model_path}")
     return 0
@@ -185,11 +178,10 @@ def cmd_train(config, args):
 def cmd_predict(config, args):
     from .features import load_tfidf
 
-    model_path = _stage_input(config, f"model_{args.classifier}.json", "train")
-    docs = _split_side(config, TEST_FILE)
-    X = load_tfidf(_stage_input(config, TFIDF_FILE, "fit-features")).transform(docs)
+    model_path, test_path, tfidf_path, out_path = _stage_paths(config, args)
+    docs = _split_side(test_path)
+    X = load_tfidf(tfidf_path).transform(docs)
     predictions = load_model(model_path).predict(X)
-    out_path = os.path.join(config.out, f"predictions_{args.classifier}.csv")
     write_csv(out_path, ["row_id", "truth", "predicted"],
               ([d.row_id, d.label.label, Sentiment(int(p)).label]
                for d, p in zip(docs, predictions)))
@@ -200,7 +192,7 @@ def cmd_predict(config, args):
 def cmd_evaluate(config, args):
     from .eval import confusion_matrix, metrics
 
-    pred_path = _stage_input(config, f"predictions_{args.classifier}.csv", "predict")
+    pred_path, out_path = _stage_paths(config, args)
     rows = list(_artifact_rows(pred_path, {1: Sentiment.parse, 2: Sentiment.parse}))
     cm = confusion_matrix([truth for _, truth, _ in rows], [pred for _, _, pred in rows])
     report = metrics(cm)
@@ -210,7 +202,6 @@ def cmd_evaluate(config, args):
         "confusion": cm.tolist(),
         **report.as_dict(),
     }
-    out_path = os.path.join(config.out, f"metrics_{args.classifier}.json")
     write_json(out_path, _round6(payload))
     _info(f"accuracy {report.accuracy:.6f} -> {out_path}")
     return 0
@@ -304,15 +295,21 @@ def cmd_compare(config, args):
     return 0
 
 
-_COMMANDS = {
-    "ingest": cmd_ingest,
-    "preprocess": cmd_preprocess,
-    "fit-features": cmd_fit_features,
-    "train": cmd_train,
-    "predict": cmd_predict,
-    "evaluate": cmd_evaluate,
-    "compare": cmd_compare,
+# Each stage's command, the output-directory files it reads, in the order it
+# checks them, and those it writes, in the order it unpacks them; "{kind}"
+# stands for the --classifier kind, which a stage takes when a name holds it.
+STAGES = {
+    "ingest": (cmd_ingest, (), ("corpus.csv", "label_distribution.json")),
+    "preprocess": (cmd_preprocess, ("corpus.csv",), ("preprocessed.csv",)),
+    "fit-features": (cmd_fit_features, ("preprocessed.csv",),
+                     ("tfidf.json", "word_frequencies.csv", "train.csv", "test.csv")),
+    "train": (cmd_train, ("train.csv", "tfidf.json"), ("model_{kind}.json",)),
+    "predict": (cmd_predict, ("model_{kind}.json", "test.csv", "tfidf.json"),
+                ("predictions_{kind}.csv",)),
+    "evaluate": (cmd_evaluate, ("predictions_{kind}.csv",), ("metrics_{kind}.json",)),
+    "compare": (cmd_compare, (), ()),
 }
+_COMMANDS = {stage: command for stage, (command, _, _) in STAGES.items()}
 
 
 def _build_parser():
@@ -324,19 +321,14 @@ def _build_parser():
         common.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text, **value)
 
     parser = argparse.ArgumentParser(
-        prog="rusent",
-        description="Roman Urdu sentiment classification benchmark toolkit",
-    )
+        prog="rusent", description="Roman Urdu sentiment classification benchmark toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("ingest", "preprocess", "fit-features", "compare"):
-        sub.add_parser(name, parents=[common])
-    for name in ("train", "predict", "evaluate"):
-        p = sub.add_parser(name, parents=[common])
-        p.add_argument(
-            "--classifier", required=True, choices=list(CLASSIFIER_KINDS),
-            help="classifier kind the stage operates on",
-        )
+    for stage, (_, reads, writes) in STAGES.items():
+        p = sub.add_parser(stage, parents=[common])
+        if any("{kind}" in name for name in reads + writes):
+            p.add_argument("--classifier", required=True, choices=list(CLASSIFIER_KINDS),
+                           help="classifier kind the stage operates on")
     return parser
 
 
@@ -372,21 +364,28 @@ def _interrupted(signum, frame):
 def run():
     """The ``rusent`` command: ``main``, then an exit that a Ctrl-C cannot end with -2.
 
-    It flushes standard output, a failure being a named error, and standard
+    However ``main`` ends, argparse's exits and an unwritable error line included,
+    it flushes standard output, a failure being a named error, and standard
     error, then ends with ``os._exit``: no teardown of every module and object,
     no atexit handler, no finalizer. Every artifact is closed and renamed inside
     ``artifacts.replacing`` before ``main`` returns, and ``evaluate_specs`` has
     reaped every worker with ``shutdown(wait=True)``, so nothing is lost."""
     if signal.getsignal(signal.SIGINT) is not signal.SIG_IGN:  # an inherited ignore stays
         signal.signal(signal.SIGINT, _interrupted)  # the first Ctrl-C ends the run
-    status = main()
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        if sys.stdout is not None:  # None when the command started with fd 1 closed
-            sys.stdout.flush()
-    except OSError as exc:
-        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        status = main()
+    except SystemExit as exc:  # argparse: a usage error, --help or --version
+        status = exc.code
+    except OSError:  # main's own error line could not be written
         status = 1
-    if sys.stderr is not None:
-        sys.stderr.flush()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    with contextlib.suppress(OSError):  # an unwritable standard error has no one to tell
+        try:
+            if sys.stdout is not None:  # None when the command started with fd 1 closed
+                sys.stdout.flush()
+        except OSError as exc:
+            status = 1
+            print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        if sys.stderr is not None:
+            sys.stderr.flush()
     os._exit(status)

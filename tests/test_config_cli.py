@@ -372,6 +372,13 @@ def edit_staged_row(dataset, tmp_path, artifact, edit):
     return common, path
 
 
+def naive_bayes_argv(stage):
+    """``stage``, with ``--classifier naive_bayes`` where the stage takes one."""
+    if stage in ("train", "predict", "evaluate"):
+        return [stage, "--classifier", "naive_bayes"]
+    return [stage]
+
+
 class TestCliExitCodes:
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -635,6 +642,60 @@ class TestCliExitCodes:
         rc = main(["predict", "--classifier", "knn", "--out", out])
         assert rc == 1
         assert "model_knn.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage, artifact, producer", [
+        ("preprocess", "corpus.csv", "ingest"),
+        ("fit-features", "preprocessed.csv", "preprocess"),
+        ("train", "train.csv", "fit-features"),
+        ("train", "tfidf.json", "fit-features"),
+        ("predict", "model_naive_bayes.json", "train"),
+        ("predict", "test.csv", "fit-features"),
+        ("predict", "tfidf.json", "fit-features"),
+        ("evaluate", "predictions_naive_bayes.csv", "predict"),
+    ], ids=lambda value: value)
+    def test_each_missing_input_names_its_producer(self, dataset, tmp_path, capsys, stage,
+                                                   artifact, producer):
+        out = tmp_path / "out"
+        common = ["--dataset", dataset, "--out", str(out)]
+        for chained in ("ingest", "preprocess", "fit-features", "train", "predict"):
+            assert main(naive_bayes_argv(chained) + common) == 0
+        (out / artifact).unlink()
+        capsys.readouterr()
+        assert main(naive_bayes_argv(stage) + common) == 1
+        assert capsys.readouterr().err == (
+            f"error: missing artifact {out / artifact}; run the '{producer}' stage first\n")
+
+    @pytest.mark.parametrize("stage, artifact, producer", [
+        ("preprocess", "corpus.csv", "ingest"),
+        ("fit-features", "preprocessed.csv", "preprocess"),
+        ("train", "train.csv", "fit-features"),
+        ("predict", "model_naive_bayes.json", "train"),
+        ("evaluate", "predictions_naive_bayes.csv", "predict"),
+    ], ids=lambda value: value)
+    def test_an_empty_out_names_the_first_missing_input(self, tmp_path, capsys, stage, artifact,
+                                                        producer):
+        out = tmp_path / "empty"
+        out.mkdir()
+        assert main(naive_bayes_argv(stage) + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: missing artifact {out / artifact}; run the '{producer}' stage first\n")
+
+    @pytest.mark.parametrize("argv", [
+        *([stage] for stage in ("train", "predict", "evaluate")),
+        *([stage, "--classifier", "knn"]
+          for stage in ("ingest", "preprocess", "fit-features", "compare")),
+    ], ids=lambda argv: " ".join(argv))
+    def test_classifier_is_required_exactly_where_a_stage_uses_it(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+
+    def test_help_lists_the_stages_in_pipeline_order(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert "{ingest,preprocess,fit-features,train,predict,evaluate,compare}" in (
+            capsys.readouterr().out)
 
     @pytest.mark.parametrize(
         "command, artifact",

@@ -524,6 +524,9 @@ def run_buffered(argv, **options):
     return subprocess.run(argv, env=env, text=True, timeout=30, **options)
 
 
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
 class StopScoring(Exception):
     """An error raised in the process that scores the cells, as from a signal handler."""
 
@@ -832,6 +835,42 @@ class TestCellWorkers:
         assert run.returncode == 0, run.stderr
         assert run.stderr.startswith("ingested ") and len(run.stderr.splitlines()) == 1
         assert (tmp_path / "out" / "corpus.csv").exists()
+
+    @needs_dev_full
+    def test_an_unwritable_standard_error_exits_1(self, tmp_path):
+        # As `rusent ingest ... 2>/dev/full`: the artifacts are written, then the
+        # progress line fails, and so does main's error line about it.
+        with open("/dev/full", "w") as full:
+            run = run_buffered(self.ingest_command(tmp_path), stdout=subprocess.PIPE, stderr=full)
+        assert run.returncode == 1
+        assert run.stdout.startswith('{"negative": {"count": ')
+        assert (tmp_path / "out" / "label_distribution.json").exists()
+
+    @needs_dev_full
+    def test_a_usage_error_on_an_unwritable_standard_error_exits_2(self, tmp_path):
+        # As `rusent train --out x 2>/dev/full`: argparse's usage line fails.
+        with open("/dev/full", "w") as full:
+            run = run_buffered([sys.executable, "-m", "rusent", "train", "--out",
+                                str(tmp_path / "out")], stderr=full)
+        assert run.returncode == 2
+
+    @pytest.mark.parametrize("target, error", [
+        ("closed-pipe", "[Errno 32] Broken pipe"),
+        pytest.param("/dev/full", "[Errno 28] No space left on device", marks=needs_dev_full)],
+        ids=["closed-pipe", "dev-full"])
+    def test_an_unwritable_version_is_a_named_error(self, target, error):
+        # As `rusent --version | true` and `rusent --version >/dev/full`.
+        with contextlib.ExitStack() as stack:
+            if target == "closed-pipe":
+                read, stdout = os.pipe()
+                os.close(read)
+                stack.callback(os.close, stdout)
+            else:
+                stdout = stack.enter_context(open(target, "w"))
+            run = run_buffered([sys.executable, "-m", "rusent", "--version"], stdout=stdout,
+                               stderr=subprocess.PIPE)
+        assert run.returncode == 1
+        assert run.stderr == f"error: cannot write standard output: {error}\n"
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
     def test_a_second_ctrl_c_ends_compare_at_once(self, tmp_path, cpus):
