@@ -99,6 +99,11 @@ class CSRMatrix:
         dense[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = self.data
         return dense
 
+    def scipy(self):
+        """This matrix as a scipy.sparse.csr_matrix over the same three arrays, uncopied."""
+        import scipy.sparse  # here, so that only the callers of this method load scipy
+        return scipy.sparse.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+
 
 def check_feature_matrix(X, n_features=None):
     """``X``, a CSRMatrix, any scipy sparse matrix or a 2-D array, as a

@@ -1,7 +1,7 @@
 """k-nearest-neighbor classifier over cosine distance."""
 
 import numpy as np
-import scipy.sparse as sp
+import scipy.sparse  # loaded with the module, so that compare's forked workers inherit it
 
 from ..artifacts import CSR, INTS
 from ..base import N_CLASSES, ClassifierBase, CSRMatrix, check_labels
@@ -36,9 +36,7 @@ class KNeighborsClassifier(ClassifierBase):
         """Per-class vote counts among the k nearest training rows of each
         query row, ordered by (distance, training index), and the label of
         the nearest one."""
-        X = self._validate_input(X)
-        X, train = (sp.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape)
-                    for M in (X, self.X_))
+        X, train = self._validate_input(X).scipy(), self.X_.scipy()
         k = self.k
         counts = np.empty((X.shape[0], N_CLASSES), dtype=np.int64)
         nearest = np.empty(X.shape[0], dtype=np.int64)

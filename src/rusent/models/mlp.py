@@ -2,10 +2,9 @@
 mean cross-entropy loss, mini-batch stochastic gradient descent."""
 
 import numpy as np
-import scipy.sparse as sp
-# The compiled kernels behind `csr_matrix @ dense` and `csr_matrix.T @ dense`,
-# called on the raw arrays: building the two CSR objects costs far more than
-# the products. The module is private; tests/test_mlp.py pins them to `@`.
+# The compiled kernels behind `csr_matrix @ dense` and `csr_matrix.T @ dense`, called
+# on the raw arrays: building the two CSR objects costs far more than the products.
+# Private, and pinned to `@` by tests/test_mlp.py; it loads scipy.sparse with the module.
 from scipy.sparse import _sparsetools
 
 from ..artifacts import FLOATS
@@ -90,10 +89,9 @@ class MLPClassifier(ClassifierBase):
         rng = np.random.default_rng(self.seed)
         W1, b1, W2, b2 = init_params(V, self.hidden_units, rng)
         W1T = np.ascontiguousarray(W1.T)
-        X_all = sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
 
         def every_row():  # the hidden layer and the mean loss on every row
-            hidden = X_all @ W1T + b1
+            hidden = X.scipy() @ W1T + b1
             logits = np.maximum(0.0, hidden) @ W2.T + b2
             return hidden, float(np.mean(cross_entropy_rows(logits, y)))
 
@@ -128,7 +126,6 @@ class MLPClassifier(ClassifierBase):
 
     def decision_scores(self, X):
         """Softmax output probabilities (rows sum to 1)."""
-        X = self._validate_input(X)
-        X = sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+        X = self._validate_input(X).scipy()
         hidden = np.maximum(0.0, X @ self.hidden_coef_.T + self.hidden_intercept_)
         return softmax(hidden @ self.output_coef_.T + self.output_intercept_)

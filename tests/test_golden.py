@@ -2,15 +2,20 @@
 writes exactly the committed outputs under tests/golden/, whether its cells are
 scored in-process (one allowed CPU) or in forked workers (two), and whatever
 the string hash seed of the ``python -m rusent`` process that runs it; the
-staged chain writes the committed artifacts of all five kinds."""
+staged chain writes the committed artifacts of all five kinds; and a rewrite of
+the corpus that the cleanup undoes moves no ``compare`` output."""
 
+import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+
+from rusent.cli import main
 
 from golden import regen
 
@@ -89,3 +94,52 @@ def test_the_staged_chain_writes_the_golden_artifacts(tmp_path):
     out = tmp_path / "out"
     assert regen.staged(str(out), str(tmp_path)) == 0
     assert_golden(regen.STAGED, out)
+
+
+# Two metamorphic relations: a rewrite of every comment that the cleanup undoes,
+# each whitespace character doubled or every letter uppercased, moves no byte of
+# any compare output. These settings, cheaper than the defaults, keep every kind
+# above the majority rate of each test split, so the outputs carry signal.
+RELATION_CONFIG = ["runs = 2", "max_features = 500", "linear_svm.lr = 0.5",
+                   "linear_svm.epochs = 60", "mlp.lr = 0.5", "mlp.epochs = 10",
+                   "mlp.hidden_units = 16"]
+
+
+def relation_outputs(rows, folder):
+    """Each output of compare under RELATION_CONFIG, name -> bytes, on the CSV
+    ``rows``, with its cells scored in-process."""
+    dataset, out = folder / "data.csv", folder / "out"
+    with open(dataset, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(rows)
+    config = regen.write_config(str(folder), "relation", RELATION_CONFIG)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert main(["compare", "--config", config, "--dataset", str(dataset),
+                     "--out", str(out)]) == 0
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+@pytest.fixture(scope="module")
+def relation_source(tmp_path_factory):
+    """The golden corpus's rows and their compare outputs under RELATION_CONFIG."""
+    with open(regen.CORPUS, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    outputs = relation_outputs(rows, tmp_path_factory.mktemp("source"))
+    for kind, entry in json.loads(outputs["metrics.json"])["classifiers"].items():
+        for run in entry["per_run"]:
+            support = [row["support"] for row in run["per_class"]]
+            assert run["accuracy"] > max(support) / sum(support), kind
+    return rows, outputs
+
+
+@pytest.mark.parametrize("rewrite", [
+    lambda text: re.sub(r"\s", lambda space: space[0] * 2, text), str.upper,
+], ids=["whitespace-doubled", "uppercased"])
+def test_a_rewrite_the_cleanup_undoes_moves_no_output(rewrite, relation_source, tmp_path):
+    rows, expected = relation_source
+    rewritten = [rows[0]] + [[rewrite(text), *rest] for text, *rest in rows[1:]]
+    assert rewritten != rows
+    outputs = relation_outputs(rewritten, tmp_path)
+    assert sorted(outputs) == sorted(expected)
+    for name, content in expected.items():
+        assert outputs[name] == content, f"{name} moved"

@@ -291,6 +291,21 @@ class TestCSRMatrix:
         want = sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
         assert X.indices.dtype == X.indptr.dtype == want.indices.dtype == want.indptr.dtype
 
+    @pytest.mark.parametrize("X", [
+        *(CSRMatrix(np.ones(1), np.array([width - 1]), np.array([0, 1]), (1, width))
+          for width in (4, 2**31 - 1, 2**31)),  # int32 up to its maximum, then int64
+        CSRMatrix(np.zeros(0), np.zeros(0, int), np.zeros(1, int), (0, 4)),
+        CSRMatrix([0.5, 2.0, 1.0], [1, 3, 0], [0, 0, 2, 2, 2, 3], (5, 4)),
+    ], ids=["width-4", "width-2**31-1", "width-2**31", "no-rows", "empty-rows"])
+    def test_scipy_wraps_the_same_arrays(self, X):
+        wrapped = X.scipy()
+        back = check_feature_matrix(wrapped)
+        assert type(wrapped) is sp.csr_matrix and wrapped.shape == back.shape == X.shape
+        for name in ("data", "indices", "indptr"):
+            a, b, c = getattr(X, name), getattr(wrapped, name), getattr(back, name)
+            assert a.dtype == b.dtype == c.dtype and np.array_equal(a, c), name
+            assert not a.size or np.shares_memory(a, b), name  # an empty array shares no memory
+
     @pytest.mark.parametrize("case", MALFORMED_CSR)
     def test_malformed_arrays_refused(self, case):
         arrays, message = MALFORMED_CSR[case]
@@ -486,6 +501,32 @@ class TestSoftmaxHead:
                         continue
                     banned = {"dataclasses"} | ({"fractions", "string"} if node in top else set())
                     assert not banned & set(modules), f"{path}:{node.lineno} imports {modules}"
+
+    def test_only_base_builds_a_scipy_matrix(self):
+        # every other module converts a CSRMatrix through CSRMatrix.scipy(), and
+        # base imports scipy only inside the functions that use it
+        package = os.path.dirname(rusent.__file__)
+        base = os.path.join(package, "base.py")
+        for folder, _, names in os.walk(package):
+            for name in (n for n in names if n.endswith(".py")):
+                path = os.path.join(folder, name)
+                with open(path, encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read(), path)
+                in_functions = {node for function in ast.walk(tree)
+                                if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+                                for node in ast.walk(function)}
+                for node in ast.walk(tree):
+                    if path != base:
+                        called = isinstance(node, ast.Call) and getattr(
+                            node.func, "attr", getattr(node.func, "id", None))
+                        imported = isinstance(node, ast.ImportFrom) and [a.name for a in node.names]
+                        assert "csr_matrix" not in [called, *(imported or [])], (
+                            f"{path}:{node.lineno} builds a scipy matrix")
+                    elif isinstance(node, (ast.Import, ast.ImportFrom)) and node not in in_functions:
+                        modules = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                                   else [node.module or ""])
+                        assert not any(m.split(".")[0] == "scipy" for m in modules), (
+                            f"{path}:{node.lineno} imports {modules} with the module")
 
     def test_naive_bayes_stages_run_without_scipy(self, tmp_path):
         # naive Bayes adds its sums and products with np.bincount, and load_model
