@@ -1,7 +1,7 @@
 """The five classifier kinds behind one fit/predict surface, plus saving and loading
 them as JSON model files. A kind's estimator module, and numpy with it, is imported when
-its class is first asked for; KNN's, the linear kinds' and (through _sparsetools) the MLP's
-load scipy.sparse with the module, so that compare's forked workers inherit it."""
+its class is first asked for. Only the MLP's loads scipy.sparse with the module, for its
+_sparsetools kernels; evaluate_specs loads it before it forks compare's workers."""
 
 import importlib
 import math

@@ -1,7 +1,6 @@
 """k-nearest-neighbor classifier over cosine distance."""
 
 import numpy as np
-import scipy.sparse  # loaded with the module, so that compare's forked workers inherit it
 
 from ..artifacts import CSR, INTS
 from ..base import N_CLASSES, ClassifierBase, CSRMatrix, check_labels

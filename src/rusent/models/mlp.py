@@ -4,7 +4,7 @@ mean cross-entropy loss, mini-batch stochastic gradient descent."""
 import numpy as np
 # The compiled kernels behind `csr_matrix @ dense` and `csr_matrix.T @ dense`, called
 # on the raw arrays: building the two CSR objects costs far more than the products.
-# Private, and pinned to `@` by tests/test_mlp.py; it loads scipy.sparse with the module.
+# Private, and pinned to `@` by tests/test_mlp.py.
 from scipy.sparse import _sparsetools
 
 from ..artifacts import FLOATS

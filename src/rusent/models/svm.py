@@ -2,7 +2,6 @@
 seeded, shuffled per-sample subgradient descent."""
 
 import numpy as np
-import scipy.sparse  # loaded with the module, so that compare's forked workers inherit it
 
 from ..base import LINEAR_FITTED, N_CLASSES, ClassifierBase
 

@@ -676,6 +676,34 @@ class TestCellWorkers:
             "error: a worker process scoring the cells died (A process in the process pool ")
         assert not (tmp_path / "out" / "metrics.json").exists()
 
+    def test_the_workers_inherit_scipy_sparse(self, tmp_path):
+        # Importing the KNN and linear kinds loads no scipy, so evaluate_specs
+        # must load it before it forks: each worker, which inherits the replaced
+        # _fit_predict, finds scipy.sparse loaded.
+        rows = [(r.text, r.label.label) for r in three_class_corpus(90, seed=8)]
+        dataset = write_rows(tmp_path / "data.csv", rows)
+        code = ("import os, sys\n"
+                "from rusent import (ClassifierSpec, default_stopwords, evaluate_specs,\n"
+                "                    load_csv, plan_splits, preprocess_corpus)\n"
+                "from rusent import eval as evaluation\n"
+                "from rusent.models import classifier_class\n"
+                "for kind in ('knn', 'linear_svm', 'logistic_regression'):\n"
+                "    classifier_class(kind)\n"
+                "    scipy = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
+                "    if scipy: sys.exit(f'{kind} loaded {scipy[:3]}')\n"
+                "parent, fit_predict = os.getpid(), evaluation._fit_predict\n"
+                "def fit_predict_in_worker(cell):\n"
+                "    if os.getpid() == parent or 'scipy.sparse' not in sys.modules:\n"
+                "        raise RuntimeError(f'{cell[0].kind}: no fork, or no scipy.sparse')\n"
+                "    return fit_predict(cell)\n"
+                "evaluation._fit_predict = fit_predict_in_worker\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                f"docs = preprocess_corpus(load_csv({str(dataset)!r}), default_stopwords())\n"
+                "evaluate_specs([ClassifierSpec('knn'), ClassifierSpec('logistic_regression')],\n"
+                "               plan_splits(docs, 'repeated', 0, runs=1))\n")
+        run = run_python(code)
+        assert (run.returncode, run.stderr) == (0, "")
+
     @staticmethod
     def interrupt_compare(tmp_path, cpus, interrupts, cell_seconds, cell="fit_predict_slowly",
                           started=None, replaces="_fit_predict"):

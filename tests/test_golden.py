@@ -3,7 +3,8 @@ writes exactly the committed outputs under tests/golden/, whether its cells are
 scored in-process (one allowed CPU) or in forked workers (two), and whatever
 the string hash seed of the ``python -m rusent`` process that runs it; the
 staged chain writes the committed artifacts of all five kinds; and a rewrite of
-the corpus that the cleanup undoes moves no ``compare`` output."""
+the corpus that the cleanup or the loader's dedup undoes moves no ``compare``
+output."""
 
 import csv
 import json
@@ -96,10 +97,12 @@ def test_the_staged_chain_writes_the_golden_artifacts(tmp_path):
     assert_golden(regen.STAGED, out)
 
 
-# Two metamorphic relations: a rewrite of every comment that the cleanup undoes,
-# each whitespace character doubled or every letter uppercased, moves no byte of
-# any compare output. These settings, cheaper than the defaults, keep every kind
-# above the majority rate of each test split, so the outputs carry signal.
+# Metamorphic relations: a rewrite of every comment that the cleanup undoes,
+# each whitespace character doubled, every letter uppercased or default stop
+# words put around it, moves no byte of any compare output; nor does every row
+# read twice, the second time dropped by load_csv's dedup. These settings,
+# cheaper than the defaults, keep every kind above the majority rate of each
+# test split, so the outputs carry signal.
 RELATION_CONFIG = ["runs = 2", "max_features = 500", "linear_svm.lr = 0.5",
                    "linear_svm.epochs = 60", "mlp.lr = 0.5", "mlp.epochs = 10",
                    "mlp.hidden_units = 16"]
@@ -134,7 +137,8 @@ def relation_source(tmp_path_factory):
 
 @pytest.mark.parametrize("rewrite", [
     lambda text: re.sub(r"\s", lambda space: space[0] * 2, text), str.upper,
-], ids=["whitespace-doubled", "uppercased"])
+    lambda text: f"hai {text} ka",
+], ids=["whitespace-doubled", "uppercased", "stop-words-added"])
 def test_a_rewrite_the_cleanup_undoes_moves_no_output(rewrite, relation_source, tmp_path):
     rows, expected = relation_source
     rewritten = [rows[0]] + [[rewrite(text), *rest] for text, *rest in rows[1:]]
@@ -143,3 +147,8 @@ def test_a_rewrite_the_cleanup_undoes_moves_no_output(rewrite, relation_source, 
     assert sorted(outputs) == sorted(expected)
     for name, content in expected.items():
         assert outputs[name] == content, f"{name} moved"
+
+
+def test_rows_read_twice_move_no_output(relation_source, tmp_path):
+    rows, expected = relation_source  # the header, then every data row twice over
+    assert relation_outputs(rows + rows[1:], tmp_path) == expected

@@ -553,6 +553,26 @@ class TestSoftmaxHead:
         run = self.run_python(code, str(dataset), str(tmp_path / "out"))
         assert run.returncode == 0, run.stderr
 
+    def test_knn_train_runs_without_scipy(self, tmp_path):
+        # KNN's fit keeps its three arrays; only predict's distance product needs scipy
+        rows = [(f"comment {i} acha", ("negative", "neutral", "positive")[i % 3])
+                for i in range(30)]
+        dataset = write_rows(tmp_path / "data.csv", rows, header=("comment", "sentiment"))
+        code = ("import sys\n"
+                "from rusent.cli import main\n"
+                "common = ['--dataset', sys.argv[1], '--out', sys.argv[2]]\n"
+                "for stage in ('ingest', 'preprocess', 'fit-features', 'train'):\n"
+                "    kind = ['--classifier', 'knn'] if stage == 'train' else []\n"
+                "    if main([stage, *kind, *common]) != 0:\n"
+                "        sys.exit(f'{stage} failed')\n"
+                "    scipy = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
+                "    if scipy: sys.exit(f'{stage} loaded {scipy[:3]}')\n"
+                "if main(['predict', '--classifier', 'knn', *common]) != 0:\n"
+                "    sys.exit('predict failed')\n"
+                "sys.exit('scipy.sparse' not in sys.modules and 'predict loaded no scipy.sparse')\n")
+        run = self.run_python(code, str(dataset), str(tmp_path / "out"))
+        assert run.returncode == 0, run.stderr
+
     def test_load_model_imports_the_estimator_module_of_the_file_kind_alone(self, tmp_path):
         # one process: a file of an unknown kind is refused before any estimator
         # module loads, then each kind's file adds exactly its own module
