@@ -7,8 +7,12 @@ relies on those conventions, without this package depending on scikit-learn.
 """
 
 import contextlib
+import functools
+import importlib.util
 import operator
+import os
 import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
@@ -17,6 +21,26 @@ from .exceptions import DivergedError, RusentError
 from .models import check_hyperparams, kind_entry
 
 N_CLASSES = 3
+
+
+@functools.cache
+def sparse_kernels():
+    """scipy.sparse's compiled CSR loops, the extension module ``_sparsetools``, loaded
+    from its file without running scipy's or scipy.sparse's ``__init__`` (about 0.2 s of
+    imports, of which rusent uses nothing), and left out of sys.modules; a process that
+    already imported scipy.sparse shares its module."""
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")  # finds the package; runs none of its code
+    spec = scipy and FileFinder(os.path.join(os.path.dirname(scipy.origin), "sparse"),
+                                (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if not spec:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(name, None)  # where its single-phase init put it
+    return module
 
 
 class BaseEstimator:
@@ -99,10 +123,43 @@ class CSRMatrix:
         dense[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = self.data
         return dense
 
+    def __matmul__(self, dense):
+        """This matrix times a vector or a (columns, k) array, float64: scipy's to the bit."""
+        return _LeftOperand(self, "csr") @ dense
+
+    @property
+    def T(self):
+        """The transpose, for ``X.T @ dense`` alone: scipy's csc loops on the same arrays."""
+        return _LeftOperand(self, "csc")
+
     def scipy(self):
-        """This matrix as a scipy.sparse.csr_matrix over the same three arrays, uncopied."""
+        """This matrix as a scipy.sparse.csr_matrix over the same three arrays, uncopied,
+        for library use: the package's own products go through ``@``, without scipy.sparse."""
         import scipy.sparse  # here, so that only the callers of this method load scipy
         return scipy.sparse.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+
+
+class _LeftOperand:
+    """A CSRMatrix X (kind "csr") or its transpose (kind "csc") on the left of ``@``, which
+    runs the loop scipy's csr_matrix @ calls on X's arrays: ``<kind>_matvec`` for a vector
+    or a single column, else ``<kind>_matvecs``, on a C-ordered copy if need be. The loop
+    converts an integer operand to float64, and refuses a complex one."""
+
+    __slots__ = ("X", "kind")
+
+    def __init__(self, X, kind):
+        self.X, self.kind = X, kind
+
+    def __matmul__(self, dense):
+        X, dense = self.X, np.asarray(dense)
+        M, N = X.shape if self.kind == "csr" else X.shape[::-1]
+        if dense.ndim not in (1, 2) or dense.shape[0] != N:
+            raise ValueError(f"dimension mismatch: {(M, N)} @ {dense.shape}")
+        width = () if dense.ndim == 1 or dense.shape[1] == 1 else dense.shape[1:]
+        kernel = getattr(sparse_kernels(), f"{self.kind}_matvec{'s' if width else ''}")
+        out = np.zeros((M, *dense.shape[1:]))
+        kernel(M, N, *width, X.indptr, X.indices, X.data, dense.ravel(), out.ravel())
+        return out
 
 
 def check_feature_matrix(X, n_features=None):
@@ -151,14 +208,14 @@ def softmax(logits):
     return _class_major(logits)[3]
 
 
-def _class_major(logits):
+def _class_major(logits, divide=True):
     """The (n, 3) ``logits`` as a contiguous class-major (3, n) copy L, each row's max
-    ``top``, exp(L - top) and the C-contiguous (n, 3) softmax: one exp for them all."""
+    ``top``, exp(L - top) and, if ``divide``, the C-contiguous (n, 3) softmax: one exp for
+    them all. Each row's sum is (e0 + e1) + e2, numpy's order for an (n, 3) row."""
     L = np.ascontiguousarray(logits.T)
     top = np.maximum(np.maximum(L[0], L[1]), L[2])
     exp = np.exp(L - top)
-    probs = np.empty(logits.shape)
-    np.divide(exp, (exp[0] + exp[1]) + exp[2], out=probs.T)  # numpy's order for an (n, 3) row
+    probs = divide and np.divide(exp, exp[0] + exp[1] + exp[2], out=np.empty(logits.shape).T).T
     return L, top, exp, probs
 
 
@@ -176,7 +233,7 @@ def cross_entropy_rows(logits, y):
     """Each row's cross-entropy of softmax(``logits``) against its class code in
     ``y``. The log-sum-exp is scipy.special.logsumexp's to the bit: the row's m
     maxima leave the sum s of exp(x - max), and it is log1p(s / m) + log(m) + max."""
-    return _rows_loss(*_class_major(logits)[:3], y)
+    return _rows_loss(*_class_major(logits, divide=False)[:3], y)
 
 
 def softmax_cross_entropy(logits, y):

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import N_CLASSES, check_labels
+from .base import N_CLASSES, check_labels, sparse_kernels
 from .corpus import LABEL_NAMES, kfold, split
 from .exceptions import EmptyCorpusError, WorkerDiedError
 from .features import TermCounts, TfidfVectorizer
@@ -275,7 +275,7 @@ def evaluate_specs(specs, plan, *, fit_on_all=False, max_features=MAX_FEATURES):
     tasks = [cell + (i,) if n > 1 else cell for cell, n in zip(cells, pieces) for i in range(n)]
     workers, pool = min(len(tasks), cpus), None
     if workers > 1:
-        import scipy.sparse  # before the fork, so that every worker inherits it
+        sparse_kernels()  # loaded before the fork, so that every worker inherits them
         # The workers ignore SIGINT. On any error here, a KeyboardInterrupt
         # too, the tasks not yet started are cancelled and the running ones finish
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),

@@ -1,7 +1,7 @@
 """The five classifier kinds behind one fit/predict surface, plus saving and loading
 them as JSON model files. A kind's estimator module, and numpy with it, is imported when
-its class is first asked for. Only the MLP's loads scipy.sparse with the module, for its
-_sparsetools kernels; evaluate_specs loads it before it forks compare's workers."""
+its class is first asked for. None imports scipy: the four that multiply load scipy's
+compiled CSR loops alone, through base.sparse_kernels(), at their first product."""
 
 import importlib
 import math

@@ -3,9 +3,32 @@
 import numpy as np
 
 from ..artifacts import CSR, INTS
-from ..base import N_CLASSES, ClassifierBase, CSRMatrix, check_labels
+from ..base import N_CLASSES, ClassifierBase, CSRMatrix, check_labels, sparse_kernels
 
 _CHUNK = 512
+
+
+def chunk_dots(X, train):
+    """(start, X[start:start + _CHUNK] @ train.T as a dense array) for each chunk of
+    rows of the CSRMatrix ``X``: scipy's (chunk @ train.T).toarray() to the bit, by the
+    loops it runs. train.T is put in CSR form once (csr_tocsc), then each chunk takes
+    csr_matmat_maxnnz, csr_matmat and csr_todense. The loops widen an index input to
+    their outputs' dtype: the wider input's, or int64 where a chunk's entries need it."""
+    kernels, (n, V) = sparse_kernels(), train.shape
+    index = (np.int64 if _CHUNK * n > np.iinfo(np.int32).max
+             else np.result_type(X.indptr, train.indptr))
+    train_t = np.empty(V + 1, index), np.empty(train.nnz, index), np.empty(train.nnz)
+    kernels.csr_tocsc(n, V, train.indptr, train.indices, train.data, *train_t)
+    for start in range(0, X.shape[0], _CHUNK):
+        rows = min(_CHUNK, X.shape[0] - start)
+        lo, hi = X.indptr[start], X.indptr[start + rows]
+        chunk = X.indptr[start : start + rows + 1] - lo, X.indices[lo:hi], X.data[lo:hi]
+        nnz = kernels.csr_matmat_maxnnz(rows, n, *chunk[:2], *train_t[:2])
+        product = np.empty(rows + 1, index), np.empty(nnz, index), np.empty(nnz)
+        kernels.csr_matmat(rows, n, *chunk, *train_t, *product)
+        dense = np.zeros((rows, n))
+        kernels.csr_todense(rows, n, *product, dense)
+        yield start, dense
 
 
 class KNeighborsClassifier(ClassifierBase):
@@ -35,13 +58,11 @@ class KNeighborsClassifier(ClassifierBase):
         """Per-class vote counts among the k nearest training rows of each
         query row, ordered by (distance, training index), and the label of
         the nearest one."""
-        X, train = self._validate_input(X).scipy(), self.X_.scipy()
-        k = self.k
+        X, k = self._validate_input(X), self.k
         counts = np.empty((X.shape[0], N_CLASSES), dtype=np.int64)
         nearest = np.empty(X.shape[0], dtype=np.int64)
-        for start in range(0, X.shape[0], _CHUNK):
-            chunk = X[start : start + _CHUNK]
-            distances = 1.0 - (chunk @ train.T).toarray()
+        for start, dots in chunk_dots(X, self.X_):
+            distances = 1.0 - dots
             # Select k, then order them by (distance, index). Only a row with more
             # than k distances at or below its k-th takes the first k of its stable
             # sort, which keeps the lower training indices among the ties.
@@ -51,7 +72,7 @@ class KNeighborsClassifier(ClassifierBase):
             near[tied] = np.argsort(distances[tied], axis=1, kind="stable")[:, :k]
             order = np.lexsort((near, np.take_along_axis(distances, near, axis=1)))
             labels = self.y_[np.take_along_axis(near, order, axis=1)]
-            rows = slice(start, start + chunk.shape[0])
+            rows = slice(start, start + distances.shape[0])
             counts[rows] = (labels[:, :, None] == np.arange(N_CLASSES)).sum(axis=1)
             nearest[rows] = labels[:, 0]
         return counts, nearest

@@ -31,7 +31,6 @@ class LogisticRegression(ClassifierBase):
     loss_curve_ = None  # not saved: a loaded model reads None
 
     def _fit(self, X, y):
-        X = X.scipy()
         W = np.zeros((N_CLASSES, X.shape[1]))
         b = np.zeros(N_CLASSES)
         curve = []
@@ -49,5 +48,5 @@ class LogisticRegression(ClassifierBase):
 
     def decision_scores(self, X):
         """Softmax probabilities (rows sum to 1)."""
-        X = self._validate_input(X).scipy()
+        X = self._validate_input(X)
         return softmax(X @ self.coef_.T + self.intercept_)

@@ -2,13 +2,9 @@
 mean cross-entropy loss, mini-batch stochastic gradient descent."""
 
 import numpy as np
-# The compiled kernels behind `csr_matrix @ dense` and `csr_matrix.T @ dense`, called
-# on the raw arrays: building the two CSR objects costs far more than the products.
-# Private, and pinned to `@` by tests/test_mlp.py.
-from scipy.sparse import _sparsetools
 
 from ..artifacts import FLOATS
-from ..base import N_CLASSES, ClassifierBase, cross_entropy_rows, softmax
+from ..base import N_CLASSES, ClassifierBase, cross_entropy_rows, softmax, sparse_kernels
 from ..exceptions import DivergedError
 
 
@@ -39,9 +35,12 @@ def batch_gradients(block, b1, W2, b2, data, indices, indptr, y):
     those columns; ``gW1T`` holds only the gradient rows ``cols``. If logits
     reach 1e307 / n, the n rows' summed loss may overflow: it is then taken
     first, to raise before the gradients, as a loss taken per batch did."""
-    (m, H), n = block.shape, indptr.size - 1
+    (m, H), n, kernels = block.shape, indptr.size - 1, sparse_kernels()
+    # The loops of CSRMatrix's `X @ dense` and `X.T @ dense`, called on the raw arrays:
+    # building two CSRMatrix records costs far more than the products. Pinned to
+    # scipy's `@` by tests/test_mlp.py.
     z1 = np.zeros((n, H))
-    _sparsetools.csr_matvecs(n, m, H, indptr, indices, data, block.ravel(), z1.ravel())
+    kernels.csr_matvecs(n, m, H, indptr, indices, data, block.ravel(), z1.ravel())
     z1 += b1
     a1 = np.maximum(0.0, z1)
     logits = a1 @ W2.T + b2
@@ -52,7 +51,7 @@ def batch_gradients(block, b1, W2, b2, data, indices, indptr, y):
     delta2 /= n
     delta1 = (delta2 @ W2) * (z1 > 0.0)
     gW1T = np.zeros((m, H))
-    _sparsetools.csc_matvecs(m, n, H, indptr, indices, data, delta1.ravel(), gW1T.ravel())
+    kernels.csc_matvecs(m, n, H, indptr, indices, data, delta1.ravel(), gW1T.ravel())
     return logits, gW1T, delta1.sum(axis=0), delta2.T @ a1, delta2.sum(axis=0)
 
 
@@ -91,7 +90,7 @@ class MLPClassifier(ClassifierBase):
         W1T = np.ascontiguousarray(W1.T)
 
         def every_row():  # the hidden layer and the mean loss on every row
-            hidden = X.scipy() @ W1T + b1
+            hidden = X @ W1T + b1
             logits = np.maximum(0.0, hidden) @ W2.T + b2
             return hidden, float(np.mean(cross_entropy_rows(logits, y)))
 
@@ -126,6 +125,6 @@ class MLPClassifier(ClassifierBase):
 
     def decision_scores(self, X):
         """Softmax output probabilities (rows sum to 1)."""
-        X = self._validate_input(X).scipy()
+        X = self._validate_input(X)
         hidden = np.maximum(0.0, X @ self.hidden_coef_.T + self.hidden_intercept_)
         return softmax(hidden @ self.output_coef_.T + self.output_intercept_)

@@ -91,7 +91,7 @@ class LinearSVM(ClassifierBase):
         rng = np.random.default_rng([self.seed, c])
         rows = _pairs(X) if rows is None else rows
         w, b = _sgd_binary(rows, y_signed, X.shape[1], self.lr, self.epochs, self.C, rng)
-        return w, b, hinge_objective(w, b, X.scipy(), y_signed, self.C)[0]
+        return w, b, hinge_objective(w, b, X, y_signed, self.C)[0]
 
     def _fit(self, X, y):
         rows = _pairs(X)
@@ -108,5 +108,5 @@ class LinearSVM(ClassifierBase):
 
     def decision_scores(self, X):
         """Raw one-vs-rest decision values (not probabilities)."""
-        X = self._validate_input(X).scipy()
+        X = self._validate_input(X)
         return X @ self.coef_.T + self.intercept_

@@ -676,31 +676,39 @@ class TestCellWorkers:
             "error: a worker process scoring the cells died (A process in the process pool ")
         assert not (tmp_path / "out" / "metrics.json").exists()
 
-    def test_the_workers_inherit_scipy_sparse(self, tmp_path):
-        # Importing the KNN and linear kinds loads no scipy, so evaluate_specs
-        # must load it before it forks: each worker, which inherits the replaced
-        # _fit_predict, finds scipy.sparse loaded.
+    def test_the_workers_inherit_the_sparse_kernels(self, tmp_path):
+        # Importing the four kinds that multiply loads no scipy, so evaluate_specs
+        # must load the kernels before it forks: each worker, which inherits the
+        # replaced _fit_predict, finds base.sparse_kernels() already loaded on
+        # entry, and no process, parent or worker, ever holds a scipy module.
         rows = [(r.text, r.label.label) for r in three_class_corpus(90, seed=8)]
         dataset = write_rows(tmp_path / "data.csv", rows)
         code = ("import os, sys\n"
                 "from rusent import (ClassifierSpec, default_stopwords, evaluate_specs,\n"
                 "                    load_csv, plan_splits, preprocess_corpus)\n"
                 "from rusent import eval as evaluation\n"
+                "from rusent.base import sparse_kernels\n"
                 "from rusent.models import classifier_class\n"
-                "for kind in ('knn', 'linear_svm', 'logistic_regression'):\n"
-                "    classifier_class(kind)\n"
+                "kinds = ('knn', 'linear_svm', 'logistic_regression', 'mlp')\n"
+                "def no_scipy(what):\n"
                 "    scipy = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
-                "    if scipy: sys.exit(f'{kind} loaded {scipy[:3]}')\n"
+                "    if scipy: raise RuntimeError(f'{what} loaded {scipy[:3]}')\n"
+                "for kind in kinds:\n"
+                "    classifier_class(kind)\n"
+                "    no_scipy(kind)\n"
                 "parent, fit_predict = os.getpid(), evaluation._fit_predict\n"
                 "def fit_predict_in_worker(cell):\n"
-                "    if os.getpid() == parent or 'scipy.sparse' not in sys.modules:\n"
-                "        raise RuntimeError(f'{cell[0].kind}: no fork, or no scipy.sparse')\n"
-                "    return fit_predict(cell)\n"
+                "    if os.getpid() == parent or not sparse_kernels.cache_info().currsize:\n"
+                "        raise RuntimeError(f'{cell[0].kind}: no fork, or no kernels loaded')\n"
+                "    result = fit_predict(cell)\n"
+                "    no_scipy(f'a {cell[0].kind} worker')\n"
+                "    return result\n"
                 "evaluation._fit_predict = fit_predict_in_worker\n"
                 "os.sched_getaffinity = lambda pid: {0, 1}\n"
                 f"docs = preprocess_corpus(load_csv({str(dataset)!r}), default_stopwords())\n"
-                "evaluate_specs([ClassifierSpec('knn'), ClassifierSpec('logistic_regression')],\n"
-                "               plan_splits(docs, 'repeated', 0, runs=1))\n")
+                "evaluate_specs([ClassifierSpec(kind) for kind in kinds],\n"
+                "               plan_splits(docs, 'repeated', 0, runs=1))\n"
+                "no_scipy('the parent')\n")
         run = run_python(code)
         assert (run.returncode, run.stderr) == (0, "")
 

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from rusent import MLPClassifier, TfidfVectorizer, preprocess_corpus
-from rusent.base import softmax_cross_entropy
+from rusent.base import CSRMatrix, softmax_cross_entropy, sparse_kernels
 from rusent.exceptions import DivergedError, NotFittedError
 from rusent.models.mlp import batch_gradients, epoch_batches, init_params
 from rusent.preprocess import default_stopwords
@@ -298,7 +297,7 @@ class TestSparseKernels:
             return call
 
         for name in ("csr_matvecs", "csc_matvecs"):
-            monkeypatch.setattr(_sparsetools, name, spy(name, getattr(_sparsetools, name)))
+            monkeypatch.setattr(sparse_kernels(), name, spy(name, getattr(sparse_kernels(), name)))
         gW1T = batch_gradients(W1T[cols], b1, W2, b2, data, indices, indptr, y)[1]
         monkeypatch.undo()
         rows = sp.csr_matrix((data, indices, indptr), shape=(stop - start, cols.size))
@@ -319,7 +318,7 @@ class TestSparseKernels:
                 init(self, *args, **kwargs)
             return __init__
 
-        for cls in (sp.csr_matrix, sp.csc_matrix):
+        for cls in (sp.csr_matrix, sp.csc_matrix, CSRMatrix):
             monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
         counts = []
         for epochs in (0, 3):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.special as special
+from scipy.sparse import _sparsetools
 
 import rusent
 
@@ -27,9 +28,10 @@ from rusent import (
 )
 from rusent.artifacts import from_payload, to_payload
 from rusent.base import (CSRMatrix, check_feature_matrix, cross_entropy_rows, softmax,
-                         softmax_cross_entropy)
+                         softmax_cross_entropy, sparse_kernels)
 from rusent.exceptions import DivergedError, NotFittedError
 from rusent.models import classifier_class
+from rusent.models.knn import chunk_dots
 
 from conftest import (INPUT_FORMS, count_instance, random_tfidf_instance,
                       unsorted_with_duplicates, write_rows)
@@ -268,8 +270,101 @@ MALFORMED_CSR = {
 }
 
 
+def sparse_matrix(rows, cols, seed, index=np.int32, density=0.3):
+    """A random CSRMatrix whose every 5th row and 4th column is empty, its
+    index arrays set to ``index`` after the constructor chose int32."""
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < density)
+    dense[::5], dense[:, ::4] = 0.0, 0.0
+    X = check_feature_matrix(dense)
+    X.indices, X.indptr = X.indices.astype(index), X.indptr.astype(index)
+    return X
+
+
+# name -> the CSRMatrix on the left of @ (X.T's operands have X's row count)
+PRODUCT_MATRICES = {
+    "int32": lambda: sparse_matrix(23, 9, seed=1),
+    "int64-indices": lambda: sparse_matrix(23, 9, seed=2, index=np.int64),
+    "no-rows": lambda: sparse_matrix(0, 9, seed=3),
+}
+# name -> the dense operand of n rows
+PRODUCT_OPERANDS = {
+    "vector": lambda rng, n: rng.normal(size=n),
+    "column": lambda rng, n: rng.normal(size=(n, 1)),
+    "wide": lambda rng, n: rng.normal(size=(n, 6)),
+    "F-ordered": lambda rng, n: np.asfortranarray(rng.normal(size=(n, 6))),
+    "int": lambda rng, n: rng.integers(-9, 10, size=(n, 3)),
+}
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The names of the _sparsetools loops called from here on, in order, whether
+    through rusent's sparse_kernels() or scipy's own module."""
+    calls = []
+
+    def spy(name, loop):
+        return lambda *args: (calls.append(name), loop(*args))[1]
+
+    for module in {id(m): m for m in (sparse_kernels(), _sparsetools)}.values():
+        for name in [n for n in dir(module) if not n.startswith("_")]:
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    return calls
+
+
 class TestCSRMatrix:
     """The package's own CSR record: scipy's canonical form in numpy alone."""
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["X", "X.T"])
+    @pytest.mark.parametrize("operand", PRODUCT_OPERANDS)
+    @pytest.mark.parametrize("matrix", PRODUCT_MATRICES)
+    def test_products_are_scipys_by_its_loops(self, kernel_calls, matrix, operand, transposed):
+        X = PRODUCT_MATRICES[matrix]()
+        A = X.scipy()
+        left, right = (X.T, A.T) if transposed else (X, A)
+        dense = PRODUCT_OPERANDS[operand](np.random.default_rng(4), X.shape[not transposed])
+        kernel_calls.clear()
+        got = left @ dense
+        ours = kernel_calls[:]
+        kernel_calls.clear()
+        want = right @ dense
+        assert ours == kernel_calls and len(ours) == 1
+        assert (got.dtype, got.shape, got.flags.c_contiguous) == (want.dtype, want.shape, True)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("left, shape", [
+        ("X", ()), ("X", (7,)), ("X", (8, 2, 1)), ("X", (5, 2)),
+        ("X.T", ()), ("X.T", (8,)), ("X.T", (5, 2, 1)), ("X.T", (8, 2))])
+    def test_an_operand_of_another_shape_is_refused(self, left, shape):
+        # X is 5 x 8: no loop reads past the end of an operand
+        X = sparse_matrix(5, 8, seed=1)
+        with pytest.raises(ValueError, match="^dimension mismatch"):
+            (X.T if left == "X.T" else X) @ np.ones(shape)
+
+    @pytest.mark.parametrize("case", ["chunks", "disjoint-columns", "int64-training",
+                                      "int64-queries", "no-queries"])
+    def test_knn_chunk_dots_are_scipys(self, case):
+        # more than two chunks, the last one short; the disjoint case's every
+        # chunk has no entry in its product (scipy's maxnnz-0 return)
+        queries, train = sparse_matrix(1100, 30, seed=5), sparse_matrix(70, 30, seed=6)
+        if case == "disjoint-columns":  # the training rows use only the queries' empty columns
+            dense = np.zeros((70, 30))
+            dense[:, ::4] = np.random.default_rng(7).normal(size=(70, 8))
+            train = check_feature_matrix(dense)
+        elif case.startswith("int64"):
+            side = train if case == "int64-training" else queries
+            side.indices, side.indptr = side.indices.astype(np.int64), side.indptr.astype(np.int64)
+        elif case == "no-queries":
+            queries = sparse_matrix(0, 30, seed=5)
+        Q, T = queries.scipy(), train.scipy()
+        want = [(start, (Q[start : start + 512] @ T.T).toarray())
+                for start in range(0, Q.shape[0], 512)]
+        if case == "disjoint-columns":
+            assert all(not (Q[start : start + 512] @ T.T).nnz for start, _ in want)
+        got = list(chunk_dots(queries, train))
+        assert [start for start, _ in got] == [start for start, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
     @pytest.mark.parametrize("form", INPUT_FORMS)
     def test_every_input_form_becomes_scipys_canonical_form(self, form):
@@ -434,10 +529,10 @@ class TestSoftmaxHead:
 
     def test_cli_start_up_skips_scipy_special(self):
         # importing scipy.special costs a CLI process about 0.13 s, scipy.sparse
-        # about 0.23 s and numpy about 0.18 s; only the estimator modules of the
-        # four kinds that multiply with scipy.sparse import it (train and predict
-        # of those kinds, and compare), only the stages that build an array
-        # import numpy, and only compare's scoring loads multiprocessing. The
+        # about 0.23 s and numpy about 0.18 s; no command imports either scipy
+        # module (the products load scipy's compiled loops alone, through
+        # base.sparse_kernels()), only the stages that build an array import
+        # numpy, and only compare's scoring loads multiprocessing. The
         # records are NamedTuples, so no command loads dataclasses (and with it
         # inspect and ast); fractions is imported by its one caller, and string
         # by none. Those three are compared with what the interpreter had loaded
@@ -503,8 +598,9 @@ class TestSoftmaxHead:
                     assert not banned & set(modules), f"{path}:{node.lineno} imports {modules}"
 
     def test_only_base_builds_a_scipy_matrix(self):
-        # every other module converts a CSRMatrix through CSRMatrix.scipy(), and
-        # base imports scipy only inside the functions that use it
+        # no other module builds a scipy matrix or imports anything from scipy:
+        # the products go through CSRMatrix's @ and base.sparse_kernels(), and
+        # base imports scipy.sparse only inside CSRMatrix.scipy(), the library bridge
         package = os.path.dirname(rusent.__file__)
         base = os.path.join(package, "base.py")
         for folder, _, names in os.walk(package):
@@ -512,9 +608,12 @@ class TestSoftmaxHead:
                 path = os.path.join(folder, name)
                 with open(path, encoding="utf-8") as fh:
                     tree = ast.parse(fh.read(), path)
-                in_functions = {node for function in ast.walk(tree)
-                                if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
-                                for node in ast.walk(function)}
+                bridge = set()
+                if path == base:
+                    csr = next(node for node in tree.body
+                               if isinstance(node, ast.ClassDef) and node.name == "CSRMatrix")
+                    bridge = set(ast.walk(next(node for node in csr.body if getattr(
+                        node, "name", None) == "scipy")))
                 for node in ast.walk(tree):
                     if path != base:
                         called = isinstance(node, ast.Call) and getattr(
@@ -522,11 +621,11 @@ class TestSoftmaxHead:
                         imported = isinstance(node, ast.ImportFrom) and [a.name for a in node.names]
                         assert "csr_matrix" not in [called, *(imported or [])], (
                             f"{path}:{node.lineno} builds a scipy matrix")
-                    elif isinstance(node, (ast.Import, ast.ImportFrom)) and node not in in_functions:
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in bridge:
                         modules = ([a.name for a in node.names] if isinstance(node, ast.Import)
                                    else [node.module or ""])
                         assert not any(m.split(".")[0] == "scipy" for m in modules), (
-                            f"{path}:{node.lineno} imports {modules} with the module")
+                            f"{path}:{node.lineno} imports {modules}")
 
     def test_naive_bayes_stages_run_without_scipy(self, tmp_path):
         # naive Bayes adds its sums and products with np.bincount, and load_model
@@ -553,23 +652,23 @@ class TestSoftmaxHead:
         run = self.run_python(code, str(dataset), str(tmp_path / "out"))
         assert run.returncode == 0, run.stderr
 
-    def test_knn_train_runs_without_scipy(self, tmp_path):
-        # KNN's fit keeps its three arrays; only predict's distance product needs scipy
+    def test_train_and_predict_run_without_scipy(self, tmp_path):
+        # the four kinds that multiply load scipy's compiled loops alone, through
+        # base.sparse_kernels(), which leaves no scipy module in sys.modules
         rows = [(f"comment {i} acha", ("negative", "neutral", "positive")[i % 3])
                 for i in range(30)]
         dataset = write_rows(tmp_path / "data.csv", rows, header=("comment", "sentiment"))
         code = ("import sys\n"
                 "from rusent.cli import main\n"
                 "common = ['--dataset', sys.argv[1], '--out', sys.argv[2]]\n"
-                "for stage in ('ingest', 'preprocess', 'fit-features', 'train'):\n"
-                "    kind = ['--classifier', 'knn'] if stage == 'train' else []\n"
+                "stages = [(stage, []) for stage in ('ingest', 'preprocess', 'fit-features')]\n"
+                "for kind in ('knn', 'linear_svm', 'logistic_regression', 'mlp'):\n"
+                "    stages += [(stage, ['--classifier', kind]) for stage in ('train', 'predict')]\n"
+                "for stage, kind in stages:\n"
                 "    if main([stage, *kind, *common]) != 0:\n"
-                "        sys.exit(f'{stage} failed')\n"
+                "        sys.exit(f'{stage} {kind} failed')\n"
                 "    scipy = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
-                "    if scipy: sys.exit(f'{stage} loaded {scipy[:3]}')\n"
-                "if main(['predict', '--classifier', 'knn', *common]) != 0:\n"
-                "    sys.exit('predict failed')\n"
-                "sys.exit('scipy.sparse' not in sys.modules and 'predict loaded no scipy.sparse')\n")
+                "    if scipy: sys.exit(f'{stage} {kind} loaded {scipy[:3]}')\n")
         run = self.run_python(code, str(dataset), str(tmp_path / "out"))
         assert run.returncode == 0, run.stderr
 
